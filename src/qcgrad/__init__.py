@@ -6,27 +6,17 @@ benchmark of the gradient methods.
 
 __version__ = "0.1.0"
 
-from .autodiff import backward, backward_batch, seed_amplitude_cotangent
+from .autodiff import backward_batch
 from .baselines import SpsaConfig, finite_difference_grad, spsa_grad
 from .bench import BenchmarkRecord, run_benchmark
-from .circuit import (
-    AnsatzSpec,
-    ForwardTape,
-    encode_input,
-    entangler_layer,
-    forward,
-    forward_batch,
-)
-from .datasets import Dataset, Sample, gen_circles, gen_function_dataset, gen_moons
-from .gates import CZ, d_ry, d_rz, ry, rz
+from .circuit import AnsatzSpec, encode_batch, forward_batch
+from .datasets import Dataset, gen_circles, gen_function_dataset, gen_moons
+from .gates import ry, rz
 from .heads import (
     ClassificationHead,
     RegressionHead,
-    classification_cotangent,
-    cross_entropy_loss,
-    mse_loss,
-    regression_cotangent,
-    regression_output,
+    classification_batch,
+    regression_batch,
     softmax_gamma,
 )
 from .state import (
@@ -52,12 +42,9 @@ __all__ = [
     "AnsatzSpec",
     "BenchmarkRecord",
     "ClassificationHead",
-    "CZ",
     "Dataset",
-    "ForwardTape",
     "QuantumState",
     "RegressionHead",
-    "Sample",
     "SpsaConfig",
     "TrainConfig",
     "TrainResult",
@@ -65,31 +52,22 @@ __all__ = [
     "accuracy",
     "apply_cz",
     "apply_single_qubit",
-    "backward",
     "backward_batch",
     "basis_state",
-    "classification_cotangent",
-    "cross_entropy_loss",
-    "d_ry",
-    "d_rz",
-    "encode_input",
-    "entangler_layer",
+    "classification_batch",
+    "encode_batch",
     "finite_difference_grad",
-    "forward",
     "forward_batch",
     "gen_circles",
     "gen_function_dataset",
     "gen_moons",
     "marginal",
-    "mse_loss",
     "probabilities",
     "r_squared",
-    "regression_cotangent",
-    "regression_output",
+    "regression_batch",
     "run_benchmark",
     "ry",
     "rz",
-    "seed_amplitude_cotangent",
     "softmax_gamma",
     "spsa_grad",
     "train",

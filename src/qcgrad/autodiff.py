@@ -21,19 +21,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import gates
-from .circuit import AnsatzSpec, BatchTape, ForwardTape
-from .state import QuantumState, apply_matrix, ring_signs
-
-
-def seed_amplitude_cotangent(final_state: QuantumState, dL_dp: np.ndarray) -> np.ndarray:
-    """Amplitude cotangent at the circuit output: a[j] = dL_dp[j] * conj(c[j])."""
-    dL_dp = np.asarray(dL_dp, dtype=float)
-    if dL_dp.shape != final_state.amplitudes.shape:
-        raise ValueError(
-            f"cotangent length {dL_dp.shape} does not match state dimension "
-            f"{final_state.amplitudes.shape}"
-        )
-    return dL_dp * np.conj(final_state.amplitudes)
+from .circuit import AnsatzSpec, BatchTape
+from .state import apply_matrix, ring_signs
 
 
 def _sublayer_grad_y(a: np.ndarray, s_out: np.ndarray, target: int, n: int) -> np.ndarray:
@@ -59,7 +48,7 @@ def _sublayer_grad_z(a: np.ndarray, s_out: np.ndarray, target: int, n: int) -> n
 def _backward_arrays(
     posts: list[np.ndarray], theta: np.ndarray, spec: AnsatzSpec, a: np.ndarray
 ) -> np.ndarray:
-    """Reverse walk over the gate groups; a and posts have shape (..., dim)."""
+    """Reverse walk over the gate groups; a and posts have shape (B, dim)."""
     n, l = spec.n_qubits, spec.depth_l
     grad = np.zeros(a.shape[:-1] + (spec.param_count,))
     idx = len(posts) - 1
@@ -84,26 +73,13 @@ def _backward_arrays(
     return grad
 
 
-def backward(tape: ForwardTape, dL_dp: np.ndarray, spec: AnsatzSpec) -> np.ndarray:
-    """Gradient of the loss w.r.t. every circuit parameter, from one tape.
-
-    ``dL_dp`` holds dL/dp_j for every basis index j (zero where the readout
-    does not observe).  The result is real with the parameter layout of
-    :mod:`qcgrad.circuit`.
-    """
-    if tape.spec != spec:
-        raise ValueError(f"tape was built for {tape.spec}, not {spec}")
-    if len(tape.post_layer_states) != spec.group_count:
-        raise ValueError(
-            f"tape has {len(tape.post_layer_states)} groups, expected {spec.group_count}"
-        )
-    a = seed_amplitude_cotangent(tape.final_state, dL_dp)
-    posts = [s.amplitudes for s in tape.post_layer_states]
-    return _backward_arrays(posts, tape.theta, spec, a)
-
-
 def backward_batch(tape: BatchTape, dL_dp: np.ndarray, spec: AnsatzSpec) -> np.ndarray:
-    """Per-sample gradients, shape (B, param_count), from a batch tape."""
+    """Per-sample gradients, shape (B, param_count), from a batch tape.
+
+    ``dL_dp`` has the tape's shape (B, 2**n) and holds dL/dp_j for every
+    basis index j (zero where the readout does not observe).  The result is
+    real with the parameter layout of :mod:`qcgrad.circuit`.
+    """
     if tape.spec != spec:
         raise ValueError(f"tape was built for {tape.spec}, not {spec}")
     dL_dp = np.asarray(dL_dp, dtype=float)

@@ -18,28 +18,23 @@ LossFunction = Callable[[np.ndarray], float]
 
 @dataclass(frozen=True)
 class SpsaConfig:
-    """SPSA constants following Spall's practical guidelines.
+    """SPSA perturbation constants following Spall's practical guidelines.
 
-    ``a``/``A``/``alpha`` parameterize the classic step-size schedule
-    a_k = a / (A + k + 1)^alpha; the trainer here applies SPSA estimates
-    with its own plain learning rate so that timing comparisons isolate
-    gradient-computation cost, but the schedule constants are kept for
-    standalone use.  ``c``/``gamma_exp`` set the perturbation decay
-    c_k = c / (k + 1)^gamma_exp.
+    ``c``/``gamma_exp`` set the perturbation decay c_k = c / (k + 1)^gamma_exp.
+    The trainer applies SPSA estimates with its own plain learning rate, not
+    Spall's step-size schedule, so that timing comparisons isolate
+    gradient-computation cost.
     """
 
-    a: float = 0.1
     c: float = 0.1
-    A: float = 20.0
-    alpha: float = 0.602
     gamma_exp: float = 0.101
     seed: int = 0
 
     def __post_init__(self):
-        if self.a <= 0 or self.c <= 0:
-            raise ValueError("a and c must be > 0")
-        if not (0 < self.alpha <= 1 and 0 < self.gamma_exp <= 1):
-            raise ValueError("alpha and gamma_exp must lie in (0, 1]")
+        if self.c <= 0:
+            raise ValueError(f"c must be > 0, got {self.c}")
+        if not 0 < self.gamma_exp <= 1:
+            raise ValueError(f"gamma_exp must lie in (0, 1], got {self.gamma_exp}")
 
     def perturbation_size(self, k: int) -> float:
         """c_k = c / (k + 1)^gamma_exp, monotonically decaying in k."""

@@ -1,26 +1,25 @@
 """Wall-clock comparison of gradient methods across circuit depth and width.
 
-Each benchmark cell trains for a fixed number of iterations on the same
-classification dataset and records the wall time of the bare loop —
-forward, gradient, and parameter update only.  Dataset generation,
-encoding, and parameter initialization happen outside the timed region,
-one warm-up iteration is discarded, and every cell is repeated with the
-median reported.  Cells run strictly sequentially.
+Each benchmark cell calls :func:`qcgrad.trainer.train` for a fixed number of
+iterations on the same classification dataset and records its
+``wall_time_seconds``: the bare loop of forward, gradient, parameter update,
+and the per-iteration loss and metric that ``train`` records.  For finite
+differences that bookkeeping is one loss evaluation per iteration on top of
+the 2P of the gradient; for SPSA it is one on top of 2.  Dataset encoding and
+parameter initialization happen outside the timed region, a 1-iteration
+``train`` warms each cell up, and every cell is repeated with the median
+reported.  Cells run strictly sequentially.
 """
 
 from __future__ import annotations
 
 import statistics
-import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-import numpy as np
-
-from .baselines import finite_difference_grad, spsa_grad
 from .circuit import AnsatzSpec
 from .datasets import Dataset
 from .heads import ClassificationHead
-from .trainer import GRADIENT_METHODS, CircuitObjective, TrainConfig, initial_theta
+from .trainer import GRADIENT_METHODS, TrainConfig, train
 
 
 @dataclass(frozen=True)
@@ -33,31 +32,11 @@ class BenchmarkRecord:
     error: str | None = None
 
 
-def _time_cell(
-    method: str, n: int, l: int, dataset: Dataset, cfg: TrainConfig, repeats: int
-) -> float:
-    spec = AnsatzSpec(n_qubits=n, depth_l=l, feature_dim=dataset.feature_dim)
+def _cell_seconds(spec: AnsatzSpec, dataset: Dataset, cfg: TrainConfig, repeats: int) -> float:
+    """Median ``train`` wall time of one cell, scaled to 100 iterations."""
     head = ClassificationHead(gamma=cfg.gamma)
-    objective = CircuitObjective(dataset, spec, head)
-    theta0 = initial_theta(spec, cfg)
-    lr = cfg.learning_rate
-    spsa_cfg = cfg.spsa_config()
-
-    if method == "backprop":
-        step = lambda theta, k: objective.grad_backprop(theta)
-    elif method == "finite_difference":
-        step = lambda theta, k: finite_difference_grad(objective.loss, theta, cfg.fd_step)
-    else:
-        step = lambda theta, k: spsa_grad(objective.loss, theta, k, spsa_cfg)
-
-    times = []
-    for _ in range(repeats):
-        _ = theta0 - lr * step(theta0, 0)  # warm-up iteration, untimed
-        theta = theta0
-        start = time.perf_counter()
-        for k in range(cfg.iterations):
-            theta = theta - lr * step(theta, k)
-        times.append(time.perf_counter() - start)
+    train(dataset, spec, head, replace(cfg, iterations=1))  # warm-up, untimed
+    times = [train(dataset, spec, head, cfg).wall_time_seconds for _ in range(repeats)]
     return statistics.median(times) * (100.0 / cfg.iterations)
 
 
@@ -94,7 +73,8 @@ def run_benchmark(
     for method in methods:
         for n, l in cells:
             try:
-                seconds = _time_cell(method, n, l, dataset, cfg, repeats)
+                spec = AnsatzSpec(n_qubits=n, depth_l=l, feature_dim=dataset.feature_dim)
+                seconds = _cell_seconds(spec, dataset, replace(cfg, gradient_method=method), repeats)
                 error = None
             except (ArithmeticError, ValueError) as exc:
                 seconds = float("nan")

@@ -1,10 +1,10 @@
-"""Input encoding, layered variational circuit, and the forward tape.
+"""Input encoding, layered variational circuit, and the batch tape.
 
 Circuit structure: an encoding block followed by ``depth_l + 1`` rotation
 layers with a CZ-ring entangler between consecutive rotation layers.  Each
 rotation layer splits into two commuting sub-layers on the tape: first every
 qubit's Y rotation, then every qubit's Z rotation.  The tape records the
-state after every gate group, i.e. the group sequence is
+batch of states after every gate group, i.e. the group sequence is
 
     [Y_0, Z_0, ENT, Y_1, Z_1, ENT, ..., Y_l, Z_l]
 
@@ -22,16 +22,19 @@ two-dimensional inputs place the first feature on even qubits and the second
 on odd qubits.  Inputs outside [-1, 1] are rejected rather than clamped —
 clamping would silently corrupt the encoding, so dataset generators
 guarantee the range instead.
+
+Every simulation runs on a batch of shape ``(B, 2**n)``; a single input is
+the batch ``x[None, :]``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import gates
-from .state import QuantumState, apply_matrix, apply_matrix_elems, ring_signs
+from .state import apply_matrix, apply_matrix_elems, ring_signs
 
 
 @dataclass(frozen=True)
@@ -65,33 +68,15 @@ class AnsatzSpec:
         """Number of recorded gate groups: 2*(l+1) rotation sub-layers + l entanglers."""
         return 3 * self.depth_l + 2
 
-    def param_index(self, layer: int, qubit: int, which: str) -> int:
-        """Flat index of one angle; ``which`` is 'y' or 'z'."""
-        return 2 * self.n_qubits * layer + 2 * qubit + (0 if which == "y" else 1)
-
-
-@dataclass(frozen=True)
-class ForwardTape:
-    """Cached per-group states of one forward pass, for the backward pass."""
-
-    spec: AnsatzSpec
-    theta: np.ndarray
-    encoded_state: QuantumState
-    post_layer_states: list[QuantumState] = field(default_factory=list)
-
-    @property
-    def final_state(self) -> QuantumState:
-        return self.post_layer_states[-1]
-
 
 @dataclass(frozen=True)
 class BatchTape:
-    """Vectorized tape over a batch: amplitude arrays of shape (B, 2**n)."""
+    """Per-group states of one forward pass: amplitude arrays of shape (B, 2**n)."""
 
     spec: AnsatzSpec
     theta: np.ndarray
     encoded: np.ndarray
-    posts: list[np.ndarray] = field(default_factory=list)
+    posts: list[np.ndarray]
 
     @property
     def final(self) -> np.ndarray:
@@ -113,8 +98,6 @@ def check_theta(theta: np.ndarray, spec: AnsatzSpec) -> np.ndarray:
 def encode_angles(x: np.ndarray, spec: AnsatzSpec) -> tuple[np.ndarray, np.ndarray]:
     """Per-qubit (Y, Z) encoding angles for inputs of shape (d,) or (B, d)."""
     x = np.asarray(x, dtype=float)
-    if x.ndim == 0:
-        x = x.reshape(1)
     if x.shape[-1] != spec.feature_dim:
         raise ValueError(f"expected {spec.feature_dim} feature(s), got shape {x.shape}")
     if np.any(np.abs(x) > 1.0):
@@ -127,62 +110,33 @@ def encode_angles(x: np.ndarray, spec: AnsatzSpec) -> tuple[np.ndarray, np.ndarr
     return np.arcsin(per_qubit), np.arccos(per_qubit**2)
 
 
-def _encode_array(x: np.ndarray, spec: AnsatzSpec) -> np.ndarray:
-    """Encoded amplitudes for inputs of shape (d,) -> (dim,) or (B, d) -> (B, dim)."""
-    theta_y, theta_z = encode_angles(x, spec)
-    n = spec.n_qubits
-    lead = theta_y.shape[:-1]
-    amps = np.zeros(lead + (1 << n,), dtype=complex)
-    amps[..., 0] = 1.0
-    if lead:
-        for j in range(n):
-            c = np.cos(0.5 * theta_y[..., j])
-            s = np.sin(0.5 * theta_y[..., j])
-            amps = apply_matrix_elems(amps, c, -s, s, c, j, n)
-            p = np.exp(-0.5j * theta_z[..., j])
-            zero = np.zeros_like(p)
-            amps = apply_matrix_elems(amps, p, zero, zero, np.conj(p), j, n)
-    else:
-        for j in range(n):
-            amps = apply_matrix(amps, gates.ry(theta_y[j]), j, n)
-            amps = apply_matrix(amps, gates.rz(theta_z[j]), j, n)
-    return amps
-
-
-def encode_input(x, spec: AnsatzSpec) -> QuantumState:
-    """Encode one classical input into the initial quantum state."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.ndim != 1:
-        raise ValueError(f"encode_input takes a single input vector, got shape {x.shape}")
-    return QuantumState(spec.n_qubits, _encode_array(x, spec))
-
-
 def encode_batch(xs: np.ndarray, spec: AnsatzSpec) -> np.ndarray:
     """Encode a (B, d) batch of inputs into (B, 2**n) amplitudes."""
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 2:
         raise ValueError(f"encode_batch takes a (B, d) array, got shape {xs.shape}")
-    return _encode_array(xs, spec)
-
-
-def entangler_layer(state: QuantumState) -> QuantumState:
-    """CZ ring: control j, target (j+1) mod n for each j ascending.
-
-    For n < 2 there is nothing to entangle and the state is returned
-    unchanged.  The combined ring diagonal is bit-identical to applying the
-    individual CZ gates in order (see :func:`qcgrad.state.ring_signs`).
-    """
-    return QuantumState(state.n_qubits, state.amplitudes * ring_signs(state.n_qubits))
+    theta_y, theta_z = encode_angles(xs, spec)
+    n = spec.n_qubits
+    amps = np.zeros((len(xs), 1 << n), dtype=complex)
+    amps[:, 0] = 1.0
+    for j in range(n):
+        c = np.cos(0.5 * theta_y[:, j])
+        s = np.sin(0.5 * theta_y[:, j])
+        amps = apply_matrix_elems(amps, c, -s, s, c, j, n)
+        p = np.exp(-0.5j * theta_z[:, j])
+        zero = np.zeros_like(p)
+        amps = apply_matrix_elems(amps, p, zero, zero, np.conj(p), j, n)
+    return amps
 
 
 def run_variational(
     encoded: np.ndarray, theta: np.ndarray, spec: AnsatzSpec, record: bool = True
 ) -> list[np.ndarray] | np.ndarray:
-    """Apply the variational layers to encoded amplitudes of shape (..., dim).
+    """Apply the variational layers to encoded amplitudes of shape (B, dim).
 
     Returns the list of post-group arrays when ``record`` is true, else just
-    the final array.  This is the single code path behind :func:`forward`,
-    :func:`forward_batch`, and loss-only evaluations.
+    the final array.  This is the single code path behind the tape of
+    :func:`forward_batch` and every loss-only evaluation.
     """
     n, l = spec.n_qubits, spec.depth_l
     amps = encoded
@@ -204,18 +158,8 @@ def run_variational(
     return posts if record else amps
 
 
-def forward(x, theta: np.ndarray, spec: AnsatzSpec) -> ForwardTape:
-    """Run the full circuit on one input, caching every gate group's state."""
+def forward_batch(encoded: np.ndarray, theta: np.ndarray, spec: AnsatzSpec) -> BatchTape:
+    """Run the variational layers on encoded amplitudes, recording every group."""
     theta = check_theta(theta, spec)
-    encoded = encode_input(x, spec)
-    posts = run_variational(encoded.amplitudes, theta, spec, record=True)
-    states = [QuantumState(spec.n_qubits, a) for a in posts]
-    return ForwardTape(spec=spec, theta=theta, encoded_state=encoded, post_layer_states=states)
-
-
-def forward_batch(xs: np.ndarray, theta: np.ndarray, spec: AnsatzSpec) -> BatchTape:
-    """Vectorized :func:`forward` over a (B, d) batch of inputs."""
-    theta = check_theta(theta, spec)
-    encoded = encode_batch(xs, spec)
     posts = run_variational(encoded, theta, spec, record=True)
     return BatchTape(spec=spec, theta=theta, encoded=encoded, posts=posts)

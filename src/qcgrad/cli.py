@@ -19,28 +19,18 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .autodiff import backward
 from .baselines import finite_difference_grad
 from .bench import run_benchmark
-from .circuit import AnsatzSpec, forward
+from .circuit import AnsatzSpec
 from .datasets import REGRESSION_KINDS, _target_fn, gen_circles, gen_function_dataset, gen_moons
-from .heads import (
-    ClassificationHead,
-    RegressionHead,
-    classification_cotangent,
-    cross_entropy_loss,
-    mse_loss,
-    regression_cotangent,
-    regression_output,
-    softmax_gamma,
-)
-from .state import z_expectation
+from .heads import ClassificationHead, RegressionHead
 from .trainer import (
     TrainConfig,
     TrainingDivergedError,
     predict_classification,
     predict_regression,
     r_squared,
+    random_objective,
     train,
 )
 
@@ -191,37 +181,9 @@ def run_gradcheck(config: dict) -> dict:
     for trial in range(config["trials"]):
         rng = np.random.default_rng([config["seed"], trial])
         classification = n >= 2 and trial % 2 == 1
-        feature_dim = 2 if classification else 1
-        spec = AnsatzSpec(n_qubits=n, depth_l=l, feature_dim=feature_dim)
-        x = rng.uniform(-1.0, 1.0, size=feature_dim)
-        theta = rng.uniform(0.0, 2.0 * np.pi, size=spec.param_count)
-
-        if classification:
-            head = ClassificationHead(gamma=float(rng.uniform(0.5, 5.0)))
-            label = int(rng.integers(0, 2))
-
-            def loss_fn(th, x=x, spec=spec, head=head, label=label):
-                final = forward(x, th, spec).final_state
-                z1 = z_expectation(final, head.qubit_1)
-                z2 = z_expectation(final, head.qubit_2)
-                y1, _ = softmax_gamma(z1, z2, head.gamma)
-                return cross_entropy_loss(y1, label)
-
-            tape = forward(x, theta, spec)
-            dL_dp = classification_cotangent(tape.final_state, label, head)
-        else:
-            head = RegressionHead()
-            target = float(rng.uniform(-2.0, 2.0))
-
-            def loss_fn(th, x=x, spec=spec, head=head, target=target):
-                final = forward(x, th, spec).final_state
-                return mse_loss(regression_output(final, head), target)
-
-            tape = forward(x, theta, spec)
-            dL_dp = regression_cotangent(tape.final_state, target, head)
-
-        g_bp = backward(tape, dL_dp, spec)
-        g_fd = finite_difference_grad(loss_fn, theta, 1e-5)
+        objective, theta = random_objective(rng, n, l, classification)
+        _, _, g_bp = objective.backprop(theta)
+        g_fd = finite_difference_grad(objective.loss, theta, 1e-5)
         abs_dev = np.abs(g_bp - g_fd)
         scaled = abs_dev / np.maximum(1.0, np.abs(g_fd))
         max_abs = max(max_abs, float(abs_dev.max()))
@@ -367,8 +329,13 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     return parser, subparsers
 
 
-def _apply_config_file(parser: _Parser, argv: list[str]) -> None:
-    """Load key=value defaults named by --config; explicit flags still win."""
+def _config_file_args(parser: _Parser, argv: list[str]) -> list[str]:
+    """The key=value lines of the file named by --config, as ``--key=value`` flags.
+
+    Placed before the explicit flags, they let argparse convert and check
+    every value while the explicit flags still win.  ``key=true`` becomes
+    the bare switch ``--key``.
+    """
     path = None
     for i, token in enumerate(argv):
         if token == "--config" and i + 1 < len(argv):
@@ -376,13 +343,12 @@ def _apply_config_file(parser: _Parser, argv: list[str]) -> None:
         elif token.startswith("--config="):
             path = token.split("=", 1)[1]
     if path is None:
-        return
+        return []
     try:
         lines = Path(path).read_text().splitlines()
     except OSError as exc:
         parser.error(f"cannot read config file: {exc}")
-    actions = {a.dest: a for a in parser._actions}
-    defaults = {}
+    flags = []
     for lineno, line in enumerate(lines, 1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -390,15 +356,11 @@ def _apply_config_file(parser: _Parser, argv: list[str]) -> None:
         if "=" not in line:
             parser.error(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        dest = key.replace("-", "_")
-        action = actions.get(dest)
-        if action is None or dest in ("config", "func", "help"):
+        key = key.replace("_", "-")
+        if key in ("config", "help"):
             parser.error(f"{path}:{lineno}: unknown config key {key!r}")
-        converted = action.type(value) if action.type else value
-        if action.choices and converted not in action.choices:
-            parser.error(f"{path}:{lineno}: invalid value {value!r} for {key!r}")
-        defaults[dest] = converted
-    parser.set_defaults(**defaults)
+        flags.append(f"--{key}" if value == "true" else f"--{key}={value}")
+    return flags
 
 
 def cmd_regress(args) -> int:
@@ -470,13 +432,20 @@ def cmd_bench(args) -> int:
 
 def cmd_rerun(args) -> int:
     manifest_path = Path(args.manifest)
-    with open(manifest_path) as fh:
-        manifest = json.load(fh)
+    try:
+        with open(manifest_path) as fh:
+            manifest = json.load(fh)
+    except (OSError, ValueError) as exc:
+        print(f"cannot read manifest: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     out_dir = Path(args.out_dir) if args.out_dir else manifest_path.parent / "rerun"
     runners = {"regress": run_regress, "classify": run_classify, "bench": run_bench}
-    command = manifest.get("command")
+    command = manifest.get("command") if isinstance(manifest, dict) else None
     if command not in runners:
         print(f"manifest command {command!r} cannot be re-run", file=sys.stderr)
+        return EXIT_USAGE
+    if not isinstance(manifest.get("config"), dict):
+        print(f"manifest {manifest_path} has no config object", file=sys.stderr)
         return EXIT_USAGE
     runners[command](manifest["config"], out_dir)
     return EXIT_OK
@@ -487,7 +456,7 @@ def main(argv=None) -> int:
     parser, subparsers = _build_parser()
     try:
         if argv and argv[0] in subparsers:
-            _apply_config_file(subparsers[argv[0]], argv[1:])
+            argv[1:1] = _config_file_args(subparsers[argv[0]], argv[1:])
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)

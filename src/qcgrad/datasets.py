@@ -9,18 +9,11 @@ goal.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 REGRESSION_KINDS = ("linear", "square", "sine")
-
-
-@dataclass(frozen=True)
-class Sample:
-    x: np.ndarray
-    target: float
 
 
 @dataclass(frozen=True)
@@ -44,20 +37,6 @@ class Dataset:
     @property
     def feature_dim(self) -> int:
         return self.x.shape[1]
-
-    @property
-    def samples(self) -> list[Sample]:
-        return [Sample(xi, float(t)) for xi, t in zip(self.x, self.targets)]
-
-    def to_csv(self, path) -> None:
-        headers = ["x1", "target"] if self.feature_dim == 1 else ["x1", "x2", "target"]
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(headers)
-            for xi, t in zip(self.x, self.targets):
-                row = [repr(float(v)) for v in xi]
-                row.append(repr(int(t)) if self.task == "classification" else repr(float(t)))
-                writer.writerow(row)
 
 
 def _target_fn(kind: str, x: np.ndarray) -> np.ndarray:
@@ -142,19 +121,3 @@ def gen_moons(count: int = 200, noise_sigma: float = 0.0, seed: int = 0) -> Data
         coords = coords + noise_sigma * rng.standard_normal(coords.shape)
     coords = _rescale_to_unit(coords)
     return Dataset(x=coords, targets=labels, task="classification", seed=seed)
-
-
-def shuffle_split(dataset: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
-    """Seeded shuffle of the samples followed by a fractional split."""
-    if not 0.0 < train_fraction < 1.0:
-        raise ValueError(f"train_fraction must lie in (0, 1), got {train_fraction}")
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(len(dataset))
-    cut = int(round(train_fraction * len(dataset)))
-    if cut == 0 or cut == len(dataset):
-        raise ValueError("split leaves one side empty")
-    first, second = order[:cut], order[cut:]
-    make = lambda idx: Dataset(
-        x=dataset.x[idx], targets=dataset.targets[idx], task=dataset.task, seed=seed
-    )
-    return make(first), make(second)

@@ -1,4 +1,4 @@
-"""Single-qubit rotation matrices, their parameter derivatives, and the CZ gate.
+"""Single-qubit rotation matrices.
 
 Conventions: R_Y(t) = exp(-i t Y/2) and R_Z(t) = exp(-i t Z/2), the standard
 half-angle forms.  Any consistent convention trains equally well (the angles
@@ -31,21 +31,3 @@ def rz(theta: float) -> np.ndarray:
     theta = _require_finite(theta)
     p = cmath.exp(-0.5j * theta)
     return np.array([[p, 0.0], [0.0, p.conjugate()]], dtype=complex)
-
-
-def d_ry(theta: float) -> np.ndarray:
-    """Entrywise d/dt of ry(t).  Not unitary."""
-    theta = _require_finite(theta)
-    c, s = math.cos(0.5 * theta), math.sin(0.5 * theta)
-    return 0.5 * np.array([[-s, -c], [c, -s]], dtype=complex)
-
-
-def d_rz(theta: float) -> np.ndarray:
-    """Entrywise d/dt of rz(t).  Not unitary."""
-    theta = _require_finite(theta)
-    p = cmath.exp(-0.5j * theta)
-    return np.array([[-0.5j * p, 0.0], [0.0, 0.5j * p.conjugate()]], dtype=complex)
-
-
-#: Controlled-Z on (control, target); symmetric in its two qubits.
-CZ = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)

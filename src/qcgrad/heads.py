@@ -2,8 +2,9 @@
 
 Regression reads twice the Z expectation of one qubit against a squared
 loss; binary classification pushes the Z expectations of two qubits through
-a gamma-scaled two-way softmax into a cross-entropy loss.  Each head also
-produces the probability cotangent dL/dp_j that seeds the backward pass.
+a gamma-scaled two-way softmax into a cross-entropy loss.  Each head works
+on a batch of probability vectors of shape (B, 2**n) and also produces the
+probability cotangent dL/dp_j that seeds the backward pass.
 
 The cotangents implement the exact chain rule of the losses as coded here
 (including the gamma factor and the output-scale factor), so they agree
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .state import QuantumState, probabilities, z_expectation, z_sign_vector
+from .state import z_sign_vector
 
 #: Probabilities are clamped to [eps, 1-eps] before log().
 CLAMP_EPS = 1e-12
@@ -46,22 +47,6 @@ class ClassificationHead:
             raise ValueError(f"gamma must be > 0, got {self.gamma}")
 
 
-def regression_output(state: QuantumState, head: RegressionHead) -> float:
-    return head.output_scale * z_expectation(state, head.measured_qubit)
-
-
-def mse_loss(y_pred: float, target: float) -> float:
-    """Squared loss 0.5 * (y_pred - target)^2."""
-    return 0.5 * (y_pred - target) ** 2
-
-
-def regression_cotangent(state: QuantumState, target: float, head: RegressionHead) -> np.ndarray:
-    """dL/dp_j for the squared loss; +/-1 pattern on the measured qubit's bit."""
-    delta = regression_output(state, head) - target
-    # dL/d<Z> = output_scale * delta, then d<Z>/dp_j = +/-1 by bit grouping
-    return (head.output_scale * delta) * z_sign_vector(state.n_qubits, head.measured_qubit)
-
-
 def _sigmoid(t: float) -> float:
     if t >= 0.0:
         return 1.0 / (1.0 + math.exp(-t))
@@ -81,35 +66,14 @@ def softmax_gamma(z1: float, z2: float, gamma: float) -> tuple[float, float]:
     return y1, 1.0 - y1
 
 
-def cross_entropy_loss(y1: float, label: int) -> float:
-    """Binary cross entropy -(d*log(y1) + (1-d)*log(1-y1)), minimized at y1 == d."""
-    y = min(max(y1, CLAMP_EPS), 1.0 - CLAMP_EPS)
-    d = float(label)
-    return -(d * math.log(y) + (1.0 - d) * math.log(1.0 - y))
-
-
-def classification_cotangent(
-    state: QuantumState, label: int, head: ClassificationHead
-) -> np.ndarray:
-    """dL/dp_j for cross entropy through the gamma softmax.
-
-    dL/d<Z_1> = gamma*(y1 - d) and dL/d<Z_2> is its negative; at gamma=1
-    this is the plain (y1 - d) error signal.
-    """
-    z1 = z_expectation(state, head.qubit_1)
-    z2 = z_expectation(state, head.qubit_2)
-    y1, _ = softmax_gamma(z1, z2, head.gamma)
-    g = head.gamma * (y1 - float(label))
-    n = state.n_qubits
-    return g * (z_sign_vector(n, head.qubit_1) - z_sign_vector(n, head.qubit_2))
-
-
-# Vectorized forms used by the trainer; probs has shape (B, 2**n).
-
 def regression_batch(
     probs: np.ndarray, targets: np.ndarray, head: RegressionHead, n_qubits: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(losses, predictions, dL_dp) over a batch of probability vectors."""
+    """(losses, predictions, dL_dp) of the squared loss 0.5 * (pred - target)^2.
+
+    dL/d<Z> = output_scale * (pred - target), spread as +/-1 over the
+    measured qubit's bit of each basis index.
+    """
     z = probs @ z_sign_vector(n_qubits, head.measured_qubit)
     preds = head.output_scale * z
     delta = preds - targets
@@ -121,7 +85,12 @@ def regression_batch(
 def classification_batch(
     probs: np.ndarray, labels: np.ndarray, head: ClassificationHead, n_qubits: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(losses, y1, dL_dp) over a batch of probability vectors."""
+    """(losses, y1, dL_dp) of cross entropy -(d*log(y1) + (1-d)*log(1-y1)).
+
+    y1 is clamped to [eps, 1-eps] before log().  dL/d<Z_1> = gamma*(y1 - d)
+    and dL/d<Z_2> is its negative; at gamma=1 this is the plain (y1 - d)
+    error signal.
+    """
     z1 = probs @ z_sign_vector(n_qubits, head.qubit_1)
     z2 = probs @ z_sign_vector(n_qubits, head.qubit_2)
     t = head.gamma * (z1 - z2)

@@ -10,11 +10,11 @@ This convention is forced by the marginal-probability grouping used for the
 Z readout and is documented prominently because binary-string endianness is
 otherwise ambiguous.
 
-The module-level kernels (:func:`apply_matrix`, :func:`apply_diag`) operate
-on amplitude arrays of shape ``(..., 2**n)`` so the same code path serves
-single states and batches of states.  The :class:`QuantumState` operations
-are value-in/value-out; internal callers that own their arrays may reuse the
-kernels directly.
+The module-level kernels (:func:`apply_matrix`, :func:`apply_matrix_elems`)
+operate on amplitude arrays of shape ``(..., 2**n)``; the circuit runs them on
+batches of shape ``(B, 2**n)``.  The :class:`QuantumState` operations are
+value-in/value-out single-state operations built on the same kernels; they
+serve as the gate-by-gate reference the circuit is tested against.
 """
 
 from __future__ import annotations
@@ -130,10 +130,6 @@ class QuantumState:
                 f"qubit(s), got shape {amps.shape}"
             )
         object.__setattr__(self, "amplitudes", amps)
-
-    @property
-    def dim(self) -> int:
-        return 1 << self.n_qubits
 
     def norm_error(self) -> float:
         """|sum of |a|^2  -  1|, for invariant checks."""

@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .autodiff import backward_batch
 from .baselines import SpsaConfig, finite_difference_grad, spsa_grad
-from .circuit import AnsatzSpec, BatchTape, check_theta, encode_batch, run_variational
+from .circuit import AnsatzSpec, encode_batch, forward_batch, run_variational
 from .datasets import Dataset
 from .heads import ClassificationHead, RegressionHead, classification_batch, regression_batch
 from .state import z_sign_vector
@@ -38,10 +38,8 @@ class TrainConfig:
     iterations: int = 200
     gamma: float = 1.0
     init_seed: int = 0
-    init_range: tuple[float, float] = (0.0, 2.0 * math.pi)
     gradient_method: str = "backprop"
     fd_step: float = 1e-4
-    spsa: SpsaConfig | None = None
 
     def __post_init__(self):
         if self.learning_rate <= 0:
@@ -55,12 +53,6 @@ class TrainConfig:
                 f"unknown gradient_method {self.gradient_method!r}; "
                 f"expected one of {GRADIENT_METHODS}"
             )
-
-    def spsa_config(self) -> SpsaConfig:
-        """The SPSA constants to use; A defaults to 0.1 * iterations."""
-        if self.spsa is not None:
-            return self.spsa
-        return SpsaConfig(A=max(1.0, 0.1 * self.iterations), seed=self.init_seed)
 
 
 @dataclass(frozen=True)
@@ -107,13 +99,16 @@ class CircuitObjective:
                 f"{spec.feature_dim}-D inputs"
             )
         if isinstance(head, RegressionHead):
-            if dataset.task != "regression":
-                raise ValueError(f"regression head on a {dataset.task} dataset")
+            task, qubits = "regression", (head.measured_qubit,)
         elif isinstance(head, ClassificationHead):
-            if dataset.task != "classification":
-                raise ValueError(f"classification head on a {dataset.task} dataset")
+            task, qubits = "classification", (head.qubit_1, head.qubit_2)
         else:
             raise TypeError(f"unsupported head {type(head).__name__}")
+        if dataset.task != task:
+            raise ValueError(f"{task} head on a {dataset.task} dataset")
+        for qubit in qubits:
+            if not 0 <= qubit < spec.n_qubits:
+                raise ValueError(f"head qubit {qubit} out of range for {spec.n_qubits} qubit(s)")
         self.spec = spec
         self.head = head
         self.targets = np.asarray(dataset.targets, dtype=float)
@@ -145,31 +140,44 @@ class CircuitObjective:
             return r_squared(outputs, self.targets)
         return accuracy((outputs > 0.5).astype(int), self.targets.astype(int))
 
+    def backprop(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(per-sample losses, per-sample outputs, mean gradient) via one forward and one backward."""
+        tape = forward_batch(self.encoded, theta, self.spec)
+        losses, outputs, dL_dp = self._head_batch(np.abs(tape.final) ** 2)
+        return losses, outputs, backward_batch(tape, dL_dp, self.spec).mean(axis=0)
+
     def loss_and_grad_backprop(self, theta: np.ndarray) -> tuple[float, float, np.ndarray]:
         """(mean loss, metric, mean gradient) via one forward and one backward."""
-        tape = forward_batch_from_encoded(self.encoded, theta, self.spec)
-        losses, outputs, dL_dp = self._head_batch(np.abs(tape.final) ** 2)
-        grads = backward_batch(tape, dL_dp, self.spec)
-        return float(losses.mean()), self._metric(outputs), grads.mean(axis=0)
-
-    def grad_backprop(self, theta: np.ndarray) -> np.ndarray:
-        """Mean gradient only (no metric bookkeeping); used by benchmarks."""
-        tape = forward_batch_from_encoded(self.encoded, theta, self.spec)
-        _, _, dL_dp = self._head_batch(np.abs(tape.final) ** 2)
-        return backward_batch(tape, dL_dp, self.spec).mean(axis=0)
+        losses, outputs, grad = self.backprop(theta)
+        return float(losses.mean()), self._metric(outputs), grad
 
 
-def forward_batch_from_encoded(encoded: np.ndarray, theta: np.ndarray, spec: AnsatzSpec) -> BatchTape:
-    """Batch tape starting from already-encoded amplitudes."""
-    theta = check_theta(theta, spec)
-    posts = run_variational(encoded, theta, spec, record=True)
-    return BatchTape(spec=spec, theta=theta, encoded=encoded, posts=posts)
+def random_objective(
+    rng: np.random.Generator, n_qubits: int, depth_l: int, classification: bool
+) -> tuple[CircuitObjective, np.ndarray]:
+    """(objective, theta) of one random single-input problem, for gradient checks.
+
+    The input is a B=1 batch through the same objective that training uses.
+    ``rng`` is drawn in a fixed order: x, theta, then gamma and label
+    (classification) or target (regression).
+    """
+    feature_dim = 2 if classification else 1
+    spec = AnsatzSpec(n_qubits=n_qubits, depth_l=depth_l, feature_dim=feature_dim)
+    x = rng.uniform(-1.0, 1.0, size=(1, feature_dim))
+    theta = rng.uniform(0.0, 2.0 * np.pi, size=spec.param_count)
+    if classification:
+        head = ClassificationHead(gamma=float(rng.uniform(0.5, 5.0)))
+        target, task = float(rng.integers(0, 2)), "classification"
+    else:
+        head = RegressionHead()
+        target, task = float(rng.uniform(-2.0, 2.0)), "regression"
+    dataset = Dataset(x=x, targets=np.array([target]), task=task, seed=0)
+    return CircuitObjective(dataset, spec, head), theta
 
 
 def initial_theta(spec: AnsatzSpec, cfg: TrainConfig) -> np.ndarray:
     rng = np.random.default_rng(cfg.init_seed)
-    low, high = cfg.init_range
-    return rng.uniform(low, high, size=spec.param_count)
+    return rng.uniform(0.0, 2.0 * math.pi, size=spec.param_count)
 
 
 def train(dataset: Dataset, spec: AnsatzSpec, head, cfg: TrainConfig) -> TrainResult:
@@ -183,7 +191,7 @@ def train(dataset: Dataset, spec: AnsatzSpec, head, cfg: TrainConfig) -> TrainRe
     theta = initial_theta(spec, cfg)
     losses = np.empty(cfg.iterations)
     metrics = np.empty(cfg.iterations)
-    spsa_cfg = cfg.spsa_config() if cfg.gradient_method == "spsa" else None
+    spsa_cfg = SpsaConfig(seed=cfg.init_seed)
     start = time.perf_counter()
     for it in range(cfg.iterations):
         try:

@@ -1,62 +1,37 @@
 """Shared helpers for building random circuit-loss instances.
 
 The gradient tests compare the reverse-mode gradient against central finite
-differences of the same end-to-end scalar loss; these helpers construct the
-matched (tape, cotangent, loss function) triples for both heads.
+differences of the same end-to-end scalar loss.  Both come from one
+:func:`qcgrad.trainer.random_objective`: a single input run as a B=1 batch
+through the objective that training uses, so the check covers the gradient
+path of ``train`` itself.
 """
 
 import numpy as np
 
-from qcgrad.autodiff import backward
-from qcgrad.circuit import AnsatzSpec, forward
-from qcgrad.heads import (
-    ClassificationHead,
-    RegressionHead,
-    classification_cotangent,
-    cross_entropy_loss,
-    mse_loss,
-    regression_cotangent,
-    regression_output,
-    softmax_gamma,
-)
-from qcgrad.state import z_expectation
+from qcgrad.circuit import encode_batch, forward_batch
+from qcgrad.trainer import random_objective
+
+
+def single_tape(x, theta, spec):
+    """Tape of one input, run as a B=1 batch."""
+    return forward_batch(encode_batch(np.asarray(x, dtype=float)[None, :], spec), theta, spec)
 
 
 def random_instance(rng, n, l, classification):
-    """(spec, x, theta, loss_fn, cotangent_fn) for one random problem."""
-    feature_dim = 2 if classification else 1
-    spec = AnsatzSpec(n_qubits=n, depth_l=l, feature_dim=feature_dim)
-    x = rng.uniform(-1.0, 1.0, size=feature_dim)
-    theta = rng.uniform(0.0, 2.0 * np.pi, size=spec.param_count)
+    """(spec, encoded, theta, loss_fn, gradient_fn) for one random problem.
 
-    if classification:
-        head = ClassificationHead(gamma=float(rng.uniform(0.5, 5.0)))
-        label = int(rng.integers(0, 2))
+    ``encoded`` is the (1, 2**n) encoded input; ``gradient_fn`` maps theta to
+    the backprop gradient of ``loss_fn``.
+    """
+    objective, theta = random_objective(rng, n, l, classification)
 
-        def loss_fn(th):
-            final = forward(x, th, spec).final_state
-            z1 = z_expectation(final, head.qubit_1)
-            z2 = z_expectation(final, head.qubit_2)
-            y1, _ = softmax_gamma(z1, z2, head.gamma)
-            return cross_entropy_loss(y1, label)
+    def gradient_fn(th):
+        _, _, grad = objective.backprop(th)
+        return grad
 
-        def cotangent_fn(final_state):
-            return classification_cotangent(final_state, label, head)
-
-    else:
-        head = RegressionHead()
-        target = float(rng.uniform(-2.0, 2.0))
-
-        def loss_fn(th):
-            final = forward(x, th, spec).final_state
-            return mse_loss(regression_output(final, head), target)
-
-        def cotangent_fn(final_state):
-            return regression_cotangent(final_state, target, head)
-
-    return spec, x, theta, loss_fn, cotangent_fn
+    return objective.spec, objective.encoded, theta, objective.loss, gradient_fn
 
 
-def backprop_gradient(spec, x, theta, cotangent_fn):
-    tape = forward(x, theta, spec)
-    return backward(tape, cotangent_fn(tape.final_state), spec)
+def backprop_gradient(spec, encoded, theta, gradient_fn):
+    return gradient_fn(theta)

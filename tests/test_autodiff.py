@@ -2,37 +2,29 @@ import time
 
 import numpy as np
 import pytest
-from conftest import backprop_gradient, random_instance
+from conftest import backprop_gradient, random_instance, single_tape
 
-from qcgrad.autodiff import backward, backward_batch, seed_amplitude_cotangent
+from qcgrad.autodiff import backward_batch
 from qcgrad.baselines import finite_difference_grad
-from qcgrad.circuit import AnsatzSpec, encode_batch, forward, forward_batch
-from qcgrad.heads import ClassificationHead, classification_batch, classification_cotangent
-from qcgrad.state import QuantumState
-from qcgrad.trainer import forward_batch_from_encoded
-
-
-def test_seed_cotangent_examples():
-    final = QuantumState(1, np.array([1, 0], dtype=complex))
-    assert np.array_equal(seed_amplitude_cotangent(final, np.zeros(2)), np.zeros(2))
-    assert np.array_equal(seed_amplitude_cotangent(final, np.array([1.0, 0.0])), [1, 0])
-    s = QuantumState(1, np.array([1, 1j]) / np.sqrt(2))
-    got = seed_amplitude_cotangent(s, np.array([0.0, 1.0]))
-    assert np.allclose(got, [0, -1j / np.sqrt(2)], atol=1e-15)
+from qcgrad.circuit import AnsatzSpec, encode_batch, forward_batch
+from qcgrad.heads import ClassificationHead, classification_batch
 
 
 def test_seed_cotangent_length_mismatch():
-    final = QuantumState(1, np.array([1, 0], dtype=complex))
+    spec = AnsatzSpec(1, 0)
+    tape = single_tape([0.0], np.zeros(2), spec)
     with pytest.raises(ValueError):
-        seed_amplitude_cotangent(final, np.zeros(4))
+        backward_batch(tape, np.zeros((1, 4)), spec)
+    with pytest.raises(ValueError):
+        backward_batch(tape, np.zeros(2), spec)  # one cotangent row per batch row
 
 
 def test_single_ry_analytic_gradient():
     # L = <Z> of ry(t)|0>, so dL/dt = -sin t; the Z angle leaves probabilities alone
     spec = AnsatzSpec(1, 0)
     t = np.pi / 3
-    tape = forward(np.array([0.0]), np.array([t, 0.0]), spec)
-    grad = backward(tape, np.array([1.0, -1.0]), spec)
+    tape = single_tape([0.0], np.array([t, 0.0]), spec)
+    grad = backward_batch(tape, np.array([[1.0, -1.0]]), spec)[0]
     assert abs(grad[0] + np.sin(t)) < 1e-9
     assert abs(grad[1]) < 1e-12
 
@@ -40,8 +32,8 @@ def test_single_ry_analytic_gradient():
 def test_zero_cotangent_gives_zero_gradient():
     spec = AnsatzSpec(3, 2)
     rng = np.random.default_rng(0)
-    tape = forward(rng.uniform(-1, 1, 1), rng.uniform(0, 2 * np.pi, spec.param_count), spec)
-    assert np.array_equal(backward(tape, np.zeros(8), spec), np.zeros(spec.param_count))
+    tape = single_tape(rng.uniform(-1, 1, 1), rng.uniform(0, 2 * np.pi, spec.param_count), spec)
+    assert np.array_equal(backward_batch(tape, np.zeros((1, 8)), spec), np.zeros((1, spec.param_count)))
 
 
 def test_gradient_matches_finite_differences():
@@ -50,16 +42,16 @@ def test_gradient_matches_finite_differences():
         n = int(rng.integers(1, 6))
         l = int(rng.integers(0, 5))
         classification = n >= 2 and trial % 2 == 1
-        spec, x, theta, loss_fn, cotangent_fn = random_instance(rng, n, l, classification)
-        g_bp = backprop_gradient(spec, x, theta, cotangent_fn)
+        spec, x, theta, loss_fn, gradient_fn = random_instance(rng, n, l, classification)
+        g_bp = backprop_gradient(spec, x, theta, gradient_fn)
         g_fd = finite_difference_grad(loss_fn, theta, 1e-5)
         assert np.all(np.abs(g_bp - g_fd) <= np.maximum(1e-7, 1e-5 * np.abs(g_fd)))
 
 
 def test_gradient_is_real_and_finite():
     rng = np.random.default_rng(1)
-    spec, x, theta, _, cotangent_fn = random_instance(rng, 4, 3, classification=True)
-    grad = backprop_gradient(spec, x, theta, cotangent_fn)
+    spec, x, theta, _, gradient_fn = random_instance(rng, 4, 3, classification=True)
+    grad = backprop_gradient(spec, x, theta, gradient_fn)
     assert grad.dtype.kind == "f"
     assert np.all(np.isfinite(grad))
 
@@ -67,12 +59,12 @@ def test_gradient_is_real_and_finite():
 def test_linearity_in_cotangent():
     rng = np.random.default_rng(2)
     spec = AnsatzSpec(3, 2)
-    tape = forward(rng.uniform(-1, 1, 1), rng.uniform(0, 2 * np.pi, spec.param_count), spec)
-    g1 = rng.normal(size=8)
-    g2 = rng.normal(size=8)
+    tape = single_tape(rng.uniform(-1, 1, 1), rng.uniform(0, 2 * np.pi, spec.param_count), spec)
+    g1 = rng.normal(size=(1, 8))
+    g2 = rng.normal(size=(1, 8))
     alpha, beta = 0.7, -1.3
-    combined = backward(tape, alpha * g1 + beta * g2, spec)
-    separate = alpha * backward(tape, g1, spec) + beta * backward(tape, g2, spec)
+    combined = backward_batch(tape, alpha * g1 + beta * g2, spec)
+    separate = alpha * backward_batch(tape, g1, spec) + beta * backward_batch(tape, g2, spec)
     assert np.abs(combined - separate).max() < 1e-10
 
 
@@ -83,21 +75,22 @@ def test_backward_batch_matches_per_sample():
     theta = rng.uniform(0, 2 * np.pi, spec.param_count)
     head = ClassificationHead(gamma=2.0)
     labels = rng.integers(0, 2, size=6).astype(float)
-    bt = forward_batch(xs, theta, spec)
+    bt = forward_batch(encode_batch(xs, spec), theta, spec)
     _, _, dL_dp = classification_batch(np.abs(bt.final) ** 2, labels, head, 4)
     batch_grads = backward_batch(bt, dL_dp, spec)
     for i in range(6):
-        tape = forward(xs[i], theta, spec)
-        single = backward(tape, classification_cotangent(tape.final_state, int(labels[i]), head), spec)
+        tape = single_tape(xs[i], theta, spec)
+        _, _, single_dL_dp = classification_batch(np.abs(tape.final) ** 2, labels[i : i + 1], head, 4)
+        single = backward_batch(tape, single_dL_dp, spec)[0]
         assert np.allclose(batch_grads[i], single, rtol=0, atol=1e-14)
 
 
 def test_tape_spec_mismatch_rejected():
     rng = np.random.default_rng(4)
     spec = AnsatzSpec(2, 1)
-    tape = forward(rng.uniform(-1, 1, 1), rng.uniform(0, 2 * np.pi, spec.param_count), spec)
+    tape = single_tape(rng.uniform(-1, 1, 1), rng.uniform(0, 2 * np.pi, spec.param_count), spec)
     with pytest.raises(ValueError):
-        backward(tape, np.zeros(4), AnsatzSpec(2, 2))
+        backward_batch(tape, np.zeros((1, 4)), AnsatzSpec(2, 2))
 
 
 def _median_time(fn, reps):
@@ -116,8 +109,8 @@ def test_backward_costs_at_most_three_forwards():
         spec = AnsatzSpec(4, l, feature_dim=2)
         encoded = encode_batch(xs, spec)
         theta = rng.uniform(0, 2 * np.pi, spec.param_count)
-        tape = forward_batch_from_encoded(encoded, theta, spec)
+        tape = forward_batch(encoded, theta, spec)
         dL_dp = rng.normal(size=(64, 16))
-        t_fwd = _median_time(lambda: forward_batch_from_encoded(encoded, theta, spec), 15)
+        t_fwd = _median_time(lambda: forward_batch(encoded, theta, spec), 15)
         t_bwd = _median_time(lambda: backward_batch(tape, dL_dp, spec), 15)
         assert t_bwd <= 3.0 * t_fwd, f"l={l}: backward {t_bwd:.4f}s vs forward {t_fwd:.4f}s"

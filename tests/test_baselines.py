@@ -102,6 +102,6 @@ def test_spsa_validation():
     with pytest.raises(ValueError):
         SpsaConfig(c=0.0)
     with pytest.raises(ValueError):
-        SpsaConfig(alpha=1.5)
+        SpsaConfig(gamma_exp=1.5)
     with pytest.raises(ArithmeticError):
         spsa_grad(lambda th: float("inf"), np.zeros(2), 0, SpsaConfig())

@@ -1,17 +1,14 @@
 import numpy as np
 import pytest
+from conftest import single_tape
 
 from qcgrad import gates
-from qcgrad.circuit import (
-    AnsatzSpec,
-    encode_angles,
-    encode_batch,
-    encode_input,
-    entangler_layer,
-    forward,
-    forward_batch,
-)
-from qcgrad.state import QuantumState, apply_single_qubit, basis_state, z_expectation
+from qcgrad.circuit import AnsatzSpec, encode_angles, encode_batch, forward_batch
+from qcgrad.state import QuantumState, apply_cz, apply_single_qubit, ring_signs, z_expectation
+
+
+def final_state(x, theta, spec):
+    return QuantumState(spec.n_qubits, single_tape(x, theta, spec).final[0])
 
 
 def test_spec_validation():
@@ -44,17 +41,19 @@ def test_encode_angles_rules():
 
 
 def test_encode_input_examples():
-    enc = encode_input(np.array([0.0]), AnsatzSpec(1, 0))
-    assert np.allclose(enc.amplitudes, [np.exp(-0.25j * np.pi), 0], atol=1e-15)
-    enc1 = encode_input(np.array([1.0]), AnsatzSpec(1, 0))
-    assert np.allclose(enc1.amplitudes, [1 / np.sqrt(2), 1 / np.sqrt(2)], atol=1e-15)
+    enc = encode_batch(np.array([[0.0]]), AnsatzSpec(1, 0))
+    assert np.allclose(enc[0], [np.exp(-0.25j * np.pi), 0], atol=1e-15)
+    enc1 = encode_batch(np.array([[1.0]]), AnsatzSpec(1, 0))
+    assert np.allclose(enc1[0], [1 / np.sqrt(2), 1 / np.sqrt(2)], atol=1e-15)
 
 
 def test_encode_input_rejects_out_of_range():
     with pytest.raises(ValueError):
-        encode_input(np.array([1.0 + 1e-9]), AnsatzSpec(1, 0))
+        encode_batch(np.array([[1.0 + 1e-9]]), AnsatzSpec(1, 0))
     with pytest.raises(ValueError):
-        encode_input(np.array([-2.0]), AnsatzSpec(1, 0))
+        encode_batch(np.array([[-2.0]]), AnsatzSpec(1, 0))
+    with pytest.raises(ValueError):
+        encode_batch(np.array([0.5]), AnsatzSpec(1, 0))  # a single input is a (1, d) batch
 
 
 def test_encode_batch_matches_single():
@@ -63,61 +62,63 @@ def test_encode_batch_matches_single():
     xs = rng.uniform(-1, 1, size=(9, 2))
     batch = encode_batch(xs, spec)
     for i in range(9):
-        single = encode_input(xs[i], spec)
-        assert np.array_equal(batch[i], single.amplitudes)
+        assert np.array_equal(batch[i], encode_batch(xs[i : i + 1], spec)[0])
 
 
 def test_entangler_two_qubit_ring_is_identity():
     # brute-force matrix oracle: CZ(0,1) followed by CZ(1,0) multiplies to I
     cz = np.diag([1.0, 1.0, 1.0, -1.0])
     assert np.array_equal(cz @ cz, np.eye(4))
-    rng = np.random.default_rng(1)
-    amps = rng.normal(size=4) + 1j * rng.normal(size=4)
-    s = QuantumState(2, amps / np.linalg.norm(amps))
-    assert np.array_equal(entangler_layer(s).amplitudes, s.amplitudes)
+    assert np.array_equal(ring_signs(2), np.ones(4))
+    # with identity rotations a depth-1 circuit applies the ring alone
+    spec = AnsatzSpec(2, 1)
+    tape = single_tape([0.3], np.zeros(spec.param_count), spec)
+    assert np.array_equal(tape.final, tape.encoded)
 
 
 def test_entangler_three_qubit_examples():
-    assert np.array_equal(entangler_layer(basis_state(3, 7)).amplitudes[7], -1.0 + 0j)
-    assert np.array_equal(entangler_layer(basis_state(3, 0)).amplitudes, basis_state(3, 0).amplitudes)
+    signs = ring_signs(3)
+    assert signs[7] == -1.0 and signs[0] == 1.0
+    # CZ(0,1) CZ(1,2) CZ(2,0): (-1) to the number of ring-adjacent pairs of set bits
+    assert np.array_equal(signs, [1, 1, 1, -1, 1, -1, -1, -1])
 
 
 def test_entangler_single_qubit_is_identity():
-    s = basis_state(1, 0)
-    assert np.array_equal(entangler_layer(s).amplitudes, s.amplitudes)
+    assert np.array_equal(ring_signs(1), np.ones(2))
 
 
 def test_forward_group_structure():
     spec = AnsatzSpec(3, 3)
     theta = np.zeros(spec.param_count)
-    tape = forward(np.array([0.3]), theta, spec)
+    tape = single_tape([0.3], theta, spec)
     # 4 rotation layers split into Y and Z sub-layers, plus 3 entanglers
-    assert len(tape.post_layer_states) == 2 * 4 + 3 == spec.group_count
+    assert len(tape.posts) == 2 * 4 + 3 == spec.group_count
+    assert all(post.shape == (1, 8) for post in tape.posts)
     spec0 = AnsatzSpec(2, 0)
-    tape0 = forward(np.array([0.1]), np.zeros(4), spec0)
-    assert len(tape0.post_layer_states) == 2
+    tape0 = single_tape([0.1], np.zeros(4), spec0)
+    assert len(tape0.posts) == 2
 
 
 def test_forward_identity_rotations_keep_encoded_state():
     spec = AnsatzSpec(1, 0)
-    tape = forward(np.array([0.0]), np.zeros(2), spec)
-    assert np.array_equal(tape.final_state.amplitudes, tape.encoded_state.amplitudes)
+    tape = single_tape([0.0], np.zeros(2), spec)
+    assert np.array_equal(tape.final, tape.encoded)
 
 
 def test_forward_single_qubit_z_expectation_is_cosine():
     spec = AnsatzSpec(1, 0)
     for t in (0.3, np.pi / 3, 2.1):
-        tape = forward(np.array([0.0]), np.array([t, 0.0]), spec)
-        assert abs(z_expectation(tape.final_state, 0) - np.cos(t)) < 1e-12
+        final = final_state([0.0], np.array([t, 0.0]), spec)
+        assert abs(z_expectation(final, 0) - np.cos(t)) < 1e-12
 
 
 def test_tape_replay_reproduces_final_state_exactly():
     rng = np.random.default_rng(3)
     spec = AnsatzSpec(3, 2)
     theta = rng.uniform(0, 2 * np.pi, spec.param_count)
-    tape = forward(np.array([0.4]), theta, spec)
-    state = tape.encoded_state
+    tape = single_tape([0.4], theta, spec)
     n = spec.n_qubits
+    state = QuantumState(n, tape.encoded[0])
     for k in range(spec.depth_l + 1):
         base = 2 * n * k
         for j in range(n):
@@ -125,8 +126,9 @@ def test_tape_replay_reproduces_final_state_exactly():
         for j in range(n):
             state = apply_single_qubit(state, gates.rz(theta[base + 2 * j + 1]), j)
         if k < spec.depth_l:
-            state = entangler_layer(state)
-    assert np.array_equal(state.amplitudes, tape.final_state.amplitudes)
+            for j in range(n):
+                state = apply_cz(state, j, (j + 1) % n)
+    assert np.array_equal(state.amplitudes, tape.final[0])
 
 
 def test_forward_determinism():
@@ -134,10 +136,10 @@ def test_forward_determinism():
     spec = AnsatzSpec(4, 3, feature_dim=2)
     x = rng.uniform(-1, 1, 2)
     theta = rng.uniform(0, 2 * np.pi, spec.param_count)
-    t1, t2 = forward(x, theta, spec), forward(x, theta, spec)
-    assert np.array_equal(t1.final_state.amplitudes, t2.final_state.amplitudes)
-    for a, b in zip(t1.post_layer_states, t2.post_layer_states):
-        assert np.array_equal(a.amplitudes, b.amplitudes)
+    t1, t2 = single_tape(x, theta, spec), single_tape(x, theta, spec)
+    assert np.array_equal(t1.final, t2.final)
+    for a, b in zip(t1.posts, t2.posts):
+        assert np.array_equal(a, b)
 
 
 def test_forward_final_norm():
@@ -147,18 +149,18 @@ def test_forward_final_norm():
         l = int(rng.integers(0, 4))
         spec = AnsatzSpec(n, l)
         theta = rng.uniform(0, 2 * np.pi, spec.param_count)
-        tape = forward(rng.uniform(-1, 1, 1), theta, spec)
-        assert tape.final_state.norm_error() < 1e-12
+        final = final_state(rng.uniform(-1, 1, 1), theta, spec)
+        assert final.norm_error() < 1e-12
 
 
 def test_theta_validation():
     spec = AnsatzSpec(2, 1)
     with pytest.raises(ValueError):
-        forward(np.array([0.0]), np.zeros(5), spec)
+        single_tape([0.0], np.zeros(5), spec)
     bad = np.zeros(spec.param_count)
     bad[2] = np.nan
     with pytest.raises(ValueError):
-        forward(np.array([0.0]), bad, spec)
+        single_tape([0.0], bad, spec)
 
 
 def test_forward_batch_matches_forward():
@@ -166,12 +168,12 @@ def test_forward_batch_matches_forward():
     spec = AnsatzSpec(3, 2, feature_dim=2)
     xs = rng.uniform(-1, 1, (5, 2))
     theta = rng.uniform(0, 2 * np.pi, spec.param_count)
-    bt = forward_batch(xs, theta, spec)
+    bt = forward_batch(encode_batch(xs, spec), theta, spec)
     assert len(bt.posts) == spec.group_count
     for i in range(5):
-        tape = forward(xs[i], theta, spec)
-        assert np.array_equal(bt.final[i], tape.final_state.amplitudes)
-        assert np.array_equal(bt.encoded[i], tape.encoded_state.amplitudes)
+        tape = single_tape(xs[i], theta, spec)
+        assert np.array_equal(bt.final[i], tape.final[0])
+        assert np.array_equal(bt.encoded[i], tape.encoded[0])
 
 
 def test_readout_is_odd_between_x_plus_and_minus_one():
@@ -185,8 +187,8 @@ def test_readout_is_odd_between_x_plus_and_minus_one():
             spec = AnsatzSpec(n, l)
             for _ in range(3):
                 theta = rng.uniform(0, 2 * np.pi, spec.param_count)
-                plus = 2 * z_expectation(forward(np.array([1.0]), theta, spec).final_state, 0)
-                minus = 2 * z_expectation(forward(np.array([-1.0]), theta, spec).final_state, 0)
+                plus = 2 * z_expectation(final_state([1.0], theta, spec), 0)
+                minus = 2 * z_expectation(final_state([-1.0], theta, spec), 0)
                 assert abs(plus + minus) <= 1e-12
                 largest = max(largest, abs(plus))
     assert largest > 0.5  # rules out a readout that is identically zero

@@ -76,6 +76,21 @@ def test_rerun_reproduces_outputs_byte_identically(tmp_path):
     assert first == second
 
 
+def test_rerun_missing_manifest_is_usage_error(tmp_path, capsys):
+    assert run_cli(["rerun", str(tmp_path / "absent.json")]) == 1
+    err = capsys.readouterr().err
+    assert "cannot read manifest" in err and len(err.strip().splitlines()) == 1
+
+
+def test_rerun_manifest_without_config_is_usage_error(tmp_path, capsys):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"command": "regress"}))
+    assert run_cli(["rerun", str(manifest), "--out-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "no config" in err and len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_gradcheck_passes_and_reports(capsys):
     code = run_cli(["gradcheck", "--qubits", "2", "--depth", "1", "--trials", "6", "--seed", "0"])
     assert code == 0
@@ -134,6 +149,15 @@ def test_config_file_defaults_and_flag_precedence(tmp_path):
     assert manifest["config"]["iters"] == 4  # from the config file
     assert manifest["config"]["samples"] == 12  # explicit flag wins
     assert manifest["config"]["target"] == "linear"
+
+
+def test_config_file_sets_switches(tmp_path, capsys):
+    cfg = tmp_path / "gc.cfg"
+    cfg.write_text("json=true\ntrials=2\n")
+    assert run_cli(["gradcheck", "--config", str(cfg), "--qubits", "2", "--depth", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["trials"] == 2
+    cfg.write_text("json=false\n")
+    assert run_cli(["gradcheck", "--config", str(cfg)]) == 1
 
 
 def test_config_file_unknown_key_is_usage_error(tmp_path):

@@ -1,13 +1,7 @@
 import numpy as np
 import pytest
 
-from qcgrad.datasets import (
-    Dataset,
-    gen_circles,
-    gen_function_dataset,
-    gen_moons,
-    shuffle_split,
-)
+from qcgrad.datasets import Dataset, gen_circles, gen_function_dataset, gen_moons
 
 
 def test_function_dataset_shapes_and_range():
@@ -103,47 +97,8 @@ def test_moons_validation():
         gen_moons(count=11)
 
 
-def test_dataset_samples_view():
-    ds = gen_function_dataset("linear", 5, 0.0, 0)
-    samples = ds.samples
-    assert len(samples) == 5
-    assert samples[2].target == ds.targets[2]
-    assert np.array_equal(samples[2].x, ds.x[2])
-
-
 def test_dataset_validation():
     with pytest.raises(ValueError):
         Dataset(x=np.zeros((3, 1)), targets=np.zeros(3), task="clustering", seed=0)
     with pytest.raises(ValueError):
         Dataset(x=np.zeros((0, 1)), targets=np.zeros(0), task="regression", seed=0)
-
-
-def test_csv_export(tmp_path):
-    ds = gen_circles(count=10, seed=0)
-    path = tmp_path / "points.csv"
-    ds.to_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "x1,x2,target"
-    assert len(lines) == 11
-    first = lines[1].split(",")
-    assert float(first[0]) == ds.x[0, 0]
-    assert first[2] == "0"
-
-    ds1 = gen_function_dataset("sine", 4, 0.0, 0)
-    path1 = tmp_path / "reg.csv"
-    ds1.to_csv(path1)
-    lines1 = path1.read_text().splitlines()
-    assert lines1[0] == "x1,target"
-    assert len(lines1) == 5
-
-
-def test_shuffle_split():
-    ds = gen_moons(count=40, seed=0)
-    train, test = shuffle_split(ds, 0.75, seed=4)
-    assert len(train) == 30 and len(test) == 10
-    merged = np.sort(np.concatenate([train.x[:, 0], test.x[:, 0]]))
-    assert np.array_equal(merged, np.sort(ds.x[:, 0]))
-    train2, _ = shuffle_split(ds, 0.75, seed=4)
-    assert train.x.tobytes() == train2.x.tobytes()
-    with pytest.raises(ValueError):
-        shuffle_split(ds, 1.0, seed=0)

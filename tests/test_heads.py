@@ -8,44 +8,71 @@ from qcgrad.heads import (
     ClassificationHead,
     RegressionHead,
     classification_batch,
-    classification_cotangent,
-    cross_entropy_loss,
-    mse_loss,
     regression_batch,
-    regression_cotangent,
-    regression_output,
     softmax_gamma,
 )
-from qcgrad.state import QuantumState, apply_single_qubit, basis_state, probabilities, z_sign_vector
+from qcgrad.state import (
+    QuantumState,
+    apply_single_qubit,
+    basis_state,
+    probabilities,
+    z_expectation,
+    z_sign_vector,
+)
 
 
 def uniform_state(n):
     return QuantumState(n, np.full(1 << n, (0.5) ** (n / 2), dtype=complex))
 
 
+def probs_of(state):
+    """Probabilities of one state as a B=1 batch."""
+    return probabilities(state)[None, :]
+
+
+def regression(state, target, head=RegressionHead()):
+    """(loss, prediction, dL_dp) of one state and target."""
+    losses, preds, dL_dp = regression_batch(probs_of(state), np.array([target]), head, state.n_qubits)
+    return losses[0], preds[0], dL_dp[0]
+
+
+def classification(probs, label, head):
+    """(loss, y1, dL_dp) of one probability vector and label."""
+    n = int(np.log2(len(probs)))
+    losses, y1, dL_dp = classification_batch(np.asarray(probs)[None, :], np.array([label]), head, n)
+    return losses[0], y1[0], dL_dp[0]
+
+
+def one_qubit_probs(z):
+    """Probabilities of one qubit with <Z> = z."""
+    return np.array([(1.0 + z) / 2.0, (1.0 - z) / 2.0])
+
+
 def test_regression_output_examples():
-    head = RegressionHead()
-    assert regression_output(basis_state(3, 0), head) == 2.0
-    assert abs(regression_output(uniform_state(2), head)) < 1e-12
+    assert regression(basis_state(3, 0), 0.0)[1] == 2.0
+    assert abs(regression(uniform_state(2), 0.0)[1]) < 1e-12
     s = apply_single_qubit(basis_state(1, 0), gates.ry(np.pi / 3), 0)
-    assert abs(regression_output(s, head) - 1.0) < 1e-12
+    assert abs(regression(s, 0.0)[1] - 1.0) < 1e-12
 
 
 def test_mse_loss_examples():
-    assert mse_loss(1.0, 1.0) == 0.0
-    assert mse_loss(0.0, 1.0) == 0.5
-    assert mse_loss(2.0, -1.0) == 4.5
+    # predictions 2<Z> of 1, 0 and 2 against targets 1, 1 and -1
+    probs = np.stack([one_qubit_probs(0.5), one_qubit_probs(0.0), one_qubit_probs(1.0)])
+    losses, preds, _ = regression_batch(probs, np.array([1.0, 1.0, -1.0]), RegressionHead(), 1)
+    assert np.array_equal(preds, [1.0, 0.0, 2.0])
+    assert losses[0] == 0.0
+    assert losses[1] == 0.5
+    assert losses[2] == 4.5
 
 
-def test_regression_cotangent_examples():
-    head = RegressionHead()
+def test_regression_dL_dp_examples():
     s = basis_state(1, 0)
-    assert np.array_equal(regression_cotangent(s, 2.0, head), np.zeros(2))
+    assert np.array_equal(regression(s, 2.0)[2], np.zeros(2))
     # prediction 2, target 0 -> delta 2, dL/d<Z> = 4, split +/- on the bit
-    assert np.array_equal(regression_cotangent(s, 0.0, head), [4.0, -4.0])
+    assert np.array_equal(regression(s, 0.0)[2], [4.0, -4.0])
     s3 = uniform_state(3)
-    cot = regression_cotangent(s3, -1.0, head)
-    delta = regression_output(s3, head) - (-1.0)
+    _, pred, cot = regression(s3, -1.0)
+    delta = pred - (-1.0)
     assert np.allclose(cot, 2.0 * delta * z_sign_vector(3, 0))
 
 
@@ -79,34 +106,42 @@ def test_softmax_rejects_bad_gamma():
 
 
 def test_cross_entropy_examples():
-    assert cross_entropy_loss(1.0, 1) < 1e-11
-    assert abs(cross_entropy_loss(0.5, 1) - math.log(2)) < 1e-12
-    assert abs(cross_entropy_loss(0.5, 0) - math.log(2)) < 1e-12
-    assert cross_entropy_loss(0.0, 1) > 0  # clamped, no log(0) blowup
+    # |01> (qubit 0 set) gives <Z_1> - <Z_2> = -2, |10> gives +2
+    sure_one = probabilities(basis_state(2, 2))
+    sure_zero = probabilities(basis_state(2, 1))
+    loss, y1, _ = classification(sure_one, 1, ClassificationHead(gamma=40.0))
+    assert y1 == 1.0 and loss < 1e-11
+    uniform = probabilities(uniform_state(2))
+    assert abs(classification(uniform, 1, ClassificationHead())[0] - math.log(2)) < 1e-12
+    assert abs(classification(uniform, 0, ClassificationHead())[0] - math.log(2)) < 1e-12
+    loss, y1, _ = classification(sure_zero, 1, ClassificationHead(gamma=400.0))
+    assert y1 == 0.0 and 0 < loss < math.inf  # clamped, no log(0) blowup
 
 
 def test_cross_entropy_nonnegative():
     rng = np.random.default_rng(1)
-    for _ in range(200):
-        y = float(rng.uniform(0, 1))
-        assert cross_entropy_loss(y, int(rng.integers(0, 2))) >= 0.0
+    probs = rng.dirichlet(np.ones(4), size=200)
+    labels = rng.integers(0, 2, size=200).astype(float)
+    gamma = float(rng.uniform(0.5, 10.0))
+    losses, _, _ = classification_batch(probs, labels, ClassificationHead(gamma=gamma), 2)
+    assert np.all(losses >= 0.0)
 
 
-def test_classification_cotangent_equal_expectations():
+def test_classification_dL_dp_equal_expectations():
     # uniform state: z1 = z2 = 0 so y1 = 0.5; at gamma=1 the error signal is +/-0.5
     head = ClassificationHead(gamma=1.0)
-    s = uniform_state(2)
-    cot1 = classification_cotangent(s, 1, head)
+    uniform = probabilities(uniform_state(2))
+    cot1 = classification(uniform, 1, head)[2]
     expected = -0.5 * (z_sign_vector(2, 0) - z_sign_vector(2, 1))
     assert np.allclose(cot1, expected, atol=1e-12)
     # flipping the label flips the signal
-    assert np.allclose(classification_cotangent(s, 0, head), -cot1, atol=1e-12)
+    assert np.allclose(classification(uniform, 0, head)[2], -cot1, atol=1e-12)
 
 
-def test_classification_cotangent_scales_with_gamma():
-    s = uniform_state(2)
-    c1 = classification_cotangent(s, 1, ClassificationHead(gamma=1.0))
-    c5 = classification_cotangent(s, 1, ClassificationHead(gamma=5.0))
+def test_classification_dL_dp_scales_with_gamma():
+    uniform = probabilities(uniform_state(2))
+    c1 = classification(uniform, 1, ClassificationHead(gamma=1.0))[2]
+    c5 = classification(uniform, 1, ClassificationHead(gamma=5.0))[2]
     # same y1 = 0.5 at both gammas here, so the gamma factor is exactly 5x
     assert np.allclose(c5, 5.0 * c1, atol=1e-12)
 
@@ -119,6 +154,7 @@ def test_head_validation():
 
 
 def test_batch_heads_match_scalar_ops():
+    # each batch row against the single-state readout z_expectation and softmax_gamma
     rng = np.random.default_rng(2)
     n = 3
     states = []
@@ -131,17 +167,18 @@ def test_batch_heads_match_scalar_ops():
     targets = rng.uniform(-2, 2, 6)
     losses, preds, dl = regression_batch(probs, targets, head_r, n)
     for i, s in enumerate(states):
-        assert abs(preds[i] - regression_output(s, head_r)) < 1e-12
-        assert abs(losses[i] - mse_loss(regression_output(s, head_r), targets[i])) < 1e-12
-        assert np.allclose(dl[i], regression_cotangent(s, targets[i], head_r), atol=1e-12)
+        pred = 2.0 * z_expectation(s, 0)
+        assert abs(preds[i] - pred) < 1e-12
+        assert abs(losses[i] - 0.5 * (pred - targets[i]) ** 2) < 1e-12
+        assert np.allclose(dl[i], 2.0 * (pred - targets[i]) * z_sign_vector(n, 0), atol=1e-12)
 
     head_c = ClassificationHead(gamma=3.0)
     labels = rng.integers(0, 2, 6).astype(float)
     losses, y1s, dl = classification_batch(probs, labels, head_c, n)
-    from qcgrad.state import z_expectation
-
     for i, s in enumerate(states):
-        y1, _ = softmax_gamma(z_expectation(s, 0), z_expectation(s, 1), 3.0)
+        y1, y2 = softmax_gamma(z_expectation(s, 0), z_expectation(s, 1), 3.0)
+        d = labels[i]
         assert abs(y1s[i] - y1) < 1e-12
-        assert abs(losses[i] - cross_entropy_loss(y1, int(labels[i]))) < 1e-12
-        assert np.allclose(dl[i], classification_cotangent(s, int(labels[i]), head_c), atol=1e-12)
+        assert abs(losses[i] + d * math.log(y1) + (1 - d) * math.log(y2)) < 1e-12
+        expected = 3.0 * (y1 - d) * (z_sign_vector(n, 0) - z_sign_vector(n, 1))
+        assert np.allclose(dl[i], expected, atol=1e-12)

@@ -5,6 +5,7 @@ from qcgrad.circuit import AnsatzSpec
 from qcgrad.datasets import Dataset, gen_circles, gen_function_dataset
 from qcgrad.heads import ClassificationHead, RegressionHead
 from qcgrad.trainer import (
+    CircuitObjective,
     TrainConfig,
     TrainingDivergedError,
     accuracy,
@@ -142,3 +143,17 @@ def test_head_dataset_mismatch_rejected():
 def test_wall_time_recorded():
     result = train(small_regression(), AnsatzSpec(2, 0), RegressionHead(), TrainConfig(iterations=3))
     assert result.wall_time_seconds > 0.0
+
+
+def test_head_qubits_out_of_range_rejected():
+    ds = small_regression()
+    for qubit in (2, 5, -1):
+        with pytest.raises(ValueError, match="out of range"):
+            CircuitObjective(ds, AnsatzSpec(2, 1), RegressionHead(measured_qubit=qubit))
+    CircuitObjective(ds, AnsatzSpec(2, 1), RegressionHead(measured_qubit=1))
+    circles = gen_circles(count=10, seed=0)
+    spec = AnsatzSpec(3, 1, feature_dim=2)
+    for q1, q2 in ((3, 0), (0, 3), (-1, 1), (1, -1)):
+        with pytest.raises(ValueError, match="out of range"):
+            CircuitObjective(circles, spec, ClassificationHead(qubit_1=q1, qubit_2=q2))
+    CircuitObjective(circles, spec, ClassificationHead(qubit_1=2, qubit_2=0))
