@@ -12,6 +12,15 @@ conjugation anywhere, and a plain (non-conjugated) dot product against the
 gate derivative when a parameter is reached.  The conjugate half of |c|^2
 is absorbed entirely by the single 2*Re[...].
 
+The walk visits the fused groups of :mod:`qcgrad.circuit` in reverse.  A
+Z-plus-entangler group is a diagonal, its own transpose.  dRz(t) Rz(t)^-1 =
+diag(-i/2, i/2) on qubit q, so with ``a`` and ``s`` the cotangent and state
+after the group, 2*Re[sum_j a_j (-i/2) Zsigns[j, q] s_j] makes the whole
+sub-layer's Z gradient one product, ``Im(a * s) @ Zsigns``.  The ring drops
+out: it multiplies ``a`` and ``s`` by the same +/-1 signs, which square to 1.
+A Y group is a real matrix: its cotangent step is the transposed matmul, and
+its Y gradients pair each amplitude with its partner across every qubit.
+
 These conventions are validated end to end against central finite
 differences (the binding oracle; see tests).
 """
@@ -20,57 +29,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import gates
 from .circuit import AnsatzSpec, BatchTape
-from .state import apply_matrix, ring_signs
-
-
-def _sublayer_grad_y(a: np.ndarray, s_out: np.ndarray, target: int, n: int) -> np.ndarray:
-    # 2*Re[sum a * (dRy Ry^-1 s_out)] with dRy(t) Ry(t)^-1 = [[0,-1/2],[1/2,0]]
-    lo = 1 << target
-    hi = 1 << (n - 1 - target)
-    av = a.reshape(a.shape[:-1] + (hi, 2, lo))
-    sv = s_out.reshape(av.shape)
-    z = av[..., 1, :] * sv[..., 0, :] - av[..., 0, :] * sv[..., 1, :]
-    return z.real.sum(axis=(-2, -1))
-
-
-def _sublayer_grad_z(a: np.ndarray, s_out: np.ndarray, target: int, n: int) -> np.ndarray:
-    # 2*Re[sum a * (dRz Rz^-1 s_out)] with dRz(t) Rz(t)^-1 = diag(-i/2, i/2)
-    lo = 1 << target
-    hi = 1 << (n - 1 - target)
-    av = a.reshape(a.shape[:-1] + (hi, 2, lo))
-    sv = s_out.reshape(av.shape)
-    z = av[..., 0, :] * sv[..., 0, :] - av[..., 1, :] * sv[..., 1, :]
-    return z.imag.sum(axis=(-2, -1))
-
-
-def _backward_arrays(
-    posts: list[np.ndarray], theta: np.ndarray, spec: AnsatzSpec, a: np.ndarray
-) -> np.ndarray:
-    """Reverse walk over the gate groups; a and posts have shape (B, dim)."""
-    n, l = spec.n_qubits, spec.depth_l
-    grad = np.zeros(a.shape[:-1] + (spec.param_count,))
-    idx = len(posts) - 1
-    for k in range(l, -1, -1):
-        base = 2 * n * k
-        s_out = posts[idx]  # after the Z sub-layer of layer k
-        for j in range(n):
-            grad[..., base + 2 * j + 1] = _sublayer_grad_z(a, s_out, j, n)
-        for j in range(n):
-            a = apply_matrix(a, gates.rz(theta[base + 2 * j + 1]).T, j, n)
-        idx -= 1
-        s_out = posts[idx]  # after the Y sub-layer of layer k
-        for j in range(n):
-            grad[..., base + 2 * j] = _sublayer_grad_y(a, s_out, j, n)
-        for j in range(n):
-            a = apply_matrix(a, gates.ry(theta[base + 2 * j]).T, j, n)
-        idx -= 1
-        if k > 0:
-            # entangler between layers k-1 and k: diagonal, equal to its transpose
-            a = a * ring_signs(n)
-            idx -= 1
-    return grad
+from .state import apply_real_blocks, z_sign_matrix
 
 
 def backward_batch(tape: BatchTape, dL_dp: np.ndarray, spec: AnsatzSpec) -> np.ndarray:
@@ -88,4 +48,20 @@ def backward_batch(tape: BatchTape, dL_dp: np.ndarray, spec: AnsatzSpec) -> np.n
             f"cotangent shape {dL_dp.shape} does not match batch shape {tape.final.shape}"
         )
     a = dL_dp * np.conj(tape.final)
-    return _backward_arrays(tape.posts, tape.theta, spec, a)
+    n, posts, zsigns = spec.n_qubits, tape.posts, z_sign_matrix(spec.n_qubits)
+    flips = np.arange(a.shape[1]) ^ (1 << np.arange(n))[:, None]  # [q, i]: i with bit q flipped
+    grad = np.empty((len(a), spec.depth_l + 1, n, 2))
+    # one buffer for the (B, n, dim) pair products of every layer: a fresh
+    # temporary of that size per layer costs page faults once B*n*dim grows
+    pairs = np.empty((len(a), n, a.shape[1]), dtype=complex)
+    for k in range(spec.depth_l, -1, -1):
+        blocks, diag = tape.transposed[k]
+        grad[:, k, :, 1] = (a * posts[2 * k + 1]).imag @ zsigns
+        a = a * diag
+        # dRy(t) Ry(t)^-1 = [[0,-1/2],[1/2,0]] on qubit q, so with s the state
+        # after the Y group, 2*Re[a . (G_q s)] = sum_i z_q(i) Re(a[i ^ 2**q] s[i])
+        np.take(a, flips, axis=1, out=pairs, mode="clip")
+        np.multiply(pairs, posts[2 * k][:, None, :], out=pairs)
+        grad[:, k, :, 0] = np.einsum("bqi,iq->bq", pairs.real, zsigns)
+        a = apply_real_blocks(a, blocks)
+    return grad.reshape(len(a), -1)

@@ -38,6 +38,15 @@ EXIT_OK, EXIT_USAGE, EXIT_NUMERIC = 0, 1, 2
 
 BENCH_METHODS = ("backprop", "finite_difference", "spsa")
 
+#: Config keys that each command's runner reads; the command's flags of the
+#: same names fill them, and ``rerun`` requires them all.
+CONFIG_KEYS = {
+    "regress": ("target", "qubits", "depth", "samples", "noise", "lr", "iters", "seed"),
+    "classify": ("dataset", "qubits", "depth", "samples", "gamma", "lr", "iters", "seed"),
+    "gradcheck": ("qubits", "depth", "trials", "seed", "tolerance"),
+    "bench": ("methods", "depth_sweep", "qubit_sweep", "seed"),
+}
+
 
 def _fmt(value) -> str:
     if isinstance(value, str):
@@ -363,45 +372,22 @@ def _config_file_args(parser: _Parser, argv: list[str]) -> list[str]:
     return flags
 
 
+def _config(args, command: str) -> dict:
+    return {key: getattr(args, key) for key in CONFIG_KEYS[command]}
+
+
 def cmd_regress(args) -> int:
-    config = {
-        "target": args.target,
-        "qubits": args.qubits,
-        "depth": args.depth,
-        "samples": args.samples,
-        "noise": args.noise,
-        "lr": args.lr,
-        "iters": args.iters,
-        "seed": args.seed,
-    }
-    run_regress(config, Path(args.out_dir))
+    run_regress(_config(args, "regress"), Path(args.out_dir))
     return EXIT_OK
 
 
 def cmd_classify(args) -> int:
-    config = {
-        "dataset": args.dataset,
-        "qubits": args.qubits,
-        "depth": args.depth,
-        "samples": args.samples,
-        "gamma": args.gamma,
-        "lr": args.lr,
-        "iters": args.iters,
-        "seed": args.seed,
-    }
-    run_classify(config, Path(args.out_dir))
+    run_classify(_config(args, "classify"), Path(args.out_dir))
     return EXIT_OK
 
 
 def cmd_gradcheck(args) -> int:
-    config = {
-        "qubits": args.qubits,
-        "depth": args.depth,
-        "trials": args.trials,
-        "seed": args.seed,
-        "tolerance": args.tolerance,
-    }
-    report = run_gradcheck(config)
+    report = run_gradcheck(_config(args, "gradcheck"))
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
@@ -420,13 +406,7 @@ def cmd_bench(args) -> int:
         if method not in BENCH_METHODS:
             print(f"unknown method {method!r}; expected one of {BENCH_METHODS}", file=sys.stderr)
             return EXIT_USAGE
-    config = {
-        "methods": args.methods,
-        "depth_sweep": args.depth_sweep,
-        "qubit_sweep": args.qubit_sweep,
-        "seed": args.seed,
-    }
-    run_bench(config, Path(args.out_dir))
+    run_bench(_config(args, "bench"), Path(args.out_dir))
     return EXIT_OK
 
 
@@ -446,6 +426,10 @@ def cmd_rerun(args) -> int:
         return EXIT_USAGE
     if not isinstance(manifest.get("config"), dict):
         print(f"manifest {manifest_path} has no config object", file=sys.stderr)
+        return EXIT_USAGE
+    missing = [key for key in CONFIG_KEYS[command] if key not in manifest["config"]]
+    if missing:
+        print(f"manifest {manifest_path} config lacks {', '.join(missing)}", file=sys.stderr)
         return EXIT_USAGE
     runners[command](manifest["config"], out_dir)
     return EXIT_OK

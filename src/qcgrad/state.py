@@ -10,11 +10,16 @@ This convention is forced by the marginal-probability grouping used for the
 Z readout and is documented prominently because binary-string endianness is
 otherwise ambiguous.
 
-The module-level kernels (:func:`apply_matrix`, :func:`apply_matrix_elems`)
-operate on amplitude arrays of shape ``(..., 2**n)``; the circuit runs them on
-batches of shape ``(B, 2**n)``.  The :class:`QuantumState` operations are
-value-in/value-out single-state operations built on the same kernels; they
-serve as the gate-by-gate reference the circuit is tested against.
+The circuit runs whole layers at once on batches of shape ``(B, 2**n)``:
+:func:`kron` builds the dense real matrix of one rotation per qubit (and the
+encoded product states), :func:`apply_real_blocks` applies it with one
+matmul per state and block of at most :data:`KRON_BLOCK` qubits, and a
+diagonal layer is an elementwise product.
+
+:func:`apply_matrix` applies one 2x2 matrix to one qubit; the
+:class:`QuantumState` operations are value-in/value-out single-state
+operations built on it and on :func:`cz_signs`, and serve as the gate-by-gate
+reference the circuit is tested against.
 """
 
 from __future__ import annotations
@@ -32,8 +37,7 @@ NORM_ATOL = 1e-12
 def apply_matrix(amps: np.ndarray, gate: np.ndarray, target: int, n_qubits: int) -> np.ndarray:
     """Apply a 2x2 matrix to ``target`` of a ``(..., 2**n_qubits)`` array.
 
-    The matrix is not required to be unitary (derivative matrices and
-    transposed matrices ride through the same kernel).  Returns a new array.
+    The matrix is not required to be unitary.  Returns a new array.
     """
     lead = amps.shape[:-1]
     lo = 1 << target
@@ -47,31 +51,47 @@ def apply_matrix(amps: np.ndarray, gate: np.ndarray, target: int, n_qubits: int)
     return out.reshape(amps.shape)
 
 
-def apply_matrix_elems(
-    amps: np.ndarray,
-    g00: np.ndarray,
-    g01: np.ndarray,
-    g10: np.ndarray,
-    g11: np.ndarray,
-    target: int,
-    n_qubits: int,
-) -> np.ndarray:
-    """Like :func:`apply_matrix` with per-state matrix entries.
+#: Most qubits one dense rotation matrix spans.  A dense matrix over m
+#: qubits costs O(4**m) per state against O(m 2**m) for one gate at a time,
+#: so larger registers are split into blocks of at most this many qubits.
+KRON_BLOCK = 6
 
-    Each ``gXY`` must have the leading (batch) shape of ``amps``; used to
-    encode a whole batch of inputs whose gate angles differ per sample.
+
+def kron(mats: np.ndarray) -> np.ndarray:
+    """Kronecker products of (..., m, r, c) stacks, ``mats[..., q, :, :]`` acting on qubit q.
+
+    Qubit q is bit q of the row and column index, so the last matrix is the
+    leftmost factor.  With ``c == 1`` the columns are single-qubit states
+    and the result is their product state.
     """
-    lead = amps.shape[:-1]
-    lo = 1 << target
-    hi = 1 << (n_qubits - 1 - target)
-    v = amps.reshape(lead + (hi, 2, lo))
-    c00, c01, c10, c11 = (np.asarray(g)[..., None, None] for g in (g00, g01, g10, g11))
-    a0 = v[..., 0, :]
-    a1 = v[..., 1, :]
-    out = np.empty_like(v)
-    out[..., 0, :] = c00 * a0 + c01 * a1
-    out[..., 1, :] = c10 * a0 + c11 * a1
-    return out.reshape(amps.shape)
+    out = mats[..., -1, :, :]
+    for q in range(mats.shape[-3] - 2, -1, -1):
+        prod = out[..., :, None, :, None] * mats[..., q, None, :, None, :]
+        out = prod.reshape(prod.shape[:-4] + (-1, prod.shape[-2] * prod.shape[-1]))
+    return out
+
+
+def apply_real_blocks(
+    amps: np.ndarray, blocks: tuple[np.ndarray, ...], out: np.ndarray | None = None
+) -> np.ndarray:
+    """Apply real block matrices to a C-contiguous ``(B, 2**n)`` complex array.
+
+    ``blocks[0]`` acts on the lowest qubits, each next block on the qubits
+    above the previous one.  Each state is its own matmul over the real and
+    imaginary parts, so a row's result never depends on the other rows; one
+    (2B, 2**n) matmul would not keep that.  Writes the result to ``out``
+    (C-contiguous, same shape) when given, else returns a new array.
+    """
+    b, dim = amps.shape
+    lo = 1
+    for i, mat in enumerate(blocks):
+        m = len(mat)
+        view = amps.view(float).reshape(b, dim // (m * lo), m, 2 * lo)
+        last = out is not None and i == len(blocks) - 1
+        amps = np.matmul(mat, view, out=out.view(float).reshape(view.shape) if last else None)
+        amps = amps.reshape(b, 2 * dim).view(complex)
+        lo *= m
+    return amps
 
 
 @lru_cache(maxsize=None)
@@ -105,6 +125,14 @@ def z_sign_vector(n_qubits: int, qubit: int) -> np.ndarray:
     """+1 where ``qubit``'s bit of the basis index is 0, -1 where it is 1."""
     idx = np.arange(1 << n_qubits)
     signs = 1.0 - 2.0 * ((idx >> qubit) & 1)
+    signs.flags.writeable = False
+    return signs
+
+
+@lru_cache(maxsize=None)
+def z_sign_matrix(n_qubits: int) -> np.ndarray:
+    """(2**n, n) matrix whose column q is :func:`z_sign_vector` of qubit q."""
+    signs = np.stack([z_sign_vector(n_qubits, q) for q in range(n_qubits)], axis=1)
     signs.flags.writeable = False
     return signs
 

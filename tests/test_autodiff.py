@@ -38,14 +38,20 @@ def test_zero_cotangent_gives_zero_gradient():
 
 def test_gradient_matches_finite_differences():
     rng = np.random.default_rng(42)
-    for trial in range(30):
-        n = int(rng.integers(1, 6))
-        l = int(rng.integers(0, 5))
-        classification = n >= 2 and trial % 2 == 1
+
+    def check(n, l, classification):
         spec, x, theta, loss_fn, gradient_fn = random_instance(rng, n, l, classification)
         g_bp = backprop_gradient(spec, x, theta, gradient_fn)
         g_fd = finite_difference_grad(loss_fn, theta, 1e-5)
         assert np.all(np.abs(g_bp - g_fd) <= np.maximum(1e-7, 1e-5 * np.abs(g_fd)))
+
+    for trial in range(30):
+        n = int(rng.integers(1, 6))
+        l = int(rng.integers(0, 5))
+        check(n, l, n >= 2 and trial % 2 == 1)
+    # n = 7 splits each Y sub-layer into two Kronecker blocks
+    check(7, 1, False)
+    check(7, 2, True)
 
 
 def test_gradient_is_real_and_finite():

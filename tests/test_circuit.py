@@ -4,11 +4,43 @@ from conftest import single_tape
 
 from qcgrad import gates
 from qcgrad.circuit import AnsatzSpec, encode_angles, encode_batch, forward_batch
-from qcgrad.state import QuantumState, apply_cz, apply_single_qubit, ring_signs, z_expectation
+from qcgrad.state import (
+    QuantumState,
+    apply_cz,
+    apply_single_qubit,
+    basis_state,
+    ring_signs,
+    z_expectation,
+)
 
 
 def final_state(x, theta, spec):
     return QuantumState(spec.n_qubits, single_tape(x, theta, spec).final[0])
+
+
+def replay_encoding(x, spec):
+    """Gate-by-gate encoding of one input: ry then rz on every qubit of |0...0>."""
+    theta_y, theta_z = encode_angles(np.asarray(x, dtype=float)[None, :], spec)
+    state = basis_state(spec.n_qubits, 0)
+    for j in range(spec.n_qubits):
+        state = apply_single_qubit(state, gates.ry(theta_y[0, j]), j)
+        state = apply_single_qubit(state, gates.rz(theta_z[0, j]), j)
+    return state
+
+
+def replay_layers(state, theta, spec):
+    """Gate-by-gate variational layers: ry and rz per qubit, then the CZ ring."""
+    n = spec.n_qubits
+    for k in range(spec.depth_l + 1):
+        base = 2 * n * k
+        for j in range(n):
+            state = apply_single_qubit(state, gates.ry(theta[base + 2 * j]), j)
+        for j in range(n):
+            state = apply_single_qubit(state, gates.rz(theta[base + 2 * j + 1]), j)
+        if k < spec.depth_l and n >= 2:
+            for j in range(n):
+                state = apply_cz(state, j, (j + 1) % n)
+    return state
 
 
 def test_spec_validation():
@@ -30,12 +62,13 @@ def test_param_count():
 
 def test_encode_angles_rules():
     spec = AnsatzSpec(4, 0, feature_dim=2)
-    ya, za = encode_angles(np.array([0.0, 1.0]), spec)
+    ya, za = encode_angles(np.array([[0.0, 1.0]]), spec)
     # first feature on even qubits, second on odd qubits
-    assert np.allclose(ya, [0.0, np.pi / 2, 0.0, np.pi / 2])
-    assert np.allclose(za, [np.pi / 2, 0.0, np.pi / 2, 0.0])
+    assert np.allclose(ya, [[0.0, np.pi / 2, 0.0, np.pi / 2]])
+    assert np.allclose(za, [[np.pi / 2, 0.0, np.pi / 2, 0.0]])
     spec1 = AnsatzSpec(3, 0)
-    ya1, za1 = encode_angles(np.array([0.5]), spec1)
+    ya1, za1 = encode_angles(np.array([[0.5]]), spec1)
+    assert ya1.shape == za1.shape == (1, 3)
     assert np.allclose(ya1, np.arcsin(0.5))
     assert np.allclose(za1, np.arccos(0.25))
 
@@ -54,6 +87,19 @@ def test_encode_input_rejects_out_of_range():
         encode_batch(np.array([[-2.0]]), AnsatzSpec(1, 0))
     with pytest.raises(ValueError):
         encode_batch(np.array([0.5]), AnsatzSpec(1, 0))  # a single input is a (1, d) batch
+
+
+def test_encoding_matches_gate_by_gate_replay():
+    rng = np.random.default_rng(9)
+    worst = 0.0
+    for n in range(1, 9):
+        for feature_dim in (1, 2) if n >= 2 else (1,):
+            spec = AnsatzSpec(n, 0, feature_dim=feature_dim)
+            xs = rng.uniform(-1, 1, (6, feature_dim))
+            encoded = encode_batch(xs, spec)
+            for x, row in zip(xs, encoded):
+                worst = max(worst, np.abs(row - replay_encoding(x, spec).amplitudes).max())
+    assert worst <= 1e-15
 
 
 def test_encode_batch_matches_single():
@@ -91,8 +137,8 @@ def test_forward_group_structure():
     spec = AnsatzSpec(3, 3)
     theta = np.zeros(spec.param_count)
     tape = single_tape([0.3], theta, spec)
-    # 4 rotation layers split into Y and Z sub-layers, plus 3 entanglers
-    assert len(tape.posts) == 2 * 4 + 3 == spec.group_count
+    # 4 rotation layers, each a Y group and a Z group (entangler fused into the first 3)
+    assert len(tape.posts) == 2 * 4 == spec.group_count
     assert all(post.shape == (1, 8) for post in tape.posts)
     spec0 = AnsatzSpec(2, 0)
     tape0 = single_tape([0.1], np.zeros(4), spec0)
@@ -112,23 +158,35 @@ def test_forward_single_qubit_z_expectation_is_cosine():
         assert abs(z_expectation(final, 0) - np.cos(t)) < 1e-12
 
 
-def test_tape_replay_reproduces_final_state_exactly():
+def test_fused_final_state_matches_gate_by_gate_replay():
+    # n = 7, 8 split the Y sub-layer into more than one Kronecker block
     rng = np.random.default_rng(3)
-    spec = AnsatzSpec(3, 2)
-    theta = rng.uniform(0, 2 * np.pi, spec.param_count)
-    tape = single_tape([0.4], theta, spec)
-    n = spec.n_qubits
-    state = QuantumState(n, tape.encoded[0])
-    for k in range(spec.depth_l + 1):
-        base = 2 * n * k
-        for j in range(n):
-            state = apply_single_qubit(state, gates.ry(theta[base + 2 * j]), j)
-        for j in range(n):
-            state = apply_single_qubit(state, gates.rz(theta[base + 2 * j + 1]), j)
-        if k < spec.depth_l:
-            for j in range(n):
-                state = apply_cz(state, j, (j + 1) % n)
-    assert np.array_equal(state.amplitudes, tape.final[0])
+    worst = 0.0
+    for n in range(1, 9):
+        for l in range(0, 5):
+            spec = AnsatzSpec(n, l)
+            theta = rng.uniform(0, 2 * np.pi, spec.param_count)
+            tape = single_tape(rng.uniform(-1, 1, 1), theta, spec)
+            state = replay_layers(QuantumState(n, tape.encoded[0]), theta, spec)
+            worst = max(worst, np.abs(state.amplitudes - tape.final[0]).max())
+    assert worst <= 1e-14
+
+
+def test_batch_rows_equal_single_runs_at_five_and_six_qubits():
+    # beyond the n <= 4 of the property tests: each row is its own matmul
+    rng = np.random.default_rng(10)
+    for n in (5, 6):
+        for l in range(0, 4):
+            spec = AnsatzSpec(n, l)
+            theta = rng.uniform(0, 2 * np.pi, spec.param_count)
+            for b in (2, 3, 4, 200):
+                xs = rng.uniform(-1, 1, (b, 1))
+                tape = forward_batch(encode_batch(xs, spec), theta, spec)
+                for i in range(b):
+                    single = single_tape(xs[i], theta, spec)
+                    assert np.array_equal(tape.encoded[i], single.encoded[0])
+                    for post, single_post in zip(tape.posts, single.posts, strict=True):
+                        assert np.array_equal(post[i], single_post[0])
 
 
 def test_forward_determinism():

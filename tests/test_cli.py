@@ -91,6 +91,17 @@ def test_rerun_manifest_without_config_is_usage_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_rerun_manifest_missing_config_keys_is_usage_error(tmp_path, capsys):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"command": "regress", "config": {"iters": 2}}))
+    assert run_cli(["rerun", str(manifest), "--out-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    missing = err.split("lacks", 1)[1]
+    assert "target" in missing and "seed" in missing and "iters" not in missing
+    assert not (tmp_path / "out").exists()
+
+
 def test_gradcheck_passes_and_reports(capsys):
     code = run_cli(["gradcheck", "--qubits", "2", "--depth", "1", "--trials", "6", "--seed", "0"])
     assert code == 0
