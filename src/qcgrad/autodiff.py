@@ -12,14 +12,36 @@ conjugation anywhere, and a plain (non-conjugated) dot product against the
 gate derivative when a parameter is reached.  The conjugate half of |c|^2
 is absorbed entirely by the single 2*Re[...].
 
-The walk visits the fused groups of :mod:`qcgrad.circuit` in reverse.  A
-Z-plus-entangler group is a diagonal, its own transpose.  dRz(t) Rz(t)^-1 =
-diag(-i/2, i/2) on qubit q, so with ``a`` and ``s`` the cotangent and state
-after the group, 2*Re[sum_j a_j (-i/2) Zsigns[j, q] s_j] makes the whole
-sub-layer's Z gradient one product, ``Im(a * s) @ Zsigns``.  The ring drops
-out: it multiplies ``a`` and ``s`` by the same +/-1 signs, which square to 1.
-A Y group is a real matrix: its cotangent step is the transposed matmul, and
-its Y gradients pair each amplitude with its partner across every qubit.
+The walk visits the rotation layers of :mod:`qcgrad.circuit` in reverse and
+reads the tape rows ``Y_k``, the states after each Y sub-layer.
+
+Z sub-layer and entangler.  ``ZE_k = diag_k * Y_k`` is a diagonal, its own
+transpose.  dRz(t) Rz(t)^-1 = diag(-i/2, i/2) on qubit q, so with ``a`` the
+cotangent after it, 2*Re[sum_j a_j (-i/2) Zsigns[j, q] ZE_k[j]] makes the
+whole sub-layer's Z gradient one product, ``Im(a * ZE_k) @ Zsigns``.  As
+``a * ZE_k = (diag_k * a) * Y_k``, that is ``Im(a_Y * Y_k) @ Zsigns`` with
+``a_Y = diag_k * a`` the cotangent after the Y sub-layer, so the tape keeps
+no ZE rows.  The ring's +/-1 signs only enter through ``diag_k``.
+
+Y sub-layer, in the Y eigenbasis.  ``ry(t) = w diag(e^{-it/2}, e^{it/2}) w^dag``
+with ``w = S H``, S = diag(1, i) and H = [[1, 1], [1, -1]] / sqrt(2), so the
+sub-layer is ``K = W D_y W^dag`` with ``W = S^{(x)n} H^{(x)n}`` and
+``D_y = exp(-i/2 * Zsigns @ theta_y)``, the same form as a Z sub-layer.
+``S^{(x)n}`` is the diagonal ``i**popcount(j)``.  dK/dt_q K^-1 =
+W diag(-i/2 * Zsigns[:, q]) W^dag, so with ``ã = W^T a_Y = H^{(x)n} (S a_Y)``
+and ``s̃ = W^dag Y_k = H^{(x)n} (S* Y_k)`` the sub-layer's Y gradient is again
+one product, ``Im(ã * s̃) @ Zsigns``.  The cotangent step
+``K^T a_Y = S* H^{(x)n} (D_y ã)`` reuses ã.
+
+The walk carries ``v = S a_Y`` instead of ``a_Y``, so that S and S* cancel
+between layers: ``ã = H^{(x)n} v``, then ``v <- diag_{k-1} * H^{(x)n} (D_y ã)``,
+and the Z gradients are ``Im(v * t) @ Zsigns`` with ``t = S* Y_k``.  A layer
+thus costs three Walsh-Hadamard transforms (``[ã, s̃] = H^{(x)n} [v, t]`` in
+one matmul, then ``H^{(x)n} (D_y ã)``), each the same fixed real matrix for
+every layer and call, plus elementwise products.  The first layer skips the
+cotangent step, whose result nothing reads.  The transforms use +/-1 entries,
+a factor 2**(n/2) each; the 2**-n this leaves per product and per round trip
+is folded into the Y signs and into ``D_y``, exactly, as a power of two.
 
 These conventions are validated end to end against central finite
 differences (the binding oracle; see tests).
@@ -29,8 +51,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .circuit import AnsatzSpec, BatchTape
-from .state import apply_real_blocks, z_sign_matrix
+from .circuit import AnsatzSpec, BatchTape, rotation_phases, z_diagonals
+from .state import apply_hadamard, s_phases, z_sign_matrix
 
 
 def backward_batch(tape: BatchTape, dL_dp: np.ndarray, spec: AnsatzSpec) -> np.ndarray:
@@ -47,21 +69,35 @@ def backward_batch(tape: BatchTape, dL_dp: np.ndarray, spec: AnsatzSpec) -> np.n
         raise ValueError(
             f"cotangent shape {dL_dp.shape} does not match batch shape {tape.final.shape}"
         )
-    a = dL_dp * np.conj(tape.final)
-    n, posts, zsigns = spec.n_qubits, tape.posts, z_sign_matrix(spec.n_qubits)
-    flips = np.arange(a.shape[1]) ^ (1 << np.arange(n))[:, None]  # [q, i]: i with bit q flipped
-    grad = np.empty((len(a), spec.depth_l + 1, n, 2))
-    # one buffer for the (B, n, dim) pair products of every layer: a fresh
-    # temporary of that size per layer costs page faults once B*n*dim grows
-    pairs = np.empty((len(a), n, a.shape[1]), dtype=complex)
-    for k in range(spec.depth_l, -1, -1):
-        blocks, diag = tape.transposed[k]
-        grad[:, k, :, 1] = (a * posts[2 * k + 1]).imag @ zsigns
-        a = a * diag
-        # dRy(t) Ry(t)^-1 = [[0,-1/2],[1/2,0]] on qubit q, so with s the state
-        # after the Y group, 2*Re[a . (G_q s)] = sum_i z_q(i) Re(a[i ^ 2**q] s[i])
-        np.take(a, flips, axis=1, out=pairs, mode="clip")
-        np.multiply(pairs, posts[2 * k][:, None, :], out=pairs)
-        grad[:, k, :, 0] = np.einsum("bqi,iq->bq", pairs.real, zsigns)
-        a = apply_real_blocks(a, blocks)
-    return grad.reshape(len(a), -1)
+    n, l, (b, dim) = spec.n_qubits, spec.depth_l, dL_dp.shape
+    # H below has +/-1 entries, so ã * s̃ and H D H each carry 2**n too many
+    scale = 0.5**n
+    # Im(...) @ Zsigns of the [ã * s̃, v * t] products, read from their float
+    # view: a contiguous matmul against signs on the imaginary parts only
+    signs = np.zeros((2, dim, 2, n))
+    signs[:, :, 1] = z_sign_matrix(n) * np.array([scale, 1.0])[:, None, None]
+    signs = signs.reshape(2, 2 * dim, n)
+    y_phases = rotation_phases(tape.theta.reshape(l + 1, n, 2)[:, :, 0], n) * scale
+    diags = z_diagonals(tape.theta, spec)
+    # one allocation for every buffer of the walk (see state.apply_hadamard):
+    # rows [v, t] = [S a, S* s] of the current layer, so that one H gives
+    # [ã, s̃]; the [ã * s̃, v * t] products; H's other buffer; S* as a full
+    # (B, dim) factor, since numpy multiplies a broadcast short row about 2x slower
+    work = np.empty((7, b, dim), dtype=complex)
+    vt, products, h_work, s_conj = work[:2], work[2:4], work[4:6], work[6]
+    v, t = vt
+    vt_rows, h_rows = vt.reshape(2 * b, dim), h_work.reshape(2 * b, dim)
+    s_conj[:] = np.conj(s_phases(n))
+    np.multiply(dL_dp * np.conj(tape.final), diags[l] * s_phases(n), out=v)
+    grad = np.empty((b, l + 1, n, 2))
+    for k in range(l, -1, -1):
+        np.multiply(tape.posts[k], s_conj, out=t)
+        np.multiply(v, t, out=products[1])
+        a_tilde, s_tilde = apply_hadamard(vt_rows, h_rows).reshape(2, b, dim)
+        np.multiply(a_tilde, s_tilde, out=products[0])
+        np.matmul(products.view(float), signs, out=grad[:, k].transpose(2, 0, 1))
+        if k:
+            # products is free again: it holds D_y ã and H's other buffer
+            u = np.multiply(a_tilde, y_phases[k], out=products[0])
+            np.multiply(apply_hadamard(u, products[1]), diags[k - 1], out=v)
+    return grad.reshape(b, -1)

@@ -6,15 +6,15 @@ rotation layer splits into two commuting sub-layers: first every qubit's Y
 rotation, then every qubit's Z rotation.  The simulation applies each
 sub-layer as one fused operator: the Y sub-layer as one real Kronecker
 matrix (a matmul per state), the Z sub-layer and the entangler after it as
-one diagonal ``exp(-i/2 * Zsigns @ theta_z) * ring_signs``.  The tape
-records the batch of states after every fused group, i.e. the group
-sequence is
+one diagonal ``exp(-i/2 * Zsigns @ theta_z) * ring_signs``.  The tape keeps
+the batch of states after every Y sub-layer, then the final state:
 
-    [Y_0, ZE_0, Y_1, ZE_1, ..., Y_l, Z_l]
+    [Y_0, Y_1, ..., Y_l, final]
 
-for a total of ``2*(depth_l + 1)`` recorded states after the encoded state
-(the last Z sub-layer has no entangler after it), plus the transposed
-operators the reverse walk applies.
+for a total of ``depth_l + 2`` rows (:attr:`AnsatzSpec.group_count`).  The
+state after a Z-plus-entangler group is ``diag_k * Y_k``, so it is not kept:
+the backward pass needs only the Y rows (see :mod:`qcgrad.autodiff`).  The
+last Z sub-layer has no entangler after it.
 
 Parameter layout (fixed; gradients use the same layout): layer-major, then
 qubit-major, then (Y, Z) per qubit::
@@ -27,8 +27,9 @@ rz(arccos(x^2)), so the encoded state is the product state of the
 single-qubit states ``[cos(y/2) e^{-iz/2}, sin(y/2) e^{iz/2}]``.
 One-dimensional inputs are replicated on all qubits; two-dimensional inputs
 place the first feature on even qubits and the second on odd qubits.  Inputs
-outside [-1, 1] are rejected rather than clamped — clamping would silently
-corrupt the encoding, so dataset generators guarantee the range instead.
+outside [-1, 1], and NaN, are rejected rather than clamped — clamping would
+silently corrupt the encoding, so dataset generators guarantee the range
+instead.
 
 Every simulation runs on a batch of shape ``(B, 2**n)``; a single input is
 the batch ``x[None, :]``.
@@ -71,18 +72,18 @@ class AnsatzSpec:
 
     @property
     def group_count(self) -> int:
-        """Number of recorded groups: a Y and a Z-plus-entangler group per rotation layer."""
-        return 2 * (self.depth_l + 1)
+        """Number of tape rows: the state after each Y sub-layer, then the final state."""
+        return self.depth_l + 2
 
 
 @dataclass(frozen=True)
 class BatchTape:
-    """Per-group states (B, 2**n) of one forward pass and the reverse walk's layer operators."""
+    """One forward pass: (B, 2**n) states after every Y sub-layer and at the end, and the angles."""
 
     spec: AnsatzSpec
     encoded: np.ndarray
     posts: list[np.ndarray]
-    transposed: list[tuple[tuple[np.ndarray, ...], np.ndarray]]
+    theta: np.ndarray
 
     @property
     def final(self) -> np.ndarray:
@@ -106,8 +107,8 @@ def encode_angles(x: np.ndarray, spec: AnsatzSpec) -> tuple[np.ndarray, np.ndarr
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != spec.feature_dim:
         raise ValueError(f"expected {spec.feature_dim} feature(s), got shape {x.shape}")
-    if np.any(np.abs(x) > 1.0):
-        raise ValueError("encoded inputs must lie in [-1, 1]")
+    if not np.all(np.abs(x) <= 1.0):  # NaN fails too
+        raise ValueError("encoded inputs must be finite and lie in [-1, 1]")
     if spec.feature_dim == 1:
         per_qubit = np.repeat(x[..., :1], spec.n_qubits, axis=-1)
     else:
@@ -127,26 +128,40 @@ def encode_batch(xs: np.ndarray, spec: AnsatzSpec) -> np.ndarray:
     return kron(qubits[..., None]).reshape(len(xs), -1)
 
 
+def rotation_phases(angles: np.ndarray, n_qubits: int) -> np.ndarray:
+    """``exp(-i/2 * Zsigns @ angles)`` of (..., n) angles, one per qubit.
+
+    This is the diagonal of one rz per qubit, and of one ry per qubit in the
+    Y eigenbasis (see :mod:`qcgrad.autodiff`).
+    """
+    return np.exp(-0.5j * (angles @ z_sign_matrix(n_qubits).T))
+
+
+def z_diagonals(theta: np.ndarray, spec: AnsatzSpec) -> np.ndarray:
+    """(l+1, 2**n) diagonals of every Z sub-layer and, except after the last, the ring."""
+    angles = theta.reshape(spec.depth_l + 1, spec.n_qubits, 2)
+    diags = rotation_phases(angles[:, :, 1], spec.n_qubits)
+    diags[:-1] *= ring_signs(spec.n_qubits)
+    return diags
+
+
 def layer_operators(
-    theta: np.ndarray, spec: AnsatzSpec, transpose: bool = False
+    theta: np.ndarray, spec: AnsatzSpec
 ) -> list[tuple[tuple[np.ndarray, ...], np.ndarray]]:
     """(Y blocks, Z-and-entangler diagonal) of every rotation layer.
 
-    The Y blocks split the Kronecker product of a layer's ry matrices (its
-    transpose with ``transpose``, for the reverse walk) into blocks of at
-    most ``KRON_BLOCK`` qubits.  Each block is a column-major view: OpenBLAS
-    ran these (dim, dim) @ (dim, 2) products about 1.7x faster so.  The
-    diagonal holds the rz phases and, except after the last layer, the ring.
+    The Y blocks split the Kronecker product of a layer's ry matrices into
+    blocks of at most ``KRON_BLOCK`` qubits.  Each block is a column-major
+    view: OpenBLAS ran these (dim, dim) @ (dim, 2) products about 1.7x
+    faster so.
     """
     n, l = spec.n_qubits, spec.depth_l
     angles = theta.reshape(l + 1, n, 2)
-    # kron gets ry^T (ry when transpose): it builds the row-major transpose of each block
-    c, s = np.cos(0.5 * angles[:, :, 0]), np.sin(0.5 * angles[:, :, 0]) * (1 if transpose else -1)
-    mats = np.stack([c, -s, s, c], axis=-1).reshape(l + 1, n, 2, 2)
+    # kron gets ry^T: it builds the row-major transpose of each block
+    c, s = np.cos(0.5 * angles[:, :, 0]), np.sin(0.5 * angles[:, :, 0])
+    mats = np.stack([c, s, -s, c], axis=-1).reshape(l + 1, n, 2, 2)
     blocks = [kron(mats[:, q : q + KRON_BLOCK]).swapaxes(-1, -2) for q in range(0, n, KRON_BLOCK)]
-    diags = np.exp(-0.5j * (angles[:, :, 1] @ z_sign_matrix(n).T))
-    diags[:-1] *= ring_signs(n)
-    return list(zip(zip(*blocks), diags))
+    return list(zip(zip(*blocks), z_diagonals(theta, spec)))
 
 
 def run_variational(
@@ -154,24 +169,25 @@ def run_variational(
 ) -> list[np.ndarray] | np.ndarray:
     """Apply the variational layers to encoded amplitudes of shape (B, dim).
 
-    Returns the list of post-group arrays when ``record`` is true, else just
-    the final array.  This is the single code path behind the tape of
-    :func:`forward_batch` and every loss-only evaluation.
+    Returns the tape rows ``[Y_0, ..., Y_l, final]`` as a list when
+    ``record`` is true, else just the final array.  This is the single code
+    path behind the tape of :func:`forward_batch` and every loss-only
+    evaluation.
     """
     amps = np.ascontiguousarray(encoded, dtype=complex)
     layers = layer_operators(check_theta(theta, spec), spec)
     # the tape is one allocation: many small ones freed together let the C
     # heap shrink and fault its pages back in on the next call
-    shape = (2 * len(layers),) + amps.shape
+    shape = (len(layers) + 1,) + amps.shape
     posts = np.empty(shape, dtype=complex) if record else [None] * shape[0]
     for k, (blocks, diag) in enumerate(layers):
-        amps = apply_real_blocks(amps, blocks, out=posts[2 * k])
-        amps = np.multiply(amps, diag, out=posts[2 * k + 1])
+        amps = apply_real_blocks(amps, blocks, out=posts[k])
+        # the final row holds each diag * Y_k until the next Y sub-layer reads it
+        amps = np.multiply(amps, diag, out=posts[-1])
     return list(posts) if record else amps
 
 
 def forward_batch(encoded: np.ndarray, theta: np.ndarray, spec: AnsatzSpec) -> BatchTape:
-    """Run the variational layers on encoded amplitudes, recording every group."""
+    """Run the variational layers on encoded amplitudes, recording the tape."""
     theta = check_theta(theta, spec)
-    posts = run_variational(encoded, theta, spec, record=True)
-    return BatchTape(spec, encoded, posts, layer_operators(theta, spec, transpose=True))
+    return BatchTape(spec, encoded, run_variational(encoded, theta, spec, record=True), theta)

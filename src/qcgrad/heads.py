@@ -43,8 +43,8 @@ class ClassificationHead:
     def __post_init__(self):
         if self.qubit_1 == self.qubit_2:
             raise ValueError(f"classification qubits must differ, both are {self.qubit_1}")
-        if self.gamma <= 0:
-            raise ValueError(f"gamma must be > 0, got {self.gamma}")
+        if not 0 < self.gamma < math.inf:  # NaN fails too
+            raise ValueError(f"gamma must be finite and > 0, got {self.gamma}")
 
 
 def _sigmoid(t: float) -> float:
@@ -60,8 +60,8 @@ def softmax_gamma(z1: float, z2: float, gamma: float) -> tuple[float, float]:
     Computed in the numerically stable logistic form
     y1 = 1 / (1 + exp(-gamma*(z1 - z2))), which makes y1 + y2 = 1 exact.
     """
-    if gamma <= 0:
-        raise ValueError(f"gamma must be > 0, got {gamma}")
+    if not 0 < gamma < math.inf:  # NaN fails too
+        raise ValueError(f"gamma must be finite and > 0, got {gamma}")
     y1 = _sigmoid(gamma * (z1 - z2))
     return y1, 1.0 - y1
 

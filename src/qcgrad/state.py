@@ -14,7 +14,17 @@ The circuit runs whole layers at once on batches of shape ``(B, 2**n)``:
 :func:`kron` builds the dense real matrix of one rotation per qubit (and the
 encoded product states), :func:`apply_real_blocks` applies it with one
 matmul per state and block of at most :data:`KRON_BLOCK` qubits, and a
-diagonal layer is an elementwise product.
+diagonal layer is an elementwise product.  The backward pass applies the
+fixed Walsh-Hadamard transform with :func:`apply_hadamard` instead, whose
+lowest block is one flat GEMM over all rows.
+
+Why two kinds of matmul: the forward pass keeps every batch row equal bit for
+bit to the same input run alone (B=1), so training on a batch and replaying
+one sample agree exactly.  How BLAS computes a GEMM depends on its row count:
+with one flat GEMM per Y sub-layer, all 2,072 rows of a check at n = 3-6
+and B = 2-200 differed from their B=1 runs.  So the forward multiplies each
+state separately.  The backward pass only has to match its B=1 runs to
+1e-14, and one flat GEMM over all rows is the faster way to get there.
 
 :func:`apply_matrix` applies one 2x2 matrix to one qubit; the
 :class:`QuantumState` operations are value-in/value-out single-state
@@ -72,18 +82,18 @@ def kron(mats: np.ndarray) -> np.ndarray:
 
 
 def apply_real_blocks(
-    amps: np.ndarray, blocks: tuple[np.ndarray, ...], out: np.ndarray | None = None
+    amps: np.ndarray, blocks: tuple[np.ndarray, ...], out: np.ndarray | None = None, lo: int = 1
 ) -> np.ndarray:
     """Apply real block matrices to a C-contiguous ``(B, 2**n)`` complex array.
 
-    ``blocks[0]`` acts on the lowest qubits, each next block on the qubits
-    above the previous one.  Each state is its own matmul over the real and
-    imaginary parts, so a row's result never depends on the other rows; one
-    (2B, 2**n) matmul would not keep that.  Writes the result to ``out``
-    (C-contiguous, same shape) when given, else returns a new array.
+    ``blocks[0]`` acts on the qubits from bit ``log2(lo)`` up, each next
+    block on the qubits above the previous one.  Each state is its own
+    matmul over the real and imaginary parts, so a row's result never
+    depends on the other rows; one (2B, 2**n) matmul would not keep that.
+    Writes the result to ``out`` (C-contiguous, same shape) when given, else
+    returns a new array.
     """
     b, dim = amps.shape
-    lo = 1
     for i, mat in enumerate(blocks):
         m = len(mat)
         view = amps.view(float).reshape(b, dim // (m * lo), m, 2 * lo)
@@ -92,6 +102,55 @@ def apply_real_blocks(
         amps = amps.reshape(b, 2 * dim).view(complex)
         lo *= m
     return amps
+
+
+#: Most qubits one Walsh-Hadamard block of the backward pass spans.  The
+#: widened lowest block costs O(4**m) per state: with B=200, two 3-qubit
+#: blocks ran the backward pass at n=6 1.6-1.9x faster than one 6-qubit
+#: block.  At n = 4, 5 and 7-10 limits of 4-6 were within noise of each
+#: other, and a limit of 3 was slower at n = 4, 8 and 10.
+HADAMARD_BLOCK = 4
+
+
+@lru_cache(maxsize=None)
+def hadamard_blocks(n_qubits: int) -> tuple[np.ndarray, ...]:
+    """Unnormalised Walsh-Hadamard blocks (entries +/-1) over all ``n_qubits``, lowest first.
+
+    The qubits split into as few blocks of at most :data:`HADAMARD_BLOCK` as
+    possible, with sizes differing by at most one.  The lowest block is
+    widened to ``H (x) I_2`` so that it acts on the interleaved real and
+    imaginary parts of the float view.
+    """
+    count = -(-n_qubits // HADAMARD_BLOCK)
+    h = np.broadcast_to(np.array([[1.0, 1.0], [1.0, -1.0]]), (HADAMARD_BLOCK, 2, 2))
+    blocks = [np.ascontiguousarray(kron(h[: (n_qubits + i) // count])) for i in range(count)]
+    blocks[0] = np.kron(blocks[0], np.eye(2))
+    for block in blocks:
+        block.flags.writeable = False
+    return tuple(blocks)
+
+
+def apply_hadamard(amps: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """``H^{(x)n}`` with +/-1 entries (applying it twice multiplies by 2**n).
+
+    ``amps`` and ``work`` are C-contiguous ``(R, 2**n)`` complex arrays.  The
+    lowest block is one flat GEMM over all rows, so a row's last bits may
+    depend on the other rows (see the module docstring); the blocks above it
+    multiply each row separately.  The blocks write to ``amps`` and ``work``
+    in turn, so nothing is allocated: fresh temporaries of this size made
+    the C heap shrink and fault its pages back in, about 2,000 page faults
+    per backward pass at n=8, B=200.  Both arrays are overwritten; returns
+    the one that holds the result (``work`` when the blocks are odd in number).
+    """
+    first, *rest = hadamard_blocks(amps.shape[1].bit_length() - 1)
+    flat = (-1, len(first))
+    np.matmul(amps.view(float).reshape(flat), first, out=work.view(float).reshape(flat))
+    lo = len(first) // 2
+    for block in rest:
+        amps, work = work, amps
+        apply_real_blocks(amps, (block,), out=work, lo=lo)
+        lo *= len(block)
+    return work
 
 
 @lru_cache(maxsize=None)
@@ -127,6 +186,15 @@ def z_sign_vector(n_qubits: int, qubit: int) -> np.ndarray:
     signs = 1.0 - 2.0 * ((idx >> qubit) & 1)
     signs.flags.writeable = False
     return signs
+
+
+@lru_cache(maxsize=None)
+def s_phases(n_qubits: int) -> np.ndarray:
+    """Diagonal of ``S^{(x)n}``, S = diag(1, i): ``i**popcount(j)`` for every basis index j."""
+    popcount = (n_qubits - z_sign_matrix(n_qubits).sum(axis=1).astype(int)) // 2
+    phases = np.array([1, 1j, -1, -1j])[popcount % 4]
+    phases.flags.writeable = False
+    return phases
 
 
 @lru_cache(maxsize=None)

@@ -42,12 +42,13 @@ class TrainConfig:
     fd_step: float = 1e-4
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
+        # written so that NaN fails each check too
+        for name in ("learning_rate", "gamma", "fd_step"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
         if self.iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
-        if self.gamma <= 0:
-            raise ValueError(f"gamma must be > 0, got {self.gamma}")
         if self.gradient_method not in GRADIENT_METHODS:
             raise ValueError(
                 f"unknown gradient_method {self.gradient_method!r}; "

@@ -21,7 +21,9 @@ open and the circuit is left unchanged.
 
 import json
 import math
+import statistics
 import time
+from dataclasses import replace
 
 import numpy as np
 from conftest import backprop_gradient, random_instance
@@ -183,7 +185,13 @@ def test_criterion_7_benchmark_shape():
     cfg = TrainConfig(iterations=100, init_seed=1)
     depths = (5, 10, 15, 20)
     start = time.perf_counter()
-    records = run_benchmark(["backprop"], depths, [], dataset, cfg, repeats=1)
+    # A backprop cell lasts a fraction of a second, so one host stall, or the
+    # host's speed drifting between cells, would decide depth_ratio.  Each
+    # depth's time is the median of 5 rounds that each time every depth once.
+    rounds = [run_benchmark(["backprop"], depths, [], dataset, cfg, repeats=1) for _ in range(5)]
+    cells = zip(*rounds, strict=True)
+    medians = [statistics.median(r.seconds_per_100_iterations for r in cell) for cell in cells]
+    records = [replace(r, seconds_per_100_iterations=m) for r, m in zip(rounds[0], medians)]
     # One FD cell per depth, bracketed by timings of a single loss evaluation
     # at that depth: a shared machine's speed can drift within minutes, so the
     # unit is measured just before and just after the cell it normalises.

@@ -49,9 +49,12 @@ def test_gradient_matches_finite_differences():
         n = int(rng.integers(1, 6))
         l = int(rng.integers(0, 5))
         check(n, l, n >= 2 and trial % 2 == 1)
-    # n = 7 splits each Y sub-layer into two Kronecker blocks
-    check(7, 1, False)
-    check(7, 2, True)
+    # n = 7 splits each Y sub-layer into two Kronecker blocks, and n = 5..8
+    # split the backward's Walsh-Hadamard transform into two blocks, at a
+    # different qubit for each n
+    for n in (5, 6, 7, 8):
+        check(n, 1, False)
+        check(n, 2, True)
 
 
 def test_gradient_is_real_and_finite():
@@ -89,6 +92,22 @@ def test_backward_batch_matches_per_sample():
         _, _, single_dL_dp = classification_batch(np.abs(tape.final) ** 2, labels[i : i + 1], head, 4)
         single = backward_batch(tape, single_dL_dp, spec)[0]
         assert np.allclose(batch_grads[i], single, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_batch_gradient_rows_equal_single_runs_beyond_four_qubits(n):
+    # the backward pass multiplies all rows in one GEMM, so a row may differ
+    # from its B=1 run in the last bits, never by more than 1e-14
+    rng = np.random.default_rng(200 + n)
+    spec = AnsatzSpec(n, 2)
+    theta = rng.uniform(0, 2 * np.pi, spec.param_count)
+    for b in (2, 3, 200):
+        xs = rng.uniform(-1, 1, (b, 1))
+        dL_dp = rng.normal(size=(b, 1 << n))
+        grads = backward_batch(forward_batch(encode_batch(xs, spec), theta, spec), dL_dp, spec)
+        for i in range(b):
+            single = backward_batch(single_tape(xs[i], theta, spec), dL_dp[i : i + 1], spec)[0]
+            assert np.abs(grads[i] - single).max() <= 1e-14
 
 
 def test_tape_spec_mismatch_rejected():

@@ -89,6 +89,11 @@ def test_encode_input_rejects_out_of_range():
         encode_batch(np.array([0.5]), AnsatzSpec(1, 0))  # a single input is a (1, d) batch
 
 
+def test_encode_input_rejects_nan():
+    with pytest.raises(ValueError, match="finite"):
+        encode_batch(np.array([[np.nan]]), AnsatzSpec(1, 0))
+
+
 def test_encoding_matches_gate_by_gate_replay():
     rng = np.random.default_rng(9)
     worst = 0.0
@@ -137,12 +142,13 @@ def test_forward_group_structure():
     spec = AnsatzSpec(3, 3)
     theta = np.zeros(spec.param_count)
     tape = single_tape([0.3], theta, spec)
-    # 4 rotation layers, each a Y group and a Z group (entangler fused into the first 3)
-    assert len(tape.posts) == 2 * 4 == spec.group_count
+    # 4 rotation layers: the state after each Y sub-layer, then the final state
+    assert len(tape.posts) == 4 + 1 == spec.group_count
     assert all(post.shape == (1, 8) for post in tape.posts)
+    assert tape.final is tape.posts[-1]
     spec0 = AnsatzSpec(2, 0)
     tape0 = single_tape([0.1], np.zeros(4), spec0)
-    assert len(tape0.posts) == 2
+    assert len(tape0.posts) == 2 == spec0.group_count
 
 
 def test_forward_identity_rotations_keep_encoded_state():

@@ -105,6 +105,11 @@ def test_softmax_rejects_bad_gamma():
         softmax_gamma(0.1, 0.2, 0.0)
 
 
+def test_classification_head_rejects_nan_gamma():
+    with pytest.raises(ValueError, match="finite"):
+        ClassificationHead(gamma=math.nan)
+
+
 def test_cross_entropy_examples():
     # |01> (qubit 0 set) gives <Z_1> - <Z_2> = -2, |10> gives +2
     sure_one = probabilities(basis_state(2, 2))

@@ -53,6 +53,16 @@ def test_train_config_validation():
         TrainConfig(gradient_method="adagrad")
 
 
+@pytest.mark.parametrize(
+    "field",
+    [{"gamma": np.nan}, {"fd_step": np.nan}, {"fd_step": -1e-4}, {"learning_rate": np.nan}],
+    ids=["gamma-nan", "fd_step-nan", "fd_step-negative", "learning_rate-nan"],
+)
+def test_train_config_rejects_non_finite_and_negative(field):
+    with pytest.raises(ValueError, match="must be finite and > 0"):
+        TrainConfig(**field)
+
+
 def test_one_iteration_performs_one_update():
     ds = small_regression()
     spec = AnsatzSpec(2, 1)
