@@ -51,24 +51,24 @@ from __future__ import annotations
 
 import numpy as np
 
-from .circuit import AnsatzSpec, BatchTape, rotation_phases, z_diagonals
+from .circuit import BatchTape, rotation_phases, z_diagonals
 from .state import apply_hadamard, s_phases, z_sign_matrix
 
 
-def backward_batch(tape: BatchTape, dL_dp: np.ndarray, spec: AnsatzSpec) -> np.ndarray:
+def backward_batch(tape: BatchTape, dL_dp: np.ndarray) -> np.ndarray:
     """Per-sample gradients, shape (B, param_count), from a batch tape.
 
+    The circuit is the one the tape was recorded for, ``tape.spec``.
     ``dL_dp`` has the tape's shape (B, 2**n) and holds dL/dp_j for every
     basis index j (zero where the readout does not observe).  The result is
     real with the parameter layout of :mod:`qcgrad.circuit`.
     """
-    if tape.spec != spec:
-        raise ValueError(f"tape was built for {tape.spec}, not {spec}")
     dL_dp = np.asarray(dL_dp, dtype=float)
     if dL_dp.shape != tape.final.shape:
         raise ValueError(
             f"cotangent shape {dL_dp.shape} does not match batch shape {tape.final.shape}"
         )
+    spec = tape.spec
     n, l, (b, dim) = spec.n_qubits, spec.depth_l, dL_dp.shape
     # H below has +/-1 entries, so ã * s̃ and H D H each carry 2**n too many
     scale = 0.5**n

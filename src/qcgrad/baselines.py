@@ -31,8 +31,8 @@ class SpsaConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.c <= 0:
-            raise ValueError(f"c must be > 0, got {self.c}")
+        if not 0 < self.c < math.inf:  # NaN fails too
+            raise ValueError(f"c must be finite and > 0, got {self.c}")
         if not 0 < self.gamma_exp <= 1:
             raise ValueError(f"gamma_exp must lie in (0, 1], got {self.gamma_exp}")
 
@@ -53,8 +53,8 @@ def finite_difference_grad(f: LossFunction, theta: np.ndarray, h: float) -> np.n
 
     Calls ``f`` exactly ``2 * len(theta)`` times.
     """
-    if h <= 0:
-        raise ValueError(f"step size must be > 0, got {h}")
+    if not 0 < h < math.inf:  # NaN fails too
+        raise ValueError(f"step size must be finite and > 0, got {h}")
     theta = np.asarray(theta, dtype=float)
     grad = np.empty_like(theta)
     probe = theta.copy()

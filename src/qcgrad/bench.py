@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 from .circuit import AnsatzSpec
 from .datasets import Dataset
 from .heads import ClassificationHead
-from .trainer import GRADIENT_METHODS, TrainConfig, train
+from .trainer import TrainConfig, train
 
 
 @dataclass(frozen=True)
@@ -55,33 +55,29 @@ def run_benchmark(
     A cell that fails numerically is recorded with ``error`` set and a NaN
     time instead of aborting the whole run.
     """
-    methods = list(methods)
-    depth_sweep = list(depth_sweep)
-    qubit_sweep = list(qubit_sweep)
-    if not methods or (not depth_sweep and not qubit_sweep):
+    # TrainConfig rejects an unknown method, so this fails before any cell runs
+    configs = [replace(cfg, gradient_method=method) for method in methods]
+    cells = [(fixed_n, l) for l in depth_sweep] + [(n, fixed_l) for n in qubit_sweep]
+    if not configs or not cells:
         raise ValueError("need at least one method and one sweep cell")
-    for m in methods:
-        if m not in GRADIENT_METHODS:
-            raise ValueError(f"unknown method {m!r}; expected one of {GRADIENT_METHODS}")
     if dataset.task != "classification":
         raise ValueError("benchmarks run on a classification dataset")
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
 
-    cells = [(fixed_n, l) for l in depth_sweep] + [(n, fixed_l) for n in qubit_sweep]
     records = []
-    for method in methods:
+    for method_cfg in configs:
         for n, l in cells:
             try:
                 spec = AnsatzSpec(n_qubits=n, depth_l=l, feature_dim=dataset.feature_dim)
-                seconds = _cell_seconds(spec, dataset, replace(cfg, gradient_method=method), repeats)
+                seconds = _cell_seconds(spec, dataset, method_cfg, repeats)
                 error = None
             except (ArithmeticError, ValueError) as exc:
                 seconds = float("nan")
                 error = str(exc)
             records.append(
                 BenchmarkRecord(
-                    method=method,
+                    method=method_cfg.gradient_method,
                     n_qubits=n,
                     depth_l=l,
                     n_params=2 * n * (l + 1),

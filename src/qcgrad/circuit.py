@@ -11,10 +11,10 @@ the batch of states after every Y sub-layer, then the final state:
 
     [Y_0, Y_1, ..., Y_l, final]
 
-for a total of ``depth_l + 2`` rows (:attr:`AnsatzSpec.group_count`).  The
-state after a Z-plus-entangler group is ``diag_k * Y_k``, so it is not kept:
-the backward pass needs only the Y rows (see :mod:`qcgrad.autodiff`).  The
-last Z sub-layer has no entangler after it.
+for a total of ``depth_l + 2`` rows.  The state after a Z-plus-entangler
+group is ``diag_k * Y_k``, so it is not kept: the backward pass needs only
+the Y rows (see :mod:`qcgrad.autodiff`).  The last Z sub-layer has no
+entangler after it.
 
 Parameter layout (fixed; gradients use the same layout): layer-major, then
 qubit-major, then (Y, Z) per qubit::
@@ -69,12 +69,6 @@ class AnsatzSpec:
     @property
     def param_count(self) -> int:
         return 2 * self.n_qubits * (self.depth_l + 1)
-
-    @property
-    def group_count(self) -> int:
-        """Number of tape rows: the state after each Y sub-layer, then the final state."""
-        return self.depth_l + 2
-
 
 @dataclass(frozen=True)
 class BatchTape:

@@ -1,9 +1,12 @@
 """Command-line experiment runner.
 
-Subcommands: ``regress``, ``classify``, ``gradcheck``, ``bench``, and
-``rerun`` (replay a saved manifest).  Every run writes CSV artifacts plus a
-``manifest.json`` capturing the full configuration; re-running from the
-manifest reproduces all non-timing outputs byte for byte.
+Subcommands: ``regress``, ``classify`` and ``bench`` train and write CSV
+artifacts plus a ``manifest.json`` holding the full configuration, through
+the runner that :data:`RUNNERS` names for them.  ``rerun`` replays a saved
+manifest through the same table, reproducing all non-timing outputs byte for
+byte.  ``gradcheck`` compares backprop against finite differences and prints
+a report.  Every subcommand but ``rerun`` takes ``--seed`` and ``--config``
+(a key=value file of defaults; explicit flags win).
 
 Exit codes: 0 success, 1 usage error, 2 numeric failure.
 """
@@ -12,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -25,18 +29,16 @@ from .circuit import AnsatzSpec
 from .datasets import REGRESSION_KINDS, _target_fn, gen_circles, gen_function_dataset, gen_moons
 from .heads import ClassificationHead, RegressionHead
 from .trainer import (
+    GRADIENT_METHODS,
     TrainConfig,
     TrainingDivergedError,
-    predict_classification,
-    predict_regression,
+    predict,
     r_squared,
     random_objective,
     train,
 )
 
 EXIT_OK, EXIT_USAGE, EXIT_NUMERIC = 0, 1, 2
-
-BENCH_METHODS = ("backprop", "finite_difference", "spsa")
 
 #: Config keys that each command's runner reads; the command's flags of the
 #: same names fill them, and ``rerun`` requires them all.
@@ -57,18 +59,19 @@ def _fmt(value) -> str:
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _write_manifest(out_dir: Path, command: str, config: dict, seeds: dict, artifacts: list[str], extra: dict | None = None) -> None:
+def _write_manifest(out_dir: Path, command: str, config: dict, artifacts: list[str], extra: dict | None = None) -> None:
     manifest = {
         "command": command,
         "config": config,
-        "seeds": seeds,
-        "artifacts": artifacts,
+        "seeds": {"dataset": config["seed"], "init": config["seed"] + 1},
+        "artifacts": artifacts + ["manifest.json"],
         "version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
@@ -79,101 +82,56 @@ def _write_manifest(out_dir: Path, command: str, config: dict, seeds: dict, arti
         fh.write("\n")
 
 
-def run_regress(config: dict, out_dir: Path) -> float:
-    out_dir.mkdir(parents=True, exist_ok=True)
+def _train_logged(dataset, head, config: dict, out_dir: Path, metric: str) -> tuple[AnsatzSpec, np.ndarray]:
+    """Train on the config's circuit and schedule, write ``metrics.csv``; (spec, final theta)."""
+    spec = AnsatzSpec(n_qubits=config["qubits"], depth_l=config["depth"], feature_dim=dataset.feature_dim)
+    cfg = TrainConfig(learning_rate=config["lr"], iterations=config["iters"], init_seed=config["seed"] + 1)
+    result = train(dataset, spec, head, cfg)
+    _write_csv(
+        out_dir / "metrics.csv",
+        ["iter", "loss", metric],
+        zip(range(cfg.iterations), result.loss_history, result.metric_history),
+    )
+    return spec, result.final_theta
+
+
+def run_regress(config: dict, out_dir: Path) -> None:
     dataset = gen_function_dataset(
         config["target"], config["samples"], config["noise"], config["seed"]
     )
-    spec = AnsatzSpec(n_qubits=config["qubits"], depth_l=config["depth"], feature_dim=1)
     head = RegressionHead()
-    cfg = TrainConfig(
-        learning_rate=config["lr"], iterations=config["iters"], init_seed=config["seed"] + 1
-    )
-    result = train(dataset, spec, head, cfg)
-
-    _write_csv(
-        out_dir / "metrics.csv",
-        ["iter", "loss", "r_squared"],
-        (
-            (i, result.loss_history[i], result.metric_history[i])
-            for i in range(cfg.iterations)
-        ),
-    )
-
+    spec, theta = _train_logged(dataset, head, config, out_dir, "r_squared")
     grid = np.linspace(-1.0, 1.0, 201)
-    grid_pred = predict_regression(grid[:, None], result.final_theta, spec, head)
-    grid_true = _target_fn(config["target"], grid)
-    train_pred = predict_regression(dataset.x, result.final_theta, spec, head)
-    rows = [(x, t, p) for x, t, p in zip(grid, grid_true, grid_pred)]
-    rows += [(x[0], t, p) for x, t, p in zip(dataset.x, dataset.targets, train_pred)]
+    grid_pred = predict(grid[:, None], theta, spec, head)
+    train_pred = predict(dataset.x, theta, spec, head)
+    rows = list(zip(grid, _target_fn(config["target"], grid), grid_pred))
+    rows += zip(dataset.x[:, 0], dataset.targets, train_pred)
     _write_csv(out_dir / "predictions.csv", ["x", "y_true", "y_pred"], rows)
-
-    _write_manifest(
-        out_dir,
-        "regress",
-        config,
-        {"dataset": config["seed"], "init": config["seed"] + 1},
-        ["metrics.csv", "predictions.csv", "manifest.json"],
-    )
-    final_r2 = r_squared(train_pred, dataset.targets)
-    print(f"final R^2: {final_r2:.6f}")
-    return final_r2
+    _write_manifest(out_dir, "regress", config, ["metrics.csv", "predictions.csv"])
+    print(f"final R^2: {r_squared(train_pred, dataset.targets):.6f}")
 
 
-def run_classify(config: dict, out_dir: Path) -> float:
-    out_dir.mkdir(parents=True, exist_ok=True)
+def run_classify(config: dict, out_dir: Path) -> None:
     generator = gen_circles if config["dataset"] == "circles" else gen_moons
     dataset = generator(count=config["samples"], seed=config["seed"])
-    spec = AnsatzSpec(n_qubits=config["qubits"], depth_l=config["depth"], feature_dim=2)
     head = ClassificationHead(gamma=config["gamma"])
-    cfg = TrainConfig(
-        learning_rate=config["lr"],
-        iterations=config["iters"],
-        gamma=config["gamma"],
-        init_seed=config["seed"] + 1,
-    )
-    result = train(dataset, spec, head, cfg)
-
-    _write_csv(
-        out_dir / "metrics.csv",
-        ["iter", "loss", "accuracy"],
-        (
-            (i, result.loss_history[i], result.metric_history[i])
-            for i in range(cfg.iterations)
-        ),
-    )
+    spec, theta = _train_logged(dataset, head, config, out_dir, "accuracy")
 
     axis = np.linspace(-1.0, 1.0, 101)
     mesh = np.column_stack([np.repeat(axis, axis.size), np.tile(axis, axis.size)])
-    grid_y1 = predict_classification(mesh, result.final_theta, spec, head)
-    _write_csv(
-        out_dir / "grid.csv",
-        ["x1", "x2", "y1"],
-        ((mesh[i, 0], mesh[i, 1], grid_y1[i]) for i in range(len(mesh))),
-    )
+    grid_y1 = predict(mesh, theta, spec, head)
+    _write_csv(out_dir / "grid.csv", ["x1", "x2", "y1"], zip(mesh[:, 0], mesh[:, 1], grid_y1))
 
-    train_y1 = predict_classification(dataset.x, result.final_theta, spec, head)
+    train_y1 = predict(dataset.x, theta, spec, head)
     labels = dataset.targets.astype(int)
     predicted = (train_y1 > 0.5).astype(int)
     _write_csv(
         out_dir / "points.csv",
         ["x1", "x2", "label", "y1", "predicted_label"],
-        (
-            (dataset.x[i, 0], dataset.x[i, 1], labels[i], train_y1[i], predicted[i])
-            for i in range(len(dataset))
-        ),
+        zip(dataset.x[:, 0], dataset.x[:, 1], labels, train_y1, predicted),
     )
-
-    _write_manifest(
-        out_dir,
-        "classify",
-        config,
-        {"dataset": config["seed"], "init": config["seed"] + 1},
-        ["metrics.csv", "grid.csv", "points.csv", "manifest.json"],
-    )
-    final_acc = float(np.mean(predicted == labels))
-    print(f"final accuracy: {final_acc:.4f}")
-    return final_acc
+    _write_manifest(out_dir, "classify", config, ["metrics.csv", "grid.csv", "points.csv"])
+    print(f"final accuracy: {np.mean(predicted == labels):.4f}")
 
 
 def run_gradcheck(config: dict) -> dict:
@@ -184,6 +142,10 @@ def run_gradcheck(config: dict) -> dict:
     """
     n, l = config["qubits"], config["depth"]
     tol = config["tolerance"]
+    if config["trials"] < 1:
+        raise ValueError(f"trials must be >= 1, got {config['trials']}")
+    if not 0 <= tol < math.inf:  # NaN fails too
+        raise ValueError(f"tolerance must be finite and >= 0, got {tol}")
     max_abs = 0.0
     max_scaled = 0.0
     failures = []
@@ -221,7 +183,6 @@ def run_gradcheck(config: dict) -> dict:
 
 
 def run_bench(config: dict, out_dir: Path) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
     dataset = gen_moons(count=200, noise_sigma=0.0, seed=config["seed"])
     cfg = TrainConfig(iterations=100, init_seed=config["seed"] + 1)
     records = run_benchmark(
@@ -246,8 +207,7 @@ def run_bench(config: dict, out_dir: Path) -> None:
         out_dir,
         "bench",
         config,
-        {"dataset": config["seed"], "init": config["seed"] + 1},
-        ["bench.csv", "manifest.json"],
+        ["bench.csv"],
         extra={"failed_cells": failed} if failed else None,
     )
     for r in records:
@@ -255,6 +215,11 @@ def run_bench(config: dict, out_dir: Path) -> None:
             f"{r.method:18s} n={r.n_qubits} l={r.depth_l:2d} params={r.n_params:3d} "
             f"{r.seconds_per_100_iterations:.3f} s / 100 iters"
         )
+
+
+#: The runner of each command that trains and writes artifacts, for its own
+#: subcommand and for ``rerun``.
+RUNNERS = {"regress": run_regress, "classify": run_classify, "bench": run_bench}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -270,7 +235,7 @@ def _csv_ints(text: str) -> list[int]:
 
 def _csv_methods(text: str) -> list[str]:
     if text == "all":
-        return list(BENCH_METHODS)
+        return list(GRADIENT_METHODS)
     return [tok.strip() for tok in text.split(",") if tok.strip()]
 
 
@@ -278,9 +243,23 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     parser = _Parser(prog="qcgrad", description=__doc__)
     parser.add_argument("--version", action="version", version=f"qcgrad {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--seed", type=int, default=0)
+    shared.add_argument("--config", default=None, help="key=value defaults file; flags win")
+    helps = {
+        "regress": "train a 1-D regression circuit",
+        "classify": "train a 2-D binary classifier circuit",
+        "gradcheck": "compare backprop against finite differences",
+        "bench": "time gradient methods across depth/qubit sweeps",
+    }
     subparsers = {}
+    for name, text in helps.items():
+        sp = subparsers[name] = sub.add_parser(name, help=text, parents=[shared])
+        if name in RUNNERS:
+            sp.add_argument("--out-dir", default=f"runs/{name}")
+        sp.set_defaults(func=cmd_run if name in RUNNERS else cmd_gradcheck)
 
-    rg = sub.add_parser("regress", help="train a 1-D regression circuit")
+    rg = subparsers["regress"]
     rg.add_argument("--target", choices=REGRESSION_KINDS, default="square")
     rg.add_argument("--qubits", type=int, default=3)
     rg.add_argument("--depth", type=int, default=3)
@@ -288,13 +267,8 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     rg.add_argument("--noise", type=float, default=0.015)
     rg.add_argument("--lr", type=float, default=0.1)
     rg.add_argument("--iters", type=int, default=200)
-    rg.add_argument("--seed", type=int, default=0)
-    rg.add_argument("--out-dir", default="runs/regress")
-    rg.add_argument("--config", default=None, help="key=value defaults file; flags win")
-    rg.set_defaults(func=cmd_regress)
-    subparsers["regress"] = rg
 
-    cl = sub.add_parser("classify", help="train a 2-D binary classifier circuit")
+    cl = subparsers["classify"]
     cl.add_argument("--dataset", choices=("circles", "moons"), default="circles")
     cl.add_argument("--qubits", type=int, default=4)
     cl.add_argument("--depth", type=int, default=6)
@@ -302,38 +276,23 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     cl.add_argument("--gamma", type=float, default=1.0)
     cl.add_argument("--lr", type=float, default=0.1)
     cl.add_argument("--iters", type=int, default=200)
-    cl.add_argument("--seed", type=int, default=0)
-    cl.add_argument("--out-dir", default="runs/classify")
-    cl.add_argument("--config", default=None, help="key=value defaults file; flags win")
-    cl.set_defaults(func=cmd_classify)
-    subparsers["classify"] = cl
 
-    gc = sub.add_parser("gradcheck", help="compare backprop against finite differences")
+    gc = subparsers["gradcheck"]
     gc.add_argument("--qubits", type=int, default=3)
     gc.add_argument("--depth", type=int, default=3)
     gc.add_argument("--trials", type=int, default=50)
-    gc.add_argument("--seed", type=int, default=0)
     gc.add_argument("--tolerance", type=float, default=1e-5)
     gc.add_argument("--json", action="store_true", help="machine-readable report")
-    gc.add_argument("--config", default=None, help="key=value defaults file; flags win")
-    gc.set_defaults(func=cmd_gradcheck)
-    subparsers["gradcheck"] = gc
 
-    bn = sub.add_parser("bench", help="time gradient methods across depth/qubit sweeps")
-    bn.add_argument("--methods", type=_csv_methods, default=list(BENCH_METHODS))
+    bn = subparsers["bench"]
+    bn.add_argument("--methods", type=_csv_methods, default=list(GRADIENT_METHODS))
     bn.add_argument("--depth-sweep", type=_csv_ints, default=[5, 10, 15, 20])
     bn.add_argument("--qubit-sweep", type=_csv_ints, default=[2, 3, 4, 5, 6])
-    bn.add_argument("--seed", type=int, default=0)
-    bn.add_argument("--out-dir", default="runs/bench")
-    bn.add_argument("--config", default=None, help="key=value defaults file; flags win")
-    bn.set_defaults(func=cmd_bench)
-    subparsers["bench"] = bn
 
-    rr = sub.add_parser("rerun", help="replay a saved manifest")
+    rr = subparsers["rerun"] = sub.add_parser("rerun", help="replay a saved manifest")
     rr.add_argument("manifest", help="path to a manifest.json")
     rr.add_argument("--out-dir", default=None, help="defaults to <manifest dir>/rerun")
     rr.set_defaults(func=cmd_rerun)
-    subparsers["rerun"] = rr
 
     return parser, subparsers
 
@@ -372,22 +331,17 @@ def _config_file_args(parser: _Parser, argv: list[str]) -> list[str]:
     return flags
 
 
-def _config(args, command: str) -> dict:
-    return {key: getattr(args, key) for key in CONFIG_KEYS[command]}
+def _config(args) -> dict:
+    return {key: getattr(args, key) for key in CONFIG_KEYS[args.command]}
 
 
-def cmd_regress(args) -> int:
-    run_regress(_config(args, "regress"), Path(args.out_dir))
-    return EXIT_OK
-
-
-def cmd_classify(args) -> int:
-    run_classify(_config(args, "classify"), Path(args.out_dir))
+def cmd_run(args) -> int:
+    RUNNERS[args.command](_config(args), Path(args.out_dir))
     return EXIT_OK
 
 
 def cmd_gradcheck(args) -> int:
-    report = run_gradcheck(_config(args, "gradcheck"))
+    report = run_gradcheck(_config(args))
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
@@ -401,15 +355,6 @@ def cmd_gradcheck(args) -> int:
     return EXIT_OK if report["ok"] else EXIT_NUMERIC
 
 
-def cmd_bench(args) -> int:
-    for method in args.methods:
-        if method not in BENCH_METHODS:
-            print(f"unknown method {method!r}; expected one of {BENCH_METHODS}", file=sys.stderr)
-            return EXIT_USAGE
-    run_bench(_config(args, "bench"), Path(args.out_dir))
-    return EXIT_OK
-
-
 def cmd_rerun(args) -> int:
     manifest_path = Path(args.manifest)
     try:
@@ -419,9 +364,8 @@ def cmd_rerun(args) -> int:
         print(f"cannot read manifest: {exc}", file=sys.stderr)
         return EXIT_USAGE
     out_dir = Path(args.out_dir) if args.out_dir else manifest_path.parent / "rerun"
-    runners = {"regress": run_regress, "classify": run_classify, "bench": run_bench}
     command = manifest.get("command") if isinstance(manifest, dict) else None
-    if command not in runners:
+    if command not in RUNNERS:
         print(f"manifest command {command!r} cannot be re-run", file=sys.stderr)
         return EXIT_USAGE
     if not isinstance(manifest.get("config"), dict):
@@ -431,7 +375,7 @@ def cmd_rerun(args) -> int:
     if missing:
         print(f"manifest {manifest_path} config lacks {', '.join(missing)}", file=sys.stderr)
         return EXIT_USAGE
-    runners[command](manifest["config"], out_dir)
+    RUNNERS[command](manifest["config"], out_dir)
     return EXIT_OK
 
 

@@ -9,6 +9,7 @@ goal.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,8 @@ class Dataset:
             raise ValueError(f"unknown task {self.task!r}")
         if len(self.x) == 0:
             raise ValueError("dataset must not be empty")
+        if len(self.x) != len(self.targets):
+            raise ValueError(f"{len(self.x)} inputs but {len(self.targets)} targets")
 
     def __len__(self) -> int:
         return len(self.x)
@@ -55,25 +58,35 @@ def gen_function_dataset(
     """1-D regression data: x ~ U[-1, 1], target = f(x) + noise_sigma * N(0, 1)."""
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    if noise_sigma < 0:
-        raise ValueError(f"noise_sigma must be >= 0, got {noise_sigma}")
+    _check_noise(noise_sigma)
     rng = np.random.default_rng(seed)
     x = rng.uniform(-1.0, 1.0, size=count)
     targets = _target_fn(kind, x) + noise_sigma * rng.standard_normal(count)
     return Dataset(x=x[:, None], targets=targets, task="regression", seed=seed)
 
 
-def _rescale_to_unit(coords: np.ndarray) -> np.ndarray:
-    """Per-coordinate affine map onto [-1, 1], applied only when needed.
+def _check_noise(noise_sigma: float) -> None:
+    if not 0 <= noise_sigma < math.inf:  # NaN fails too
+        raise ValueError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
 
-    Noise-free shapes that already fit in the box are left untouched so
-    their geometry (e.g. exact circle radii) is preserved.
+
+def _two_classes(class_0: np.ndarray, class_1: np.ndarray, noise_sigma: float, seed: int) -> Dataset:
+    """Points of class 0 then class 1, with optional Gaussian jitter, rescaled into [-1, 1].
+
+    The rescale is a per-coordinate affine map, applied only when a point
+    lies outside the box, so that noise-free shapes that already fit keep
+    their geometry (e.g. exact circle radii).
     """
-    if np.abs(coords).max() <= 1.0:
-        return coords
-    lo = coords.min(axis=0)
-    hi = coords.max(axis=0)
-    return -1.0 + 2.0 * (coords - lo) / (hi - lo)
+    _check_noise(noise_sigma)
+    coords = np.concatenate([class_0, class_1])
+    labels = np.concatenate([np.zeros(len(class_0)), np.ones(len(class_1))])
+    if noise_sigma > 0:
+        rng = np.random.default_rng(seed)
+        coords = coords + noise_sigma * rng.standard_normal(coords.shape)
+    if np.abs(coords).max() > 1.0:
+        lo, hi = coords.min(axis=0), coords.max(axis=0)
+        coords = -1.0 + 2.0 * (coords - lo) / (hi - lo)
+    return Dataset(x=coords, targets=labels, task="classification", seed=seed)
 
 
 def gen_circles(
@@ -88,17 +101,9 @@ def gen_circles(
         raise ValueError(f"count must be even, got {count}")
     if not 0.0 < inner_factor < 1.0:
         raise ValueError(f"inner_factor must lie in (0, 1), got {inner_factor}")
-    half = count // 2
-    angles = np.linspace(0.0, 2.0 * np.pi, half, endpoint=False)
+    angles = np.linspace(0.0, 2.0 * np.pi, count // 2, endpoint=False)
     outer = np.column_stack([np.cos(angles), np.sin(angles)])
-    inner = inner_factor * outer
-    coords = np.concatenate([outer, inner])
-    labels = np.concatenate([np.zeros(half), np.ones(half)])
-    if noise_sigma > 0:
-        rng = np.random.default_rng(seed)
-        coords = coords + noise_sigma * rng.standard_normal(coords.shape)
-    coords = _rescale_to_unit(coords)
-    return Dataset(x=coords, targets=labels, task="classification", seed=seed)
+    return _two_classes(outer, inner_factor * outer, noise_sigma, seed)
 
 
 def gen_moons(count: int = 200, noise_sigma: float = 0.0, seed: int = 0) -> Dataset:
@@ -110,14 +115,7 @@ def gen_moons(count: int = 200, noise_sigma: float = 0.0, seed: int = 0) -> Data
     """
     if count % 2 != 0:
         raise ValueError(f"count must be even, got {count}")
-    half = count // 2
-    t = np.linspace(0.0, np.pi, half)
+    t = np.linspace(0.0, np.pi, count // 2)
     arc_a = np.column_stack([np.cos(t), np.sin(t)])
     arc_b = np.column_stack([1.0 - np.cos(t), 0.5 - np.sin(t)])
-    coords = np.concatenate([arc_a, arc_b])
-    labels = np.concatenate([np.zeros(half), np.ones(half)])
-    if noise_sigma > 0:
-        rng = np.random.default_rng(seed)
-        coords = coords + noise_sigma * rng.standard_normal(coords.shape)
-    coords = _rescale_to_unit(coords)
-    return Dataset(x=coords, targets=labels, task="classification", seed=seed)
+    return _two_classes(arc_a, arc_b, noise_sigma, seed)

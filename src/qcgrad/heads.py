@@ -31,6 +31,10 @@ class RegressionHead:
     measured_qubit: int = 0
     output_scale: float = 2.0
 
+    def __post_init__(self):
+        if not 0 < abs(self.output_scale) < math.inf:  # NaN fails too
+            raise ValueError(f"output_scale must be finite and nonzero, got {self.output_scale}")
+
 
 @dataclass(frozen=True)
 class ClassificationHead:
@@ -105,3 +109,14 @@ def classification_batch(
     g = head.gamma * (y1 - d)
     signs = z_sign_vector(n_qubits, head.qubit_1) - z_sign_vector(n_qubits, head.qubit_2)
     return losses, y1, g[:, None] * signs
+
+
+def readout(
+    probs: np.ndarray, targets: np.ndarray, head: RegressionHead | ClassificationHead, n_qubits: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(losses, outputs, dL_dp) of either head on a batch of probability vectors."""
+    # each head's function is called by its module-level name, never looked
+    # up in a table, so that rebinding the name reaches every call
+    if isinstance(head, RegressionHead):
+        return regression_batch(probs, targets, head, n_qubits)
+    return classification_batch(probs, targets, head, n_qubits)

@@ -18,8 +18,7 @@ from .autodiff import backward_batch
 from .baselines import SpsaConfig, finite_difference_grad, spsa_grad
 from .circuit import AnsatzSpec, encode_batch, forward_batch, run_variational
 from .datasets import Dataset
-from .heads import ClassificationHead, RegressionHead, classification_batch, regression_batch
-from .state import z_sign_vector
+from .heads import ClassificationHead, RegressionHead, readout
 
 GRADIENT_METHODS = ("backprop", "finite_difference", "spsa")
 
@@ -115,15 +114,10 @@ class CircuitObjective:
         self.targets = np.asarray(dataset.targets, dtype=float)
         self.encoded = encode_batch(dataset.x, spec)
 
-    def _head_batch(self, probs: np.ndarray):
-        if isinstance(self.head, RegressionHead):
-            return regression_batch(probs, self.targets, self.head, self.spec.n_qubits)
-        return classification_batch(probs, self.targets, self.head, self.spec.n_qubits)
-
     def loss(self, theta: np.ndarray) -> float:
         """Mean loss over the batch; the opaque evaluator handed to FD/SPSA."""
         final = run_variational(self.encoded, theta, self.spec, record=False)
-        losses, _, _ = self._head_batch(np.abs(final) ** 2)
+        losses, _, _ = readout(np.abs(final) ** 2, self.targets, self.head, self.spec.n_qubits)
         return float(losses.mean())
 
     def evaluate(self, theta: np.ndarray) -> tuple[float, float, np.ndarray]:
@@ -133,7 +127,7 @@ class CircuitObjective:
         y1 > 0.5) for classification; outputs are predictions or y1.
         """
         final = run_variational(self.encoded, theta, self.spec, record=False)
-        losses, outputs, _ = self._head_batch(np.abs(final) ** 2)
+        losses, outputs, _ = readout(np.abs(final) ** 2, self.targets, self.head, self.spec.n_qubits)
         return float(losses.mean()), self._metric(outputs), outputs
 
     def _metric(self, outputs: np.ndarray) -> float:
@@ -144,8 +138,8 @@ class CircuitObjective:
     def backprop(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(per-sample losses, per-sample outputs, mean gradient) via one forward and one backward."""
         tape = forward_batch(self.encoded, theta, self.spec)
-        losses, outputs, dL_dp = self._head_batch(np.abs(tape.final) ** 2)
-        return losses, outputs, backward_batch(tape, dL_dp, self.spec).mean(axis=0)
+        losses, outputs, dL_dp = readout(np.abs(tape.final) ** 2, self.targets, self.head, self.spec.n_qubits)
+        return losses, outputs, backward_batch(tape, dL_dp).mean(axis=0)
 
     def loss_and_grad_backprop(self, theta: np.ndarray) -> tuple[float, float, np.ndarray]:
         """(mean loss, metric, mean gradient) via one forward and one backward."""
@@ -217,16 +211,7 @@ def train(dataset: Dataset, spec: AnsatzSpec, head, cfg: TrainConfig) -> TrainRe
     )
 
 
-def predict_regression(xs: np.ndarray, theta: np.ndarray, spec: AnsatzSpec, head: RegressionHead) -> np.ndarray:
-    """Model outputs for arbitrary inputs of shape (B, d)."""
+def predict(xs: np.ndarray, theta: np.ndarray, spec: AnsatzSpec, head) -> np.ndarray:
+    """Model outputs for inputs of shape (B, d): predictions, or class-1 probabilities y1."""
     final = run_variational(encode_batch(xs, spec), theta, spec, record=False)
-    probs = np.abs(final) ** 2
-    return head.output_scale * (probs @ z_sign_vector(spec.n_qubits, head.measured_qubit))
-
-
-def predict_classification(xs: np.ndarray, theta: np.ndarray, spec: AnsatzSpec, head: ClassificationHead) -> np.ndarray:
-    """Class-1 probabilities y1 for arbitrary inputs of shape (B, d)."""
-    final = run_variational(encode_batch(xs, spec), theta, spec, record=False)
-    probs = np.abs(final) ** 2
-    _, y1, _ = classification_batch(probs, np.zeros(len(xs)), head, spec.n_qubits)
-    return y1
+    return readout(np.abs(final) ** 2, np.zeros(len(xs)), head, spec.n_qubits)[1]

@@ -14,9 +14,9 @@ def test_seed_cotangent_length_mismatch():
     spec = AnsatzSpec(1, 0)
     tape = single_tape([0.0], np.zeros(2), spec)
     with pytest.raises(ValueError):
-        backward_batch(tape, np.zeros((1, 4)), spec)
+        backward_batch(tape, np.zeros((1, 4)))
     with pytest.raises(ValueError):
-        backward_batch(tape, np.zeros(2), spec)  # one cotangent row per batch row
+        backward_batch(tape, np.zeros(2))  # one cotangent row per batch row
 
 
 def test_single_ry_analytic_gradient():
@@ -24,7 +24,7 @@ def test_single_ry_analytic_gradient():
     spec = AnsatzSpec(1, 0)
     t = np.pi / 3
     tape = single_tape([0.0], np.array([t, 0.0]), spec)
-    grad = backward_batch(tape, np.array([[1.0, -1.0]]), spec)[0]
+    grad = backward_batch(tape, np.array([[1.0, -1.0]]))[0]
     assert abs(grad[0] + np.sin(t)) < 1e-9
     assert abs(grad[1]) < 1e-12
 
@@ -33,7 +33,7 @@ def test_zero_cotangent_gives_zero_gradient():
     spec = AnsatzSpec(3, 2)
     rng = np.random.default_rng(0)
     tape = single_tape(rng.uniform(-1, 1, 1), rng.uniform(0, 2 * np.pi, spec.param_count), spec)
-    assert np.array_equal(backward_batch(tape, np.zeros((1, 8)), spec), np.zeros((1, spec.param_count)))
+    assert np.array_equal(backward_batch(tape, np.zeros((1, 8))), np.zeros((1, spec.param_count)))
 
 
 def test_gradient_matches_finite_differences():
@@ -72,8 +72,8 @@ def test_linearity_in_cotangent():
     g1 = rng.normal(size=(1, 8))
     g2 = rng.normal(size=(1, 8))
     alpha, beta = 0.7, -1.3
-    combined = backward_batch(tape, alpha * g1 + beta * g2, spec)
-    separate = alpha * backward_batch(tape, g1, spec) + beta * backward_batch(tape, g2, spec)
+    combined = backward_batch(tape, alpha * g1 + beta * g2)
+    separate = alpha * backward_batch(tape, g1) + beta * backward_batch(tape, g2)
     assert np.abs(combined - separate).max() < 1e-10
 
 
@@ -86,11 +86,11 @@ def test_backward_batch_matches_per_sample():
     labels = rng.integers(0, 2, size=6).astype(float)
     bt = forward_batch(encode_batch(xs, spec), theta, spec)
     _, _, dL_dp = classification_batch(np.abs(bt.final) ** 2, labels, head, 4)
-    batch_grads = backward_batch(bt, dL_dp, spec)
+    batch_grads = backward_batch(bt, dL_dp)
     for i in range(6):
         tape = single_tape(xs[i], theta, spec)
         _, _, single_dL_dp = classification_batch(np.abs(tape.final) ** 2, labels[i : i + 1], head, 4)
-        single = backward_batch(tape, single_dL_dp, spec)[0]
+        single = backward_batch(tape, single_dL_dp)[0]
         assert np.allclose(batch_grads[i], single, rtol=0, atol=1e-14)
 
 
@@ -104,18 +104,10 @@ def test_batch_gradient_rows_equal_single_runs_beyond_four_qubits(n):
     for b in (2, 3, 200):
         xs = rng.uniform(-1, 1, (b, 1))
         dL_dp = rng.normal(size=(b, 1 << n))
-        grads = backward_batch(forward_batch(encode_batch(xs, spec), theta, spec), dL_dp, spec)
+        grads = backward_batch(forward_batch(encode_batch(xs, spec), theta, spec), dL_dp)
         for i in range(b):
-            single = backward_batch(single_tape(xs[i], theta, spec), dL_dp[i : i + 1], spec)[0]
+            single = backward_batch(single_tape(xs[i], theta, spec), dL_dp[i : i + 1])[0]
             assert np.abs(grads[i] - single).max() <= 1e-14
-
-
-def test_tape_spec_mismatch_rejected():
-    rng = np.random.default_rng(4)
-    spec = AnsatzSpec(2, 1)
-    tape = single_tape(rng.uniform(-1, 1, 1), rng.uniform(0, 2 * np.pi, spec.param_count), spec)
-    with pytest.raises(ValueError):
-        backward_batch(tape, np.zeros((1, 4)), AnsatzSpec(2, 2))
 
 
 def _median_time(fn, reps):
@@ -137,5 +129,5 @@ def test_backward_costs_at_most_three_forwards():
         tape = forward_batch(encoded, theta, spec)
         dL_dp = rng.normal(size=(64, 16))
         t_fwd = _median_time(lambda: forward_batch(encoded, theta, spec), 15)
-        t_bwd = _median_time(lambda: backward_batch(tape, dL_dp, spec), 15)
+        t_bwd = _median_time(lambda: backward_batch(tape, dL_dp), 15)
         assert t_bwd <= 3.0 * t_fwd, f"l={l}: backward {t_bwd:.4f}s vs forward {t_fwd:.4f}s"

@@ -39,8 +39,9 @@ def test_fd_single_ry_circuit():
 
 
 def test_fd_validation():
-    with pytest.raises(ValueError):
-        finite_difference_grad(lambda th: 0.0, np.zeros(2), 0.0)
+    for h in (0.0, -1e-5, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="step size"):
+            finite_difference_grad(lambda th: 0.0, np.zeros(2), h)
     with pytest.raises(ArithmeticError):
         finite_difference_grad(lambda th: float("nan"), np.zeros(2), 1e-5)
 
@@ -99,8 +100,9 @@ def test_spsa_perturbation_decays_monotonically():
 def test_spsa_validation():
     with pytest.raises(ValueError):
         spsa_grad(lambda th: 0.0, np.zeros(2), -1, SpsaConfig())
-    with pytest.raises(ValueError):
-        SpsaConfig(c=0.0)
+    for c in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="c must"):
+            SpsaConfig(c=c)
     with pytest.raises(ValueError):
         SpsaConfig(gamma_exp=1.5)
     with pytest.raises(ArithmeticError):

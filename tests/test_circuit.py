@@ -143,12 +143,12 @@ def test_forward_group_structure():
     theta = np.zeros(spec.param_count)
     tape = single_tape([0.3], theta, spec)
     # 4 rotation layers: the state after each Y sub-layer, then the final state
-    assert len(tape.posts) == 4 + 1 == spec.group_count
+    assert len(tape.posts) == 4 + 1 == spec.depth_l + 2
     assert all(post.shape == (1, 8) for post in tape.posts)
     assert tape.final is tape.posts[-1]
     spec0 = AnsatzSpec(2, 0)
     tape0 = single_tape([0.1], np.zeros(4), spec0)
-    assert len(tape0.posts) == 2 == spec0.group_count
+    assert len(tape0.posts) == 2 == spec0.depth_l + 2
 
 
 def test_forward_identity_rotations_keep_encoded_state():
@@ -233,7 +233,7 @@ def test_forward_batch_matches_forward():
     xs = rng.uniform(-1, 1, (5, 2))
     theta = rng.uniform(0, 2 * np.pi, spec.param_count)
     bt = forward_batch(encode_batch(xs, spec), theta, spec)
-    assert len(bt.posts) == spec.group_count
+    assert len(bt.posts) == spec.depth_l + 2
     for i in range(5):
         tape = single_tape(xs[i], theta, spec)
         assert np.array_equal(bt.final[i], tape.final[0])

@@ -117,6 +117,16 @@ def test_gradcheck_zero_tolerance_fails():
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "flag,value", [("tolerance", "nan"), ("tolerance", "inf"), ("tolerance", "-1e-5"), ("trials", "0")]
+)
+def test_gradcheck_rejects_bad_settings(flag, value, capsys):
+    # `scaled > nan` is never true, and 0 trials check nothing: both would report ok
+    code = run_cli(["gradcheck", "--qubits", "2", "--depth", "0", "--trials", "2", f"--{flag}", value])
+    assert code == 1
+    assert flag in capsys.readouterr().err
+
+
 def test_gradcheck_json_report(capsys):
     code = run_cli(
         ["gradcheck", "--qubits", "2", "--depth", "0", "--trials", "4", "--seed", "1", "--json"]
@@ -146,6 +156,8 @@ def test_bench_rejects_unknown_method(tmp_path, capsys):
     code = run_cli(["bench", "--methods", "sorcery", "--depth-sweep", "0",
                     "--qubit-sweep", "2", "--out-dir", str(tmp_path / "x")])
     assert code == 1
+    assert "sorcery" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_config_file_defaults_and_flag_precedence(tmp_path):
@@ -175,6 +187,22 @@ def test_config_file_unknown_key_is_usage_error(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("volume=11\n")
     assert run_cli(["regress", "--config", str(cfg)]) == 1
+
+
+@pytest.mark.parametrize(
+    "command,flags",
+    [
+        ("regress", ["--seed", "--config", "--out-dir"]),
+        ("classify", ["--seed", "--config", "--out-dir"]),
+        ("gradcheck", ["--seed", "--config"]),
+        ("bench", ["--seed", "--config", "--out-dir"]),
+        ("rerun", ["--out-dir"]),
+    ],
+)
+def test_subcommand_help_lists_shared_flags(command, flags, capsys):
+    assert run_cli([command, "--help"]) == 0
+    out = capsys.readouterr().out
+    assert all(flag in out for flag in flags)
 
 
 def test_module_entry_point_version():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -31,8 +33,9 @@ def test_function_dataset_validation():
         gen_function_dataset("cube", 10, 0.0, 0)
     with pytest.raises(ValueError):
         gen_function_dataset("sine", 0, 0.0, 0)
-    with pytest.raises(ValueError):
-        gen_function_dataset("sine", 10, -0.1, 0)
+    for noise in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="noise_sigma"):
+            gen_function_dataset("sine", 10, noise, 0)
 
 
 def test_circles_structure():
@@ -64,6 +67,10 @@ def test_circles_validation():
         gen_circles(count=7)
     with pytest.raises(ValueError):
         gen_circles(count=10, inner_factor=1.0)
+    # NaN would otherwise skip the jitter silently, since nan > 0 is false
+    for noise in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="noise_sigma"):
+            gen_circles(count=10, noise_sigma=noise)
 
 
 def test_moons_structure():
@@ -95,6 +102,9 @@ def test_moons_deterministic():
 def test_moons_validation():
     with pytest.raises(ValueError):
         gen_moons(count=11)
+    for noise in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="noise_sigma"):
+            gen_moons(count=10, noise_sigma=noise)
 
 
 def test_dataset_validation():
@@ -102,3 +112,6 @@ def test_dataset_validation():
         Dataset(x=np.zeros((3, 1)), targets=np.zeros(3), task="clustering", seed=0)
     with pytest.raises(ValueError):
         Dataset(x=np.zeros((0, 1)), targets=np.zeros(0), task="regression", seed=0)
+    with pytest.raises(ValueError, match="3 inputs but 2 targets"):
+        Dataset(x=np.zeros((3, 1)), targets=np.zeros(2), task="regression", seed=0)
+

@@ -156,6 +156,10 @@ def test_head_validation():
         ClassificationHead(qubit_1=1, qubit_2=1)
     with pytest.raises(ValueError):
         ClassificationHead(gamma=0.0)
+    for scale in (math.nan, math.inf, -math.inf, 0.0):
+        with pytest.raises(ValueError, match="output_scale"):
+            RegressionHead(output_scale=scale)
+    assert RegressionHead(output_scale=-0.5).output_scale == -0.5
 
 
 def test_batch_heads_match_scalar_ops():

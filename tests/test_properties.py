@@ -64,9 +64,9 @@ def test_batch_forward_rows_equal_single_runs_bit_for_bit(case):
 @given(batches())
 def test_batch_gradient_rows_equal_single_gradients(case):
     spec, xs, theta, dL_dp = case
-    grads = backward_batch(run(xs, theta, spec), dL_dp, spec)
+    grads = backward_batch(run(xs, theta, spec), dL_dp)
     for i in range(len(xs)):
-        single = backward_batch(run(xs[i : i + 1], theta, spec), dL_dp[i : i + 1], spec)[0]
+        single = backward_batch(run(xs[i : i + 1], theta, spec), dL_dp[i : i + 1])[0]
         assert np.abs(grads[i] - single).max() <= 1e-14
 
 
