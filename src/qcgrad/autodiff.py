@@ -12,6 +12,19 @@ conjugation anywhere, and a plain (non-conjugated) dot product against the
 gate derivative when a parameter is reached.  The conjugate half of |c|^2
 is absorbed entirely by the single 2*Re[...].
 
+Basis rows.  In row convention the circuit is ``final = psi @ P``, so with
+``a_b`` the cotangent of sample b the whole batch's gradient reads dP only
+through ``sum_b psi_b dP a_b^T``.  With ``Psi`` the (B, 2**n) encoded batch,
+``A`` its cotangents and ``e_r`` the basis rows,
+
+    sum_b psi_b dP a_b^T  =  sum_r e_r dP (Psi^T A)_r^T,
+
+a plain transpose, no conjugate.  So the summed gradient of B samples is the
+summed gradient of the 2**n rows of a tape recorded from the identity, with
+the cotangent ``Psi^T A``.  :func:`backward_batch` therefore takes the
+complex cotangent itself; its caller forms ``dL_dp * conj(final)`` or
+``encoded.T @ A``, and the walk below is the same for either.
+
 The walk visits the rotation layers of :mod:`qcgrad.circuit` in reverse and
 reads the tape rows ``Y_k``, the states after each Y sub-layer.
 
@@ -55,21 +68,23 @@ from .circuit import BatchTape, rotation_phases, z_diagonals
 from .state import apply_hadamard, s_phases, z_sign_matrix
 
 
-def backward_batch(tape: BatchTape, dL_dp: np.ndarray) -> np.ndarray:
-    """Per-sample gradients, shape (B, param_count), from a batch tape.
+def backward_batch(tape: BatchTape, cotangent: np.ndarray) -> np.ndarray:
+    """Per-row gradients, shape (R, param_count), from a tape of R rows.
 
     The circuit is the one the tape was recorded for, ``tape.spec``.
-    ``dL_dp`` has the tape's shape (B, 2**n) and holds dL/dp_j for every
-    basis index j (zero where the readout does not observe).  The result is
-    real with the parameter layout of :mod:`qcgrad.circuit`.
+    ``cotangent`` has the tape's shape (R, 2**n) and holds the complex
+    cotangent of each row's final amplitudes: ``dL_dp * conj(tape.final)``
+    for a tape of the inputs themselves, or ``encoded.T @ A`` for a tape of
+    the basis rows (see the module docstring).  The result is real with the
+    parameter layout of :mod:`qcgrad.circuit`.
     """
-    dL_dp = np.asarray(dL_dp, dtype=float)
-    if dL_dp.shape != tape.final.shape:
+    cotangent = np.asarray(cotangent, dtype=complex)
+    if cotangent.shape != tape.final.shape:
         raise ValueError(
-            f"cotangent shape {dL_dp.shape} does not match batch shape {tape.final.shape}"
+            f"cotangent shape {cotangent.shape} does not match batch shape {tape.final.shape}"
         )
     spec = tape.spec
-    n, l, (b, dim) = spec.n_qubits, spec.depth_l, dL_dp.shape
+    n, l, (b, dim) = spec.n_qubits, spec.depth_l, cotangent.shape
     # H below has +/-1 entries, so ã * s̃ and H D H each carry 2**n too many
     scale = 0.5**n
     # Im(...) @ Zsigns of the [ã * s̃, v * t] products, read from their float
@@ -88,7 +103,7 @@ def backward_batch(tape: BatchTape, dL_dp: np.ndarray) -> np.ndarray:
     v, t = vt
     vt_rows, h_rows = vt.reshape(2 * b, dim), h_work.reshape(2 * b, dim)
     s_conj[:] = np.conj(s_phases(n))
-    np.multiply(dL_dp * np.conj(tape.final), diags[l] * s_phases(n), out=v)
+    np.multiply(cotangent, diags[l] * s_phases(n), out=v)
     grad = np.empty((b, l + 1, n, 2))
     for k in range(l, -1, -1):
         np.multiply(tape.posts[k], s_conj, out=t)

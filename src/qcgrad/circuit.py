@@ -32,7 +32,9 @@ silently corrupt the encoding, so dataset generators guarantee the range
 instead.
 
 Every simulation runs on a batch of shape ``(B, 2**n)``; a single input is
-the batch ``x[None, :]``.
+the batch ``x[None, :]``.  The batch may also be the 2**n basis rows, whose
+final states are the rows of the circuit's operator (see
+:mod:`qcgrad.trainer`).
 """
 
 from __future__ import annotations
@@ -170,12 +172,15 @@ def run_variational(
     """
     amps = np.ascontiguousarray(encoded, dtype=complex)
     layers = layer_operators(check_theta(theta, spec), spec)
-    # the tape is one allocation: many small ones freed together let the C
-    # heap shrink and fault its pages back in on the next call
-    shape = (len(layers) + 1,) + amps.shape
-    posts = np.empty(shape, dtype=complex) if record else [None] * shape[0]
+    # the rows are one allocation: many small ones freed together let the C
+    # heap shrink and fault its pages back in on the next call.  They are the
+    # tape, or one Y row and the final row when nothing is recorded
+    rows = len(layers) + 1 if record else 2
+    posts = np.empty((rows,) + amps.shape, dtype=complex)
+    # the other buffer of a Y sub-layer split into Kronecker blocks
+    work = np.empty_like(amps) if len(layers[0][0]) > 1 else None
     for k, (blocks, diag) in enumerate(layers):
-        amps = apply_real_blocks(amps, blocks, out=posts[k])
+        amps = apply_real_blocks(amps, blocks, posts[min(k, rows - 2)], work)
         # the final row holds each diag * Y_k until the next Y sub-layer reads it
         amps = np.multiply(amps, diag, out=posts[-1])
     return list(posts) if record else amps

@@ -365,18 +365,31 @@ def cmd_rerun(args) -> int:
         return EXIT_USAGE
     out_dir = Path(args.out_dir) if args.out_dir else manifest_path.parent / "rerun"
     command = manifest.get("command") if isinstance(manifest, dict) else None
-    if command not in RUNNERS:
+    if not isinstance(command, str) or command not in RUNNERS:
         print(f"manifest command {command!r} cannot be re-run", file=sys.stderr)
         return EXIT_USAGE
-    if not isinstance(manifest.get("config"), dict):
+    config = manifest.get("config")
+    if not isinstance(config, dict):
         print(f"manifest {manifest_path} has no config object", file=sys.stderr)
         return EXIT_USAGE
-    missing = [key for key in CONFIG_KEYS[command] if key not in manifest["config"]]
+    missing = [key for key in CONFIG_KEYS[command] if key not in config]
     if missing:
         print(f"manifest {manifest_path} config lacks {', '.join(missing)}", file=sys.stderr)
         return EXIT_USAGE
-    RUNNERS[command](manifest["config"], out_dir)
+    # the command's own parser converts and checks every value, as for --config
+    flags = [f"--{key.replace('_', '-')}={_flag_text(config[key])}" for key in CONFIG_KEYS[command]]
+    try:
+        parsed = _build_parser()[0].parse_args([command, *flags])
+    except SystemExit as exc:
+        return int(exc.code or 0)
+    RUNNERS[command](_config(parsed), out_dir)
     return EXIT_OK
+
+
+def _flag_text(value) -> str:
+    """A manifest config value as the text of its command-line flag; a list is comma-separated."""
+    text = lambda item: item if isinstance(item, str) else json.dumps(item)
+    return ",".join(map(text, value)) if isinstance(value, list) else text(value)
 
 
 def main(argv=None) -> int:

@@ -70,6 +70,14 @@ def _check_noise(noise_sigma: float) -> None:
         raise ValueError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
 
 
+def _check_pair_count(count: int) -> None:
+    """Two-class shapes put half of ``count`` points in each class."""
+    if count < 2:
+        raise ValueError(f"count must be >= 2, got {count}")
+    if count % 2 != 0:
+        raise ValueError(f"count must be even, got {count}")
+
+
 def _two_classes(class_0: np.ndarray, class_1: np.ndarray, noise_sigma: float, seed: int) -> Dataset:
     """Points of class 0 then class 1, with optional Gaussian jitter, rescaled into [-1, 1].
 
@@ -97,8 +105,7 @@ def gen_circles(
     Points sit at evenly spaced angles, half on each circle, with optional
     Gaussian jitter of scale ``noise_sigma`` before the range rescale.
     """
-    if count % 2 != 0:
-        raise ValueError(f"count must be even, got {count}")
+    _check_pair_count(count)
     if not 0.0 < inner_factor < 1.0:
         raise ValueError(f"inner_factor must lie in (0, 1), got {inner_factor}")
     angles = np.linspace(0.0, 2.0 * np.pi, count // 2, endpoint=False)
@@ -113,8 +120,7 @@ def gen_moons(count: int = 200, noise_sigma: float = 0.0, seed: int = 0) -> Data
     evenly spaced in [0, pi]; both coordinates are then affinely rescaled
     into [-1, 1].
     """
-    if count % 2 != 0:
-        raise ValueError(f"count must be even, got {count}")
+    _check_pair_count(count)
     t = np.linspace(0.0, np.pi, count // 2)
     arc_a = np.column_stack([np.cos(t), np.sin(t)])
     arc_b = np.column_stack([1.0 - np.cos(t), 0.5 - np.sin(t)])

@@ -24,7 +24,7 @@ def test_single_ry_analytic_gradient():
     spec = AnsatzSpec(1, 0)
     t = np.pi / 3
     tape = single_tape([0.0], np.array([t, 0.0]), spec)
-    grad = backward_batch(tape, np.array([[1.0, -1.0]]))[0]
+    grad = backward_batch(tape, np.array([[1.0, -1.0]]) * np.conj(tape.final))[0]
     assert abs(grad[0] + np.sin(t)) < 1e-9
     assert abs(grad[1]) < 1e-12
 
@@ -33,7 +33,8 @@ def test_zero_cotangent_gives_zero_gradient():
     spec = AnsatzSpec(3, 2)
     rng = np.random.default_rng(0)
     tape = single_tape(rng.uniform(-1, 1, 1), rng.uniform(0, 2 * np.pi, spec.param_count), spec)
-    assert np.array_equal(backward_batch(tape, np.zeros((1, 8))), np.zeros((1, spec.param_count)))
+    cotangent = np.zeros((1, 8)) * np.conj(tape.final)
+    assert np.array_equal(backward_batch(tape, cotangent), np.zeros((1, spec.param_count)))
 
 
 def test_gradient_matches_finite_differences():
@@ -72,8 +73,9 @@ def test_linearity_in_cotangent():
     g1 = rng.normal(size=(1, 8))
     g2 = rng.normal(size=(1, 8))
     alpha, beta = 0.7, -1.3
-    combined = backward_batch(tape, alpha * g1 + beta * g2)
-    separate = alpha * backward_batch(tape, g1) + beta * backward_batch(tape, g2)
+    conj_final = np.conj(tape.final)
+    combined = backward_batch(tape, (alpha * g1 + beta * g2) * conj_final)
+    separate = alpha * backward_batch(tape, g1 * conj_final) + beta * backward_batch(tape, g2 * conj_final)
     assert np.abs(combined - separate).max() < 1e-10
 
 
@@ -86,11 +88,11 @@ def test_backward_batch_matches_per_sample():
     labels = rng.integers(0, 2, size=6).astype(float)
     bt = forward_batch(encode_batch(xs, spec), theta, spec)
     _, _, dL_dp = classification_batch(np.abs(bt.final) ** 2, labels, head, 4)
-    batch_grads = backward_batch(bt, dL_dp)
+    batch_grads = backward_batch(bt, dL_dp * np.conj(bt.final))
     for i in range(6):
         tape = single_tape(xs[i], theta, spec)
         _, _, single_dL_dp = classification_batch(np.abs(tape.final) ** 2, labels[i : i + 1], head, 4)
-        single = backward_batch(tape, single_dL_dp)[0]
+        single = backward_batch(tape, single_dL_dp * np.conj(tape.final))[0]
         assert np.allclose(batch_grads[i], single, rtol=0, atol=1e-14)
 
 
@@ -104,9 +106,11 @@ def test_batch_gradient_rows_equal_single_runs_beyond_four_qubits(n):
     for b in (2, 3, 200):
         xs = rng.uniform(-1, 1, (b, 1))
         dL_dp = rng.normal(size=(b, 1 << n))
-        grads = backward_batch(forward_batch(encode_batch(xs, spec), theta, spec), dL_dp)
+        tape = forward_batch(encode_batch(xs, spec), theta, spec)
+        grads = backward_batch(tape, dL_dp * np.conj(tape.final))
         for i in range(b):
-            single = backward_batch(single_tape(xs[i], theta, spec), dL_dp[i : i + 1])[0]
+            one = single_tape(xs[i], theta, spec)
+            single = backward_batch(one, dL_dp[i : i + 1] * np.conj(one.final))[0]
             assert np.abs(grads[i] - single).max() <= 1e-14
 
 
@@ -127,7 +131,7 @@ def test_backward_costs_at_most_three_forwards():
         encoded = encode_batch(xs, spec)
         theta = rng.uniform(0, 2 * np.pi, spec.param_count)
         tape = forward_batch(encoded, theta, spec)
-        dL_dp = rng.normal(size=(64, 16))
+        cotangent = rng.normal(size=(64, 16)) * np.conj(tape.final)
         t_fwd = _median_time(lambda: forward_batch(encoded, theta, spec), 15)
-        t_bwd = _median_time(lambda: backward_batch(tape, dL_dp), 15)
+        t_bwd = _median_time(lambda: backward_batch(tape, cotangent), 15)
         assert t_bwd <= 3.0 * t_fwd, f"l={l}: backward {t_bwd:.4f}s vs forward {t_fwd:.4f}s"

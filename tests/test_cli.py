@@ -102,6 +102,31 @@ def test_rerun_manifest_missing_config_keys_is_usage_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_rerun_manifest_command_not_a_string_is_usage_error(tmp_path, capsys):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"command": ["regress"], "config": {}}))
+    assert run_cli(["rerun", str(manifest), "--out-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "cannot be re-run" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_rerun_manifest_bad_config_value_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "first"
+    assert run_cli(
+        ["regress", "--target", "linear", "--samples", "12", "--iters", "2",
+         "--qubits", "2", "--depth", "0", "--seed", "7", "--out-dir", str(out)]
+    ) == 0
+    capsys.readouterr()
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest["config"]["noise"] = "x"
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    assert run_cli(["rerun", str(out / "manifest.json"), "--out-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "--noise: invalid float value: 'x'" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_gradcheck_passes_and_reports(capsys):
     code = run_cli(["gradcheck", "--qubits", "2", "--depth", "1", "--trials", "6", "--seed", "0"])
     assert code == 0

@@ -65,6 +65,9 @@ def test_circles_noise_keeps_range_and_determinism():
 def test_circles_validation():
     with pytest.raises(ValueError):
         gen_circles(count=7)
+    for count in (0, -2, -3):
+        with pytest.raises(ValueError, match="count must be >= 2"):
+            gen_circles(count=count)
     with pytest.raises(ValueError):
         gen_circles(count=10, inner_factor=1.0)
     # NaN would otherwise skip the jitter silently, since nan > 0 is false
@@ -102,6 +105,10 @@ def test_moons_deterministic():
 def test_moons_validation():
     with pytest.raises(ValueError):
         gen_moons(count=11)
+    for count in (0, -2, -3):
+        with pytest.raises(ValueError, match="count must be >= 2"):
+            gen_moons(count=count)
+    assert len(gen_moons(count=2)) == 2
     for noise in (-0.1, math.nan, math.inf):
         with pytest.raises(ValueError, match="noise_sigma"):
             gen_moons(count=10, noise_sigma=noise)

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
-from qcgrad.circuit import AnsatzSpec
-from qcgrad.datasets import Dataset, gen_circles, gen_function_dataset
-from qcgrad.heads import ClassificationHead, RegressionHead
+from qcgrad.autodiff import backward_batch
+from qcgrad.baselines import finite_difference_grad
+from qcgrad.circuit import AnsatzSpec, forward_batch, run_variational
+from qcgrad.datasets import Dataset, gen_circles, gen_function_dataset, gen_moons
+from qcgrad.heads import ClassificationHead, RegressionHead, readout
+from qcgrad.state import apply_operator
 from qcgrad.trainer import (
     CircuitObjective,
     TrainConfig,
@@ -167,3 +170,72 @@ def test_head_qubits_out_of_range_rejected():
         with pytest.raises(ValueError, match="out of range"):
             CircuitObjective(circles, spec, ClassificationHead(qubit_1=q1, qubit_2=q2))
     CircuitObjective(circles, spec, ClassificationHead(qubit_1=2, qubit_2=0))
+
+
+def operator_objective(n, l, classification, count, seed=0):
+    """(objective, theta) on a moons or sine dataset of ``count`` points."""
+    if classification:
+        spec, head = AnsatzSpec(n, l, feature_dim=2), ClassificationHead(gamma=2.0)
+        dataset = gen_moons(count=count, noise_sigma=0.05, seed=seed)
+    else:
+        spec, head = AnsatzSpec(n, l), RegressionHead()
+        dataset = gen_function_dataset("sine", count=count, noise_sigma=0.05, seed=seed)
+    theta = np.random.default_rng([n, l, seed]).uniform(0.0, 2.0 * np.pi, spec.param_count)
+    return CircuitObjective(dataset, spec, head), theta
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_operator_path_matches_per_sample_path(n):
+    for l in range(6):
+        for classification in (False, True) if n >= 2 else (False,):
+            objective, theta = operator_objective(n, l, classification, count=130)
+            # shallow circuits run the inputs themselves; check the basis rows anyway
+            objective.operator, objective.rows = True, np.eye(1 << n, dtype=complex)
+            losses, outputs, grad = objective.backprop(theta)
+            tape = forward_batch(objective.encoded, theta, objective.spec)
+            ref_losses, ref_outputs, dL_dp = readout(
+                np.abs(tape.final) ** 2, objective.targets, objective.head, n
+            )
+            ref_grad = backward_batch(tape, dL_dp * np.conj(tape.final)).mean(axis=0)
+            assert np.abs(grad - ref_grad).max() <= 1e-14
+            assert np.abs(losses - ref_losses).max() <= 1e-14
+            assert np.abs(outputs - ref_outputs).max() <= 1e-14
+            loss, _, evaluated = objective.evaluate(theta)
+            assert np.array_equal(evaluated, outputs)
+            assert loss == objective.loss(theta) == float(losses.mean())
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_operator_apply_rows_equal_single_runs(n):
+    rng = np.random.default_rng(300 + n)
+    spec = AnsatzSpec(n, 2)
+    theta = rng.uniform(0.0, 2.0 * np.pi, spec.param_count)
+    operator = run_variational(np.eye(1 << n, dtype=complex), theta, spec, record=False)
+    for b in (2, 3, 200):
+        states = rng.normal(size=(b, 1 << n)) + 1j * rng.normal(size=(b, 1 << n))
+        rows = apply_operator(states, operator)
+        assert np.abs(rows - states @ operator).max() <= 1e-13
+        for i in range(b):
+            assert np.array_equal(rows[i], apply_operator(states[i : i + 1], operator)[0])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_gradient_oracle_on_both_sides_of_the_operator_switch(n):
+    # at l = 5 the basis rows save (l + 1) * (B - d) >= 4 * B row passes from B = 3d on
+    dim, l = 1 << n, 5
+    for count, operator in ((3 * dim, True), (3 * dim - 2, False)):
+        for classification in (False, True):
+            objective, theta = operator_objective(n, l, classification, count, seed=count)
+            assert objective.operator == operator
+            _, _, g_bp = objective.backprop(theta)
+            g_fd = finite_difference_grad(objective.loss, theta, 1e-5)
+            assert np.all(np.abs(g_bp - g_fd) <= np.maximum(1e-7, 1e-5 * np.abs(g_fd)))
+
+
+def test_shallow_circuits_and_small_batches_run_the_inputs():
+    # applying the operator costs about four layer passes per input, which a
+    # shallow circuit, or a batch not much larger than 2**n, does not save
+    assert not operator_objective(4, 2, False, count=200)[0].operator
+    assert operator_objective(4, 5, False, count=200)[0].operator
+    assert not operator_objective(6, 10, False, count=100)[0].operator
+    assert operator_objective(6, 10, False, count=200)[0].operator
