@@ -2,11 +2,15 @@
 
 Subcommands: ``regress``, ``classify`` and ``bench`` train and write CSV
 artifacts plus a ``manifest.json`` holding the full configuration, through
-the runner that :data:`RUNNERS` names for them.  ``rerun`` replays a saved
-manifest through the same table, reproducing all non-timing outputs byte for
-byte.  ``gradcheck`` compares backprop against finite differences and prints
-a report.  Every subcommand but ``rerun`` takes ``--seed`` and ``--config``
-(a key=value file of defaults; explicit flags win).
+the runner that :data:`RUNNERS` names for them.  ``gradcheck`` compares
+backprop against finite differences and prints a report.  Every subcommand
+but ``rerun`` takes ``--seed`` and ``--config`` (a key=value file).
+
+:func:`main` parses argv once; when that names a config file, it parses
+again with the file's pairs as flags placed first, so explicit flags win.
+A run's config is the parsed namespace less the names that are not config.
+``rerun`` turns a saved manifest's config into flags the same way and
+re-enters :func:`main`, reproducing all non-timing outputs byte for byte.
 
 Exit codes: 0 success, 1 usage error, 2 numeric failure.
 """
@@ -39,16 +43,6 @@ from .trainer import (
 )
 
 EXIT_OK, EXIT_USAGE, EXIT_NUMERIC = 0, 1, 2
-
-#: Config keys that each command's runner reads; the command's flags of the
-#: same names fill them, and ``rerun`` requires them all.
-CONFIG_KEYS = {
-    "regress": ("target", "qubits", "depth", "samples", "noise", "lr", "iters", "seed"),
-    "classify": ("dataset", "qubits", "depth", "samples", "gamma", "lr", "iters", "seed"),
-    "gradcheck": ("qubits", "depth", "trials", "seed", "tolerance"),
-    "bench": ("methods", "depth_sweep", "qubit_sweep", "seed"),
-}
-
 
 def _fmt(value) -> str:
     if isinstance(value, str):
@@ -297,26 +291,25 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     return parser, subparsers
 
 
-def _config_file_args(parser: _Parser, argv: list[str]) -> list[str]:
-    """The key=value lines of the file named by --config, as ``--key=value`` flags.
+def _flags(pairs) -> list[str]:
+    """(key, value) pairs as ``--key=value`` flags; a list is comma-separated
+    and ``true`` makes the bare switch ``--key``."""
+    flags = []
+    for key, value in pairs:
+        items = value if isinstance(value, list) else [value]
+        text = ",".join(item if isinstance(item, str) else json.dumps(item) for item in items)
+        key = key.replace("_", "-")
+        flags.append(f"--{key}" if text == "true" else f"--{key}={text}")
+    return flags
 
-    Placed before the explicit flags, they let argparse convert and check
-    every value while the explicit flags still win.  ``key=true`` becomes
-    the bare switch ``--key``.
-    """
-    path = None
-    for i, token in enumerate(argv):
-        if token == "--config" and i + 1 < len(argv):
-            path = argv[i + 1]
-        elif token.startswith("--config="):
-            path = token.split("=", 1)[1]
-    if path is None:
-        return []
+
+def _config_file_pairs(parser: _Parser, path: str) -> list[tuple[str, str]]:
+    """The key=value lines of a config file."""
     try:
         lines = Path(path).read_text().splitlines()
     except OSError as exc:
         parser.error(f"cannot read config file: {exc}")
-    flags = []
+    pairs = []
     for lineno, line in enumerate(lines, 1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -324,15 +317,16 @@ def _config_file_args(parser: _Parser, argv: list[str]) -> list[str]:
         if "=" not in line:
             parser.error(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        key = key.replace("_", "-")
-        if key in ("config", "help"):
+        if key.replace("_", "-") in ("config", "help"):
             parser.error(f"{path}:{lineno}: unknown config key {key!r}")
-        flags.append(f"--{key}" if value == "true" else f"--{key}={value}")
-    return flags
+        pairs.append((key, value))
+    return pairs
 
 
 def _config(args) -> dict:
-    return {key: getattr(args, key) for key in CONFIG_KEYS[args.command]}
+    """The run's config: the parsed namespace less the names that are not config."""
+    skip = ("command", "func", "config", "out_dir", "json")
+    return {key: value for key, value in vars(args).items() if key not in skip}
 
 
 def cmd_run(args) -> int:
@@ -372,33 +366,23 @@ def cmd_rerun(args) -> int:
     if not isinstance(config, dict):
         print(f"manifest {manifest_path} has no config object", file=sys.stderr)
         return EXIT_USAGE
-    missing = [key for key in CONFIG_KEYS[command] if key not in config]
+    keys = _config(_build_parser()[0].parse_args([command]))
+    missing = [key for key in keys if key not in config]
     if missing:
         print(f"manifest {manifest_path} config lacks {', '.join(missing)}", file=sys.stderr)
         return EXIT_USAGE
-    # the command's own parser converts and checks every value, as for --config
-    flags = [f"--{key.replace('_', '-')}={_flag_text(config[key])}" for key in CONFIG_KEYS[command]]
-    try:
-        parsed = _build_parser()[0].parse_args([command, *flags])
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    RUNNERS[command](_config(parsed), out_dir)
-    return EXIT_OK
-
-
-def _flag_text(value) -> str:
-    """A manifest config value as the text of its command-line flag; a list is comma-separated."""
-    text = lambda item: item if isinstance(item, str) else json.dumps(item)
-    return ",".join(map(text, value)) if isinstance(value, list) else text(value)
+    return main([command, *_flags((key, config[key]) for key in keys), f"--out-dir={out_dir}"])
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, subparsers = _build_parser()
     try:
-        if argv and argv[0] in subparsers:
-            argv[1:1] = _config_file_args(subparsers[argv[0]], argv[1:])
         args = parser.parse_args(argv)
+        if getattr(args, "config", None) is not None:
+            at = argv.index(args.command) + 1
+            argv[at:at] = _flags(_config_file_pairs(subparsers[args.command], args.config))
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -29,10 +29,14 @@ class Dataset:
     def __post_init__(self):
         if self.task not in ("regression", "classification"):
             raise ValueError(f"unknown task {self.task!r}")
+        if np.ndim(self.x) != 2:
+            raise ValueError(f"x must be 2-D (count, dim), got shape {np.shape(self.x)}")
         if len(self.x) == 0:
             raise ValueError("dataset must not be empty")
         if len(self.x) != len(self.targets):
             raise ValueError(f"{len(self.x)} inputs but {len(self.targets)} targets")
+        if self.task == "classification" and not np.isin(self.targets, (0, 1)).all():
+            raise ValueError("classification targets must be 0 or 1")
 
     def __len__(self) -> int:
         return len(self.x)

@@ -7,7 +7,7 @@ fixed seed reproduces every history bit for bit.
 
 Basis rows.  With d = 2**n the circuit is ``final = psi @ P`` in row
 convention, and P is the circuit run on the d basis rows.  The objective
-runs the layers on those rows instead of the B inputs when
+and :func:`predict` run the layers on those rows instead of the B inputs when
 ``(l + 1) * (B - d) >= OPERATOR_APPLY_COST * B``: that saves (l+1)(B-d)
 passes of a rotation layer over one row, and applying P to each input
 (:func:`qcgrad.state.apply_operator`) costs about ``OPERATOR_APPLY_COST``
@@ -110,6 +110,20 @@ def accuracy(predicted_labels: np.ndarray, true_labels: np.ndarray) -> float:
     return float(np.mean(predicted_labels == true_labels))
 
 
+def layer_rows(encoded: np.ndarray, depth_l: int) -> np.ndarray:
+    """The rows the layers run on for an encoded batch: the d basis rows, whose
+    final states are the circuit's operator, where they save work, else the batch."""
+    dim, count = encoded.shape[1], len(encoded)
+    if (depth_l + 1) * (count - dim) >= OPERATOR_APPLY_COST * count:
+        return np.eye(dim, dtype=complex)
+    return encoded
+
+
+def batch_finals(encoded: np.ndarray, rows: np.ndarray, row_finals: np.ndarray) -> np.ndarray:
+    """The final amplitudes of the batch ``encoded`` from those of its :func:`layer_rows`."""
+    return row_finals if rows is encoded else apply_operator(encoded, row_finals)
+
+
 class CircuitObjective:
     """Batched loss/gradient evaluations for one (dataset, circuit, head).
 
@@ -138,21 +152,16 @@ class CircuitObjective:
         self.head = head
         self.targets = np.asarray(dataset.targets, dtype=float)
         self.encoded = encode_batch(dataset.x, spec)
-        dim, count = self.encoded.shape[1], len(self.encoded)
-        self.operator = (spec.depth_l + 1) * (count - dim) >= OPERATOR_APPLY_COST * count
-        # the rows the layers run on: the basis rows, whose final states are
-        # the circuit's operator, or the encoded inputs themselves
-        self.rows = np.eye(dim, dtype=complex) if self.operator else self.encoded
+        self.rows = layer_rows(self.encoded, spec.depth_l)
 
-    def _final(self, row_finals: np.ndarray) -> np.ndarray:
-        """The batch's final amplitudes from the final states of ``self.rows``."""
-        return apply_operator(self.encoded, row_finals) if self.operator else row_finals
+    def _readout(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(per-sample losses, outputs, dL/dp) of one loss-only forward at theta."""
+        final = batch_finals(self.encoded, self.rows, run_variational(self.rows, theta, self.spec, record=False))
+        return readout(np.abs(final) ** 2, self.targets, self.head, self.spec.n_qubits)
 
     def loss(self, theta: np.ndarray) -> float:
         """Mean loss over the batch; the opaque evaluator handed to FD/SPSA."""
-        final = self._final(run_variational(self.rows, theta, self.spec, record=False))
-        losses, _, _ = readout(np.abs(final) ** 2, self.targets, self.head, self.spec.n_qubits)
-        return float(losses.mean())
+        return float(self._readout(theta)[0].mean())
 
     def evaluate(self, theta: np.ndarray) -> tuple[float, float, np.ndarray]:
         """(mean loss, metric, per-sample outputs) at theta.
@@ -160,8 +169,7 @@ class CircuitObjective:
         The metric is R^2 for regression and 0/1 accuracy (label 1 iff
         y1 > 0.5) for classification; outputs are predictions or y1.
         """
-        final = self._final(run_variational(self.rows, theta, self.spec, record=False))
-        losses, outputs, _ = readout(np.abs(final) ** 2, self.targets, self.head, self.spec.n_qubits)
+        losses, outputs, _ = self._readout(theta)
         return float(losses.mean()), self._metric(outputs), outputs
 
     def _metric(self, outputs: np.ndarray) -> float:
@@ -172,10 +180,10 @@ class CircuitObjective:
     def backprop(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(per-sample losses, per-sample outputs, mean gradient) via one forward and one backward."""
         tape = forward_batch(self.rows, theta, self.spec)
-        final = self._final(tape.final)
+        final = batch_finals(self.encoded, self.rows, tape.final)
         losses, outputs, dL_dp = readout(np.abs(final) ** 2, self.targets, self.head, self.spec.n_qubits)
         cotangent = dL_dp * np.conj(final)
-        if self.operator:
+        if self.rows is not self.encoded:
             cotangent = self.encoded.T @ cotangent
         return losses, outputs, backward_batch(tape, cotangent).sum(axis=0) / len(final)
 
@@ -251,5 +259,7 @@ def train(dataset: Dataset, spec: AnsatzSpec, head, cfg: TrainConfig) -> TrainRe
 
 def predict(xs: np.ndarray, theta: np.ndarray, spec: AnsatzSpec, head) -> np.ndarray:
     """Model outputs for inputs of shape (B, d): predictions, or class-1 probabilities y1."""
-    final = run_variational(encode_batch(xs, spec), theta, spec, record=False)
+    encoded = encode_batch(xs, spec)
+    rows = layer_rows(encoded, spec.depth_l)
+    final = batch_finals(encoded, rows, run_variational(rows, theta, spec, record=False))
     return readout(np.abs(final) ** 2, np.zeros(len(xs)), head, spec.n_qubits)[1]

@@ -76,6 +76,23 @@ def test_rerun_reproduces_outputs_byte_identically(tmp_path):
     assert first == second
 
 
+def test_rerun_reproduces_bench_list_config(tmp_path, capsys):
+    out = tmp_path / "first"
+    assert run_cli(
+        ["bench", "--methods", "backprop", "--depth-sweep", "0", "--qubit-sweep", "2",
+         "--seed", "3", "--out-dir", str(out)]
+    ) == 0
+    rerun_out = tmp_path / "second"
+    assert run_cli(["rerun", str(out / "manifest.json"), "--out-dir", str(rerun_out)]) == 0
+    columns = lambda path: [line.split(",")[:4] for line in path.read_text().splitlines()]
+    assert columns(out / "bench.csv") == columns(rerun_out / "bench.csv")
+    first = json.loads((out / "manifest.json").read_text())
+    second = json.loads((rerun_out / "manifest.json").read_text())
+    first.pop("timestamp"), second.pop("timestamp")
+    assert first == second
+    assert first["config"]["methods"] == ["backprop"] and first["config"]["depth_sweep"] == [0]
+
+
 def test_rerun_missing_manifest_is_usage_error(tmp_path, capsys):
     assert run_cli(["rerun", str(tmp_path / "absent.json")]) == 1
     err = capsys.readouterr().err
@@ -197,6 +214,23 @@ def test_config_file_defaults_and_flag_precedence(tmp_path):
     assert manifest["config"]["iters"] == 4  # from the config file
     assert manifest["config"]["samples"] == 12  # explicit flag wins
     assert manifest["config"]["target"] == "linear"
+
+
+def test_config_flag_prefix_applies_the_file(tmp_path):
+    # argparse reads --conf as --config, and so must the config file's reader
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("iters=2\nsamples=10\nqubits=2\ndepth=0\n")
+    out = tmp_path / "a"
+    assert run_cli(["regress", "--conf", str(cfg), "--out-dir", str(out)]) == 0
+    config = json.loads((out / "manifest.json").read_text())["config"]
+    assert (config["iters"], config["samples"], config["qubits"]) == (2, 10, 2)
+    assert len((out / "metrics.csv").read_text().splitlines()) == 1 + 2
+
+
+def test_empty_config_path_is_usage_error(tmp_path, capsys):
+    assert run_cli(["regress", "--config=", "--out-dir", str(tmp_path / "a")]) == 1
+    assert "cannot read config file" in capsys.readouterr().err
+    assert not (tmp_path / "a").exists()
 
 
 def test_config_file_sets_switches(tmp_path, capsys):

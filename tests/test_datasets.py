@@ -121,4 +121,13 @@ def test_dataset_validation():
         Dataset(x=np.zeros((0, 1)), targets=np.zeros(0), task="regression", seed=0)
     with pytest.raises(ValueError, match="3 inputs but 2 targets"):
         Dataset(x=np.zeros((3, 1)), targets=np.zeros(2), task="regression", seed=0)
+    for x in (np.zeros(3), np.zeros((3, 1, 1)), np.float64(0.5)):
+        with pytest.raises(ValueError, match="must be 2-D"):
+            Dataset(x=x, targets=np.zeros(3), task="regression", seed=0)
+    for labels in ([0, 2, 1], [0, -1, 1], [0, 0.5, 1], [0, np.nan, 1]):
+        with pytest.raises(ValueError, match="must be 0 or 1"):
+            Dataset(x=np.zeros((3, 2)), targets=np.array(labels), task="classification", seed=0)
+    Dataset(x=np.zeros((3, 2)), targets=np.array([0.0, 1.0, 1.0]), task="classification", seed=0)
+    # regression targets stay unchecked: a non-finite one reaches train()
+    Dataset(x=np.zeros((3, 1)), targets=np.array([0.0, np.inf, 2.5]), task="regression", seed=0)
 

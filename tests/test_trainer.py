@@ -3,7 +3,7 @@ import pytest
 
 from qcgrad.autodiff import backward_batch
 from qcgrad.baselines import finite_difference_grad
-from qcgrad.circuit import AnsatzSpec, forward_batch, run_variational
+from qcgrad.circuit import AnsatzSpec, encode_batch, forward_batch, run_variational
 from qcgrad.datasets import Dataset, gen_circles, gen_function_dataset, gen_moons
 from qcgrad.heads import ClassificationHead, RegressionHead, readout
 from qcgrad.state import apply_operator
@@ -12,6 +12,8 @@ from qcgrad.trainer import (
     TrainConfig,
     TrainingDivergedError,
     accuracy,
+    layer_rows,
+    predict,
     r_squared,
     train,
 )
@@ -190,7 +192,7 @@ def test_operator_path_matches_per_sample_path(n):
         for classification in (False, True) if n >= 2 else (False,):
             objective, theta = operator_objective(n, l, classification, count=130)
             # shallow circuits run the inputs themselves; check the basis rows anyway
-            objective.operator, objective.rows = True, np.eye(1 << n, dtype=complex)
+            objective.rows = np.eye(1 << n, dtype=complex)
             losses, outputs, grad = objective.backprop(theta)
             tape = forward_batch(objective.encoded, theta, objective.spec)
             ref_losses, ref_outputs, dL_dp = readout(
@@ -226,7 +228,7 @@ def test_gradient_oracle_on_both_sides_of_the_operator_switch(n):
     for count, operator in ((3 * dim, True), (3 * dim - 2, False)):
         for classification in (False, True):
             objective, theta = operator_objective(n, l, classification, count, seed=count)
-            assert objective.operator == operator
+            assert (objective.rows is not objective.encoded) == operator
             _, _, g_bp = objective.backprop(theta)
             g_fd = finite_difference_grad(objective.loss, theta, 1e-5)
             assert np.all(np.abs(g_bp - g_fd) <= np.maximum(1e-7, 1e-5 * np.abs(g_fd)))
@@ -235,7 +237,25 @@ def test_gradient_oracle_on_both_sides_of_the_operator_switch(n):
 def test_shallow_circuits_and_small_batches_run_the_inputs():
     # applying the operator costs about four layer passes per input, which a
     # shallow circuit, or a batch not much larger than 2**n, does not save
-    assert not operator_objective(4, 2, False, count=200)[0].operator
-    assert operator_objective(4, 5, False, count=200)[0].operator
-    assert not operator_objective(6, 10, False, count=100)[0].operator
-    assert operator_objective(6, 10, False, count=200)[0].operator
+    def runs_basis_rows(n, l, count):
+        objective = operator_objective(n, l, False, count)[0]
+        return objective.rows is not objective.encoded
+
+    assert not runs_basis_rows(4, 2, count=200)
+    assert runs_basis_rows(4, 5, count=200)
+    assert not runs_basis_rows(6, 10, count=100)
+    assert runs_basis_rows(6, 10, count=200)
+
+
+@pytest.mark.parametrize("count", [5, 401])
+def test_predict_matches_the_per_sample_rows(count):
+    # 401 inputs run the basis rows at n = 4, l = 6; 5 inputs run themselves
+    spec, head = AnsatzSpec(4, 6, feature_dim=2), ClassificationHead(gamma=2.0)
+    rng = np.random.default_rng(count)
+    xs = rng.uniform(-1.0, 1.0, size=(count, 2))
+    theta = rng.uniform(0.0, 2.0 * np.pi, spec.param_count)
+    encoded = encode_batch(xs, spec)
+    assert (layer_rows(encoded, spec.depth_l) is not encoded) == (count > 5)
+    final = run_variational(encoded, theta, spec, record=False)
+    expected = readout(np.abs(final) ** 2, np.zeros(count), head, spec.n_qubits)[1]
+    assert np.abs(predict(xs, theta, spec, head) - expected).max() <= 1e-14
