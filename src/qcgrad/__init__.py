@@ -15,7 +15,9 @@ from .gates import ry, rz
 from .heads import (
     ClassificationHead,
     RegressionHead,
+    accuracy,
     classification_batch,
+    r_squared,
     regression_batch,
     softmax_gamma,
 )
@@ -32,8 +34,6 @@ from .trainer import (
     TrainConfig,
     TrainingDivergedError,
     TrainResult,
-    accuracy,
-    r_squared,
     train,
 )
 

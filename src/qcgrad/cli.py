@@ -37,7 +37,6 @@ from .trainer import (
     TrainConfig,
     TrainingDivergedError,
     predict,
-    r_squared,
     random_objective,
     train,
 )
@@ -76,17 +75,20 @@ def _write_manifest(out_dir: Path, command: str, config: dict, artifacts: list[s
         fh.write("\n")
 
 
-def _train_logged(dataset, head, config: dict, out_dir: Path, metric: str) -> tuple[AnsatzSpec, np.ndarray]:
-    """Train on the config's circuit and schedule, write ``metrics.csv``; (spec, final theta)."""
+def _train_logged(dataset, head, config: dict, out_dir: Path) -> tuple[AnsatzSpec, np.ndarray, np.ndarray]:
+    """Train on the config's circuit and schedule, write ``metrics.csv`` and
+    print the head's final metric; (spec, final theta, outputs on the dataset)."""
     spec = AnsatzSpec(n_qubits=config["qubits"], depth_l=config["depth"], feature_dim=dataset.feature_dim)
     cfg = TrainConfig(learning_rate=config["lr"], iterations=config["iters"], init_seed=config["seed"] + 1)
     result = train(dataset, spec, head, cfg)
     _write_csv(
         out_dir / "metrics.csv",
-        ["iter", "loss", metric],
+        ["iter", "loss", head.metric_name],
         zip(range(cfg.iterations), result.loss_history, result.metric_history),
     )
-    return spec, result.final_theta
+    outputs = predict(dataset.x, result.final_theta, spec, head)
+    print(head.metric_report.format(head.metric(outputs, dataset.targets)))
+    return spec, result.final_theta, outputs
 
 
 def run_regress(config: dict, out_dir: Path) -> None:
@@ -94,29 +96,26 @@ def run_regress(config: dict, out_dir: Path) -> None:
         config["target"], config["samples"], config["noise"], config["seed"]
     )
     head = RegressionHead()
-    spec, theta = _train_logged(dataset, head, config, out_dir, "r_squared")
+    spec, theta, train_pred = _train_logged(dataset, head, config, out_dir)
     grid = np.linspace(-1.0, 1.0, 201)
     grid_pred = predict(grid[:, None], theta, spec, head)
-    train_pred = predict(dataset.x, theta, spec, head)
     rows = list(zip(grid, _target_fn(config["target"], grid), grid_pred))
     rows += zip(dataset.x[:, 0], dataset.targets, train_pred)
     _write_csv(out_dir / "predictions.csv", ["x", "y_true", "y_pred"], rows)
     _write_manifest(out_dir, "regress", config, ["metrics.csv", "predictions.csv"])
-    print(f"final R^2: {r_squared(train_pred, dataset.targets):.6f}")
 
 
 def run_classify(config: dict, out_dir: Path) -> None:
     generator = gen_circles if config["dataset"] == "circles" else gen_moons
     dataset = generator(count=config["samples"], seed=config["seed"])
     head = ClassificationHead(gamma=config["gamma"])
-    spec, theta = _train_logged(dataset, head, config, out_dir, "accuracy")
+    spec, theta, train_y1 = _train_logged(dataset, head, config, out_dir)
 
     axis = np.linspace(-1.0, 1.0, 101)
     mesh = np.column_stack([np.repeat(axis, axis.size), np.tile(axis, axis.size)])
     grid_y1 = predict(mesh, theta, spec, head)
     _write_csv(out_dir / "grid.csv", ["x1", "x2", "y1"], zip(mesh[:, 0], mesh[:, 1], grid_y1))
 
-    train_y1 = predict(dataset.x, theta, spec, head)
     labels = dataset.targets.astype(int)
     predicted = (train_y1 > 0.5).astype(int)
     _write_csv(
@@ -125,7 +124,6 @@ def run_classify(config: dict, out_dir: Path) -> None:
         zip(dataset.x[:, 0], dataset.x[:, 1], labels, train_y1, predicted),
     )
     _write_manifest(out_dir, "classify", config, ["metrics.csv", "grid.csv", "points.csv"])
-    print(f"final accuracy: {np.mean(predicted == labels):.4f}")
 
 
 def run_gradcheck(config: dict) -> dict:

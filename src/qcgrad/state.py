@@ -208,7 +208,11 @@ def ring_signs(n_qubits: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def z_sign_vector(n_qubits: int, qubit: int) -> np.ndarray:
-    """+1 where ``qubit``'s bit of the basis index is 0, -1 where it is 1."""
+    """+1 where ``qubit``'s bit of the basis index is 0, -1 where it is 1.
+
+    Raises ValueError for a qubit outside ``0 <= qubit < n_qubits``.
+    """
+    _check_qubit(n_qubits, qubit)
     idx = np.arange(1 << n_qubits)
     signs = 1.0 - 2.0 * ((idx >> qubit) & 1)
     signs.flags.writeable = False

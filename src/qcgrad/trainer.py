@@ -3,7 +3,11 @@
 The heavy lifting happens in :class:`CircuitObjective`, which encodes the
 dataset once and evaluates losses/gradients for the whole batch with
 vectorized kernels.  Per-sample quantities are reduced in fixed order, so a
-fixed seed reproduces every history bit for bit.
+fixed seed reproduces every history bit for bit.  The head owns its task,
+qubits and metric; the objective reads <Z> through :func:`qcgrad.heads.readout`
+and, for backprop only, spreads the head's dL/d<Z> over the qubits' +/-1
+sign rows into dL/dp.  :func:`predict` runs its inputs through the same
+objective as a zero-target batch, so it shares the forward and every check.
 
 Basis rows.  With d = 2**n the circuit is ``final = psi @ P`` in row
 convention, and P is the circuit run on the d basis rows.  The objective
@@ -38,7 +42,7 @@ from .baselines import SpsaConfig, finite_difference_grad, spsa_grad
 from .circuit import AnsatzSpec, encode_batch, forward_batch, run_variational
 from .datasets import Dataset
 from .heads import ClassificationHead, RegressionHead, readout
-from .state import apply_operator
+from .state import apply_operator, z_sign_vector
 
 GRADIENT_METHODS = ("backprop", "finite_difference", "spsa")
 
@@ -88,28 +92,6 @@ class TrainResult:
     wall_time_seconds: float
 
 
-def r_squared(predictions: np.ndarray, targets: np.ndarray) -> float:
-    """Coefficient of determination, 1 - SS_res / SS_tot."""
-    predictions = np.asarray(predictions, dtype=float)
-    targets = np.asarray(targets, dtype=float)
-    if predictions.shape != targets.shape or predictions.size == 0:
-        raise ValueError("predictions and targets must be equal-length and non-empty")
-    ss_tot = float(np.sum((targets - targets.mean()) ** 2))
-    if ss_tot == 0.0:
-        raise ValueError("targets have zero variance; R^2 is undefined")
-    ss_res = float(np.sum((targets - predictions) ** 2))
-    return 1.0 - ss_res / ss_tot
-
-
-def accuracy(predicted_labels: np.ndarray, true_labels: np.ndarray) -> float:
-    """Fraction of matching 0/1 labels."""
-    predicted_labels = np.asarray(predicted_labels)
-    true_labels = np.asarray(true_labels)
-    if predicted_labels.shape != true_labels.shape:
-        raise ValueError("label vectors must have equal length")
-    return float(np.mean(predicted_labels == true_labels))
-
-
 def layer_rows(encoded: np.ndarray, depth_l: int) -> np.ndarray:
     """The rows the layers run on for an encoded batch: the d basis rows, whose
     final states are the circuit's operator, where they save work, else the batch."""
@@ -137,17 +119,12 @@ class CircuitObjective:
                 f"dataset is {dataset.feature_dim}-D but the circuit encodes "
                 f"{spec.feature_dim}-D inputs"
             )
-        if isinstance(head, RegressionHead):
-            task, qubits = "regression", (head.measured_qubit,)
-        elif isinstance(head, ClassificationHead):
-            task, qubits = "classification", (head.qubit_1, head.qubit_2)
-        else:
+        if not isinstance(head, (RegressionHead, ClassificationHead)):
             raise TypeError(f"unsupported head {type(head).__name__}")
-        if dataset.task != task:
-            raise ValueError(f"{task} head on a {dataset.task} dataset")
-        for qubit in qubits:
-            if not 0 <= qubit < spec.n_qubits:
-                raise ValueError(f"head qubit {qubit} out of range for {spec.n_qubits} qubit(s)")
+        if dataset.task != head.task:
+            raise ValueError(f"{head.task} head on a {dataset.task} dataset")
+        # the +/-1 row of each head qubit, over which backprop spreads dL/d<Z>
+        self.signs = np.stack([z_sign_vector(spec.n_qubits, q) for q in head.qubits])
         self.spec = spec
         self.head = head
         self.targets = np.asarray(dataset.targets, dtype=float)
@@ -155,7 +132,7 @@ class CircuitObjective:
         self.rows = layer_rows(self.encoded, spec.depth_l)
 
     def _readout(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(per-sample losses, outputs, dL/dp) of one loss-only forward at theta."""
+        """(per-sample losses, outputs, dL/d<Z>) of one loss-only forward at theta."""
         final = batch_finals(self.encoded, self.rows, run_variational(self.rows, theta, self.spec, record=False))
         return readout(np.abs(final) ** 2, self.targets, self.head, self.spec.n_qubits)
 
@@ -164,25 +141,19 @@ class CircuitObjective:
         return float(self._readout(theta)[0].mean())
 
     def evaluate(self, theta: np.ndarray) -> tuple[float, float, np.ndarray]:
-        """(mean loss, metric, per-sample outputs) at theta.
+        """(mean loss, the head's metric, per-sample outputs) at theta.
 
-        The metric is R^2 for regression and 0/1 accuracy (label 1 iff
-        y1 > 0.5) for classification; outputs are predictions or y1.
+        The outputs are predictions (regression) or y1 (classification).
         """
         losses, outputs, _ = self._readout(theta)
-        return float(losses.mean()), self._metric(outputs), outputs
-
-    def _metric(self, outputs: np.ndarray) -> float:
-        if isinstance(self.head, RegressionHead):
-            return r_squared(outputs, self.targets)
-        return accuracy((outputs > 0.5).astype(int), self.targets.astype(int))
+        return float(losses.mean()), self.head.metric(outputs, self.targets), outputs
 
     def backprop(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(per-sample losses, per-sample outputs, mean gradient) via one forward and one backward."""
         tape = forward_batch(self.rows, theta, self.spec)
         final = batch_finals(self.encoded, self.rows, tape.final)
-        losses, outputs, dL_dp = readout(np.abs(final) ** 2, self.targets, self.head, self.spec.n_qubits)
-        cotangent = dL_dp * np.conj(final)
+        losses, outputs, dL_dz = readout(np.abs(final) ** 2, self.targets, self.head, self.spec.n_qubits)
+        cotangent = (dL_dz @ self.signs) * np.conj(final)
         if self.rows is not self.encoded:
             cotangent = self.encoded.T @ cotangent
         return losses, outputs, backward_batch(tape, cotangent).sum(axis=0) / len(final)
@@ -190,7 +161,7 @@ class CircuitObjective:
     def loss_and_grad_backprop(self, theta: np.ndarray) -> tuple[float, float, np.ndarray]:
         """(mean loss, metric, mean gradient) via one forward and one backward."""
         losses, outputs, grad = self.backprop(theta)
-        return float(losses.mean()), self._metric(outputs), grad
+        return float(losses.mean()), self.head.metric(outputs, self.targets), grad
 
 
 def random_objective(
@@ -258,8 +229,10 @@ def train(dataset: Dataset, spec: AnsatzSpec, head, cfg: TrainConfig) -> TrainRe
 
 
 def predict(xs: np.ndarray, theta: np.ndarray, spec: AnsatzSpec, head) -> np.ndarray:
-    """Model outputs for inputs of shape (B, d): predictions, or class-1 probabilities y1."""
-    encoded = encode_batch(xs, spec)
-    rows = layer_rows(encoded, spec.depth_l)
-    final = batch_finals(encoded, rows, run_variational(rows, theta, spec, record=False))
-    return readout(np.abs(final) ** 2, np.zeros(len(xs)), head, spec.n_qubits)[1]
+    """Model outputs for inputs of shape (B, d): predictions, or class-1 probabilities y1.
+
+    The inputs go through the training objective as a zero-target batch, so
+    they meet every check that training data does.
+    """
+    dataset = Dataset(x=xs, targets=np.zeros(len(xs)), task=head.task, seed=0)
+    return CircuitObjective(dataset, spec, head)._readout(theta)[1]

@@ -7,7 +7,8 @@ from conftest import backprop_gradient, random_instance, single_tape
 from qcgrad.autodiff import backward_batch
 from qcgrad.baselines import finite_difference_grad
 from qcgrad.circuit import AnsatzSpec, encode_batch, forward_batch
-from qcgrad.heads import ClassificationHead, classification_batch
+from qcgrad.heads import ClassificationHead, readout
+from qcgrad.state import z_sign_vector
 
 
 def test_seed_cotangent_length_mismatch():
@@ -87,12 +88,13 @@ def test_backward_batch_matches_per_sample():
     head = ClassificationHead(gamma=2.0)
     labels = rng.integers(0, 2, size=6).astype(float)
     bt = forward_batch(encode_batch(xs, spec), theta, spec)
-    _, _, dL_dp = classification_batch(np.abs(bt.final) ** 2, labels, head, 4)
-    batch_grads = backward_batch(bt, dL_dp * np.conj(bt.final))
+    signs = np.stack([z_sign_vector(4, q) for q in head.qubits])
+    _, _, dL_dz = readout(np.abs(bt.final) ** 2, labels, head, 4)
+    batch_grads = backward_batch(bt, (dL_dz @ signs) * np.conj(bt.final))
     for i in range(6):
         tape = single_tape(xs[i], theta, spec)
-        _, _, single_dL_dp = classification_batch(np.abs(tape.final) ** 2, labels[i : i + 1], head, 4)
-        single = backward_batch(tape, single_dL_dp * np.conj(tape.final))[0]
+        _, _, single_dL_dz = readout(np.abs(tape.final) ** 2, labels[i : i + 1], head, 4)
+        single = backward_batch(tape, (single_dL_dz @ signs) * np.conj(tape.final))[0]
         assert np.allclose(batch_grads[i], single, rtol=0, atol=1e-14)
 
 

@@ -8,6 +8,7 @@ from qcgrad.heads import (
     ClassificationHead,
     RegressionHead,
     classification_batch,
+    readout,
     regression_batch,
     softmax_gamma,
 )
@@ -30,17 +31,22 @@ def probs_of(state):
     return probabilities(state)[None, :]
 
 
+def spread(dL_dz, head, n):
+    """dL/dp of a batch: dL/d<Z> spread over the +/-1 rows of the head's qubits."""
+    return dL_dz @ np.stack([z_sign_vector(n, q) for q in head.qubits])
+
+
 def regression(state, target, head=RegressionHead()):
     """(loss, prediction, dL_dp) of one state and target."""
-    losses, preds, dL_dp = regression_batch(probs_of(state), np.array([target]), head, state.n_qubits)
-    return losses[0], preds[0], dL_dp[0]
+    losses, preds, dL_dz = readout(probs_of(state), np.array([target]), head, state.n_qubits)
+    return losses[0], preds[0], spread(dL_dz, head, state.n_qubits)[0]
 
 
 def classification(probs, label, head):
     """(loss, y1, dL_dp) of one probability vector and label."""
     n = int(np.log2(len(probs)))
-    losses, y1, dL_dp = classification_batch(np.asarray(probs)[None, :], np.array([label]), head, n)
-    return losses[0], y1[0], dL_dp[0]
+    losses, y1, dL_dz = readout(np.asarray(probs)[None, :], np.array([label]), head, n)
+    return losses[0], y1[0], spread(dL_dz, head, n)[0]
 
 
 def one_qubit_probs(z):
@@ -58,7 +64,7 @@ def test_regression_output_examples():
 def test_mse_loss_examples():
     # predictions 2<Z> of 1, 0 and 2 against targets 1, 1 and -1
     probs = np.stack([one_qubit_probs(0.5), one_qubit_probs(0.0), one_qubit_probs(1.0)])
-    losses, preds, _ = regression_batch(probs, np.array([1.0, 1.0, -1.0]), RegressionHead(), 1)
+    losses, preds, _ = readout(probs, np.array([1.0, 1.0, -1.0]), RegressionHead(), 1)
     assert np.array_equal(preds, [1.0, 0.0, 2.0])
     assert losses[0] == 0.0
     assert losses[1] == 0.5
@@ -74,6 +80,28 @@ def test_regression_dL_dp_examples():
     _, pred, cot = regression(s3, -1.0)
     delta = pred - (-1.0)
     assert np.allclose(cot, 2.0 * delta * z_sign_vector(3, 0))
+
+
+def test_heads_read_expectations_and_return_their_cotangent():
+    # the head functions take the (B, k) <Z> of the head's qubits
+    losses, preds, dL_dz = regression_batch(np.array([[0.5], [-0.25]]), np.array([0.0, 1.0]), RegressionHead())
+    assert np.array_equal(preds, [1.0, -0.5])
+    assert np.array_equal(losses, [0.5, 1.125])
+    assert np.array_equal(dL_dz, [[2.0], [-3.0]])  # output_scale * (pred - target)
+    head = ClassificationHead(gamma=2.0)
+    losses, y1, dL_dz = classification_batch(np.array([[0.3, 0.3], [1.0, -1.0]]), np.array([1.0, 0.0]), head)
+    assert y1[0] == 0.5 and abs(losses[0] - math.log(2)) < 1e-12
+    assert np.array_equal(dL_dz[0], [-1.0, 1.0])  # gamma * (y1 - d), then its negative
+    assert dL_dz.shape == (2, 2) and dL_dz[1, 0] == -dL_dz[1, 1] == 2.0 * y1[1]
+    assert RegressionHead(measured_qubit=2).qubits == (2,)
+    assert ClassificationHead(qubit_1=3, qubit_2=1).qubits == (3, 1)
+
+
+def test_head_metrics():
+    assert RegressionHead().metric(np.array([1.0, 2.0]), np.array([1.0, 2.0])) == 1.0
+    assert ClassificationHead().metric(np.array([0.7, 0.2, 0.5]), np.array([1.0, 1.0, 0.0])) == 2 / 3  # 0.5 reads as label 0
+    assert (RegressionHead.task, RegressionHead.metric_name) == ("regression", "r_squared")
+    assert (ClassificationHead.task, ClassificationHead.metric_name) == ("classification", "accuracy")
 
 
 def test_softmax_gamma_values():
@@ -128,7 +156,7 @@ def test_cross_entropy_nonnegative():
     probs = rng.dirichlet(np.ones(4), size=200)
     labels = rng.integers(0, 2, size=200).astype(float)
     gamma = float(rng.uniform(0.5, 10.0))
-    losses, _, _ = classification_batch(probs, labels, ClassificationHead(gamma=gamma), 2)
+    losses, _, _ = readout(probs, labels, ClassificationHead(gamma=gamma), 2)
     assert np.all(losses >= 0.0)
 
 
@@ -174,7 +202,8 @@ def test_batch_heads_match_scalar_ops():
 
     head_r = RegressionHead()
     targets = rng.uniform(-2, 2, 6)
-    losses, preds, dl = regression_batch(probs, targets, head_r, n)
+    losses, preds, dL_dz = readout(probs, targets, head_r, n)
+    dl = spread(dL_dz, head_r, n)
     for i, s in enumerate(states):
         pred = 2.0 * z_expectation(s, 0)
         assert abs(preds[i] - pred) < 1e-12
@@ -183,7 +212,8 @@ def test_batch_heads_match_scalar_ops():
 
     head_c = ClassificationHead(gamma=3.0)
     labels = rng.integers(0, 2, 6).astype(float)
-    losses, y1s, dl = classification_batch(probs, labels, head_c, n)
+    losses, y1s, dL_dz = readout(probs, labels, head_c, n)
+    dl = spread(dL_dz, head_c, n)
     for i, s in enumerate(states):
         y1, y2 = softmax_gamma(z_expectation(s, 0), z_expectation(s, 1), 3.0)
         d = labels[i]

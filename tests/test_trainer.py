@@ -1,20 +1,23 @@
+from collections import Counter
+
 import numpy as np
 import pytest
+
+import qcgrad.heads as heads
 
 from qcgrad.autodiff import backward_batch
 from qcgrad.baselines import finite_difference_grad
 from qcgrad.circuit import AnsatzSpec, encode_batch, forward_batch, run_variational
 from qcgrad.datasets import Dataset, gen_circles, gen_function_dataset, gen_moons
-from qcgrad.heads import ClassificationHead, RegressionHead, readout
-from qcgrad.state import apply_operator
+from qcgrad.heads import ClassificationHead, RegressionHead, accuracy, r_squared, readout
+from qcgrad.state import apply_operator, z_sign_vector
 from qcgrad.trainer import (
     CircuitObjective,
     TrainConfig,
     TrainingDivergedError,
-    accuracy,
+    batch_finals,
     layer_rows,
     predict,
-    r_squared,
     train,
 )
 
@@ -174,6 +177,23 @@ def test_head_qubits_out_of_range_rejected():
     CircuitObjective(circles, spec, ClassificationHead(qubit_1=2, qubit_2=0))
 
 
+@pytest.mark.parametrize("classification", [False, True])
+def test_out_of_range_head_qubits_rejected_wherever_they_become_signs(classification):
+    n = 3
+    xs = np.zeros((4, 2 if classification else 1))
+    spec = AnsatzSpec(n, 1, feature_dim=xs.shape[1])
+    theta = np.zeros(spec.param_count)
+    probs = np.full((4, 1 << n), 1.0 / (1 << n))
+    for qubit in (n, n + 2, -1):
+        head = ClassificationHead(qubit_2=qubit) if classification else RegressionHead(measured_qubit=qubit)
+        with pytest.raises(ValueError, match="out of range"):
+            predict(xs, theta, spec, head)
+        with pytest.raises(ValueError, match="out of range"):
+            readout(probs, np.zeros(4), head, n)
+        with pytest.raises(ValueError, match="out of range"):
+            z_sign_vector(n, qubit)
+
+
 def operator_objective(n, l, classification, count, seed=0):
     """(objective, theta) on a moons or sine dataset of ``count`` points."""
     if classification:
@@ -195,10 +215,10 @@ def test_operator_path_matches_per_sample_path(n):
             objective.rows = np.eye(1 << n, dtype=complex)
             losses, outputs, grad = objective.backprop(theta)
             tape = forward_batch(objective.encoded, theta, objective.spec)
-            ref_losses, ref_outputs, dL_dp = readout(
+            ref_losses, ref_outputs, dL_dz = readout(
                 np.abs(tape.final) ** 2, objective.targets, objective.head, n
             )
-            ref_grad = backward_batch(tape, dL_dp * np.conj(tape.final)).mean(axis=0)
+            ref_grad = backward_batch(tape, (dL_dz @ objective.signs) * np.conj(tape.final)).mean(axis=0)
             assert np.abs(grad - ref_grad).max() <= 1e-14
             assert np.abs(losses - ref_losses).max() <= 1e-14
             assert np.abs(outputs - ref_outputs).max() <= 1e-14
@@ -232,6 +252,57 @@ def test_gradient_oracle_on_both_sides_of_the_operator_switch(n):
             _, _, g_bp = objective.backprop(theta)
             g_fd = finite_difference_grad(objective.loss, theta, 1e-5)
             assert np.all(np.abs(g_bp - g_fd) <= np.maximum(1e-7, 1e-5 * np.abs(g_fd)))
+
+
+def expectations(objective, theta):
+    """(B, k) <Z> of the head's qubits at theta, on the objective's rows."""
+    rows = objective.rows
+    final = batch_finals(objective.encoded, rows, run_variational(rows, theta, objective.spec, record=False))
+    return np.abs(final) ** 2 @ objective.signs.T
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_backprop_matches_the_parameter_shift_rule(n):
+    # every angle sits in one Pauli rotation, so the shift rule is exact:
+    # d<Z_q>/dtheta_m = [<Z_q>(theta + pi/2 e_m) - <Z_q>(theta - pi/2 e_m)] / 2,
+    # chained through the head's dL/d<Z> and averaged over the batch
+    for l in (0, 1, 3, 5):
+        for classification in (False, True) if n >= 2 else (False,):
+            for basis_rows in (False, True):
+                objective, theta = operator_objective(n, l, classification, count=40)
+                objective.rows = np.eye(1 << n, dtype=complex) if basis_rows else objective.encoded
+                _, _, dL_dz = objective._readout(theta)
+                shifted = np.empty_like(theta)
+                for m in range(len(theta)):
+                    step = np.zeros_like(theta)
+                    step[m] = np.pi / 2
+                    dz = (expectations(objective, theta + step) - expectations(objective, theta - step)) / 2
+                    shifted[m] = np.sum(dL_dz * dz) / len(dz)
+                assert np.abs(objective.backprop(theta)[2] - shifted).max() <= 1e-13
+
+
+def test_every_readout_calls_the_head_functions_by_name(monkeypatch):
+    # perfbench times the heads by rebinding these module-level names
+    calls = Counter()
+    for name in ("regression_batch", "classification_batch"):
+        def counted(*args, _original=getattr(heads, name), _name=name):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(heads, name, counted)
+    for classification, name in ((False, "regression_batch"), (True, "classification_batch")):
+        objective, theta = operator_objective(3, 2, classification, count=20)
+        xs = np.zeros((5, objective.spec.feature_dim))
+        for run in (
+            objective.loss,
+            objective.evaluate,
+            objective.backprop,
+            lambda th: predict(xs, th, objective.spec, objective.head),
+        ):
+            before = calls[name]
+            run(theta)
+            assert calls[name] == before + 1
+    assert set(calls) == {"regression_batch", "classification_batch"}
 
 
 def test_shallow_circuits_and_small_batches_run_the_inputs():
