@@ -24,8 +24,9 @@ summed gradient of the 2**n rows of a tape recorded from the identity, with
 the cotangent ``Psi^T A``.  :func:`backward_batch` therefore takes the
 complex cotangent itself; its caller forms ``dL_dp * conj(final)`` or
 ``encoded.T @ A``, and the walk below is the same for either.  In training,
-``dL_dp`` is the head's dL/d<Z> spread over the +/-1 sign rows of its
-qubits (see :meth:`qcgrad.trainer.CircuitObjective.backprop`).
+``dL_dp = dL/d<Z> @ signs``: the head's dL/d<Z> spread over the same +/-1
+sign rows of its qubits that measured <Z> from p, ``<Z> = p @ signs[i]``
+(see :class:`qcgrad.trainer.CircuitObjective`).
 
 The walk visits the rotation layers of :mod:`qcgrad.circuit` in reverse and
 reads the tape rows ``Y_k``, the states after each Y sub-layer.

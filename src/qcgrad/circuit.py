@@ -77,7 +77,6 @@ class BatchTape:
     """One forward pass: (B, 2**n) states after every Y sub-layer and at the end, and the angles."""
 
     spec: AnsatzSpec
-    encoded: np.ndarray
     posts: list[np.ndarray]
     theta: np.ndarray
 
@@ -189,4 +188,4 @@ def run_variational(
 def forward_batch(encoded: np.ndarray, theta: np.ndarray, spec: AnsatzSpec) -> BatchTape:
     """Run the variational layers on encoded amplitudes, recording the tape."""
     theta = check_theta(theta, spec)
-    return BatchTape(spec, encoded, run_variational(encoded, theta, spec, record=True), theta)
+    return BatchTape(spec, run_variational(encoded, theta, spec, record=True), theta)

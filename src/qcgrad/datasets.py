@@ -24,7 +24,6 @@ class Dataset:
     x: np.ndarray
     targets: np.ndarray
     task: str  # 'regression' | 'classification'
-    seed: int
 
     def __post_init__(self):
         if self.task not in ("regression", "classification"):
@@ -66,7 +65,7 @@ def gen_function_dataset(
     rng = np.random.default_rng(seed)
     x = rng.uniform(-1.0, 1.0, size=count)
     targets = _target_fn(kind, x) + noise_sigma * rng.standard_normal(count)
-    return Dataset(x=x[:, None], targets=targets, task="regression", seed=seed)
+    return Dataset(x=x[:, None], targets=targets, task="regression")
 
 
 def _check_noise(noise_sigma: float) -> None:
@@ -98,7 +97,7 @@ def _two_classes(class_0: np.ndarray, class_1: np.ndarray, noise_sigma: float, s
     if np.abs(coords).max() > 1.0:
         lo, hi = coords.min(axis=0), coords.max(axis=0)
         coords = -1.0 + 2.0 * (coords - lo) / (hi - lo)
-    return Dataset(x=coords, targets=labels, task="classification", seed=seed)
+    return Dataset(x=coords, targets=labels, task="classification")
 
 
 def gen_circles(

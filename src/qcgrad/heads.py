@@ -7,12 +7,13 @@ its contract: the ``task`` of the datasets it reads, the ``qubits`` whose
 <Z> it reads, and its ``metric`` (R^2 or 0/1 accuracy) with the name that
 the metric is logged under.
 
-:func:`readout` computes the (B, k) <Z> of the head's k qubits from a batch
-of probability vectors once; each head function takes that <Z> and returns
-the per-sample losses, outputs and dL/d<Z>.  The trainer spreads dL/d<Z>
-over the qubits' +/-1 sign rows into the dL/dp that seeds the backward
-pass; anything that shifts <Z> itself (such as a parameter-shift rule)
-chains through dL/d<Z> directly.
+The heads read only <Z>: :func:`readout` takes the (B, k) <Z> of the head's
+k qubits and returns the per-sample losses, outputs and dL/d<Z>.  The
+measurement itself, from the final states to <Z>, belongs to
+:class:`qcgrad.trainer.CircuitObjective`, which also spreads dL/d<Z> over
+the qubits' +/-1 sign rows into the dL/dp that seeds the backward pass;
+anything that shifts <Z> itself (such as a parameter-shift rule) chains
+through dL/d<Z> directly.
 
 The cotangents implement the exact chain rule of the losses as coded here
 (including the gamma factor and the output-scale factor), so they agree
@@ -26,8 +27,6 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
-
-from .state import z_sign_vector
 
 #: Probabilities are clamped to [eps, 1-eps] before log().
 CLAMP_EPS = 1e-12
@@ -161,14 +160,9 @@ def classification_batch(
 
 
 def readout(
-    probs: np.ndarray, targets: np.ndarray, head: RegressionHead | ClassificationHead, n_qubits: int
+    z: np.ndarray, targets: np.ndarray, head: RegressionHead | ClassificationHead
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(losses, outputs, dL/d<Z>) of either head on a batch of probability vectors.
-
-    The (B, k) <Z> of the head's qubits is one matvec per qubit against its
-    contiguous :func:`~qcgrad.state.z_sign_vector`, which range-checks it.
-    """
-    z = np.column_stack([probs @ z_sign_vector(n_qubits, q) for q in head.qubits])
+    """(losses, outputs, dL/d<Z>) of either head on the (B, k) <Z> of its qubits."""
     # each head's function is called by its module-level name, never looked
     # up in a table, so that rebinding the name reaches every call
     if isinstance(head, RegressionHead):

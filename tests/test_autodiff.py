@@ -2,7 +2,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import backprop_gradient, random_instance, single_tape
+from conftest import backprop_gradient, random_instance, single_tape, z_reference
 
 from qcgrad.autodiff import backward_batch
 from qcgrad.baselines import finite_difference_grad
@@ -87,14 +87,16 @@ def test_backward_batch_matches_per_sample():
     theta = rng.uniform(0, 2 * np.pi, spec.param_count)
     head = ClassificationHead(gamma=2.0)
     labels = rng.integers(0, 2, size=6).astype(float)
-    bt = forward_batch(encode_batch(xs, spec), theta, spec)
     signs = np.stack([z_sign_vector(4, q) for q in head.qubits])
-    _, _, dL_dz = readout(np.abs(bt.final) ** 2, labels, head, 4)
-    batch_grads = backward_batch(bt, (dL_dz @ signs) * np.conj(bt.final))
+
+    def cotangent(final, targets):
+        return (readout(z_reference(final, head.qubits), targets, head)[2] @ signs) * np.conj(final)
+
+    bt = forward_batch(encode_batch(xs, spec), theta, spec)
+    batch_grads = backward_batch(bt, cotangent(bt.final, labels))
     for i in range(6):
         tape = single_tape(xs[i], theta, spec)
-        _, _, single_dL_dz = readout(np.abs(tape.final) ** 2, labels[i : i + 1], head, 4)
-        single = backward_batch(tape, (single_dL_dz @ signs) * np.conj(tape.final))[0]
+        single = backward_batch(tape, cotangent(tape.final, labels[i : i + 1]))[0]
         assert np.allclose(batch_grads[i], single, rtol=0, atol=1e-14)
 
 

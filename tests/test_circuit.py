@@ -123,8 +123,8 @@ def test_entangler_two_qubit_ring_is_identity():
     assert np.array_equal(ring_signs(2), np.ones(4))
     # with identity rotations a depth-1 circuit applies the ring alone
     spec = AnsatzSpec(2, 1)
-    tape = single_tape([0.3], np.zeros(spec.param_count), spec)
-    assert np.array_equal(tape.final, tape.encoded)
+    encoded = encode_batch(np.array([[0.3]]), spec)
+    assert np.array_equal(forward_batch(encoded, np.zeros(spec.param_count), spec).final, encoded)
 
 
 def test_entangler_three_qubit_examples():
@@ -153,8 +153,8 @@ def test_forward_group_structure():
 
 def test_forward_identity_rotations_keep_encoded_state():
     spec = AnsatzSpec(1, 0)
-    tape = single_tape([0.0], np.zeros(2), spec)
-    assert np.array_equal(tape.final, tape.encoded)
+    encoded = encode_batch(np.array([[0.0]]), spec)
+    assert np.array_equal(forward_batch(encoded, np.zeros(2), spec).final, encoded)
 
 
 def test_forward_single_qubit_z_expectation_is_cosine():
@@ -172,9 +172,9 @@ def test_fused_final_state_matches_gate_by_gate_replay():
         for l in range(0, 5):
             spec = AnsatzSpec(n, l)
             theta = rng.uniform(0, 2 * np.pi, spec.param_count)
-            tape = single_tape(rng.uniform(-1, 1, 1), theta, spec)
-            state = replay_layers(QuantumState(n, tape.encoded[0]), theta, spec)
-            worst = max(worst, np.abs(state.amplitudes - tape.final[0]).max())
+            encoded = encode_batch(rng.uniform(-1, 1, (1, 1)), spec)
+            state = replay_layers(QuantumState(n, encoded[0]), theta, spec)
+            worst = max(worst, np.abs(state.amplitudes - forward_batch(encoded, theta, spec).final[0]).max())
     assert worst <= 1e-14
 
 
@@ -187,10 +187,11 @@ def test_batch_rows_equal_single_runs_at_five_and_six_qubits():
             theta = rng.uniform(0, 2 * np.pi, spec.param_count)
             for b in (2, 3, 4, 200):
                 xs = rng.uniform(-1, 1, (b, 1))
-                tape = forward_batch(encode_batch(xs, spec), theta, spec)
+                encoded = encode_batch(xs, spec)
+                tape = forward_batch(encoded, theta, spec)
                 for i in range(b):
                     single = single_tape(xs[i], theta, spec)
-                    assert np.array_equal(tape.encoded[i], single.encoded[0])
+                    assert np.array_equal(encoded[i], encode_batch(xs[i : i + 1], spec)[0])
                     for post, single_post in zip(tape.posts, single.posts, strict=True):
                         assert np.array_equal(post[i], single_post[0])
 
@@ -232,12 +233,13 @@ def test_forward_batch_matches_forward():
     spec = AnsatzSpec(3, 2, feature_dim=2)
     xs = rng.uniform(-1, 1, (5, 2))
     theta = rng.uniform(0, 2 * np.pi, spec.param_count)
-    bt = forward_batch(encode_batch(xs, spec), theta, spec)
+    encoded = encode_batch(xs, spec)
+    bt = forward_batch(encoded, theta, spec)
     assert len(bt.posts) == spec.depth_l + 2
     for i in range(5):
         tape = single_tape(xs[i], theta, spec)
         assert np.array_equal(bt.final[i], tape.final[0])
-        assert np.array_equal(bt.encoded[i], tape.encoded[0])
+        assert np.array_equal(encoded[i], encode_batch(xs[i : i + 1], spec)[0])
 
 
 def test_readout_is_odd_between_x_plus_and_minus_one():

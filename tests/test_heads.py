@@ -12,74 +12,45 @@ from qcgrad.heads import (
     regression_batch,
     softmax_gamma,
 )
-from qcgrad.state import (
-    QuantumState,
-    apply_single_qubit,
-    basis_state,
-    probabilities,
-    z_expectation,
-    z_sign_vector,
-)
+from qcgrad.state import QuantumState, apply_single_qubit, basis_state, z_expectation
 
 
 def uniform_state(n):
     return QuantumState(n, np.full(1 << n, (0.5) ** (n / 2), dtype=complex))
 
 
-def probs_of(state):
-    """Probabilities of one state as a B=1 batch."""
-    return probabilities(state)[None, :]
-
-
-def spread(dL_dz, head, n):
-    """dL/dp of a batch: dL/d<Z> spread over the +/-1 rows of the head's qubits."""
-    return dL_dz @ np.stack([z_sign_vector(n, q) for q in head.qubits])
-
-
-def regression(state, target, head=RegressionHead()):
-    """(loss, prediction, dL_dp) of one state and target."""
-    losses, preds, dL_dz = readout(probs_of(state), np.array([target]), head, state.n_qubits)
-    return losses[0], preds[0], spread(dL_dz, head, state.n_qubits)[0]
-
-
-def classification(probs, label, head):
-    """(loss, y1, dL_dp) of one probability vector and label."""
-    n = int(np.log2(len(probs)))
-    losses, y1, dL_dz = readout(np.asarray(probs)[None, :], np.array([label]), head, n)
-    return losses[0], y1[0], spread(dL_dz, head, n)[0]
-
-
-def one_qubit_probs(z):
-    """Probabilities of one qubit with <Z> = z."""
-    return np.array([(1.0 + z) / 2.0, (1.0 - z) / 2.0])
+def read(state, target, head=RegressionHead()):
+    """(loss, output, dL/d<Z>) of one state and target; <Z> from the z_expectation reference."""
+    z = np.array([[z_expectation(state, q) for q in head.qubits]])
+    losses, outputs, dL_dz = readout(z, np.array([target]), head)
+    return losses[0], outputs[0], dL_dz[0]
 
 
 def test_regression_output_examples():
-    assert regression(basis_state(3, 0), 0.0)[1] == 2.0
-    assert abs(regression(uniform_state(2), 0.0)[1]) < 1e-12
+    assert read(basis_state(3, 0), 0.0)[1] == 2.0
+    assert abs(read(uniform_state(2), 0.0)[1]) < 1e-12
     s = apply_single_qubit(basis_state(1, 0), gates.ry(np.pi / 3), 0)
-    assert abs(regression(s, 0.0)[1] - 1.0) < 1e-12
+    assert abs(read(s, 0.0)[1] - 1.0) < 1e-12
 
 
 def test_mse_loss_examples():
     # predictions 2<Z> of 1, 0 and 2 against targets 1, 1 and -1
-    probs = np.stack([one_qubit_probs(0.5), one_qubit_probs(0.0), one_qubit_probs(1.0)])
-    losses, preds, _ = readout(probs, np.array([1.0, 1.0, -1.0]), RegressionHead(), 1)
+    losses, preds, _ = readout(np.array([[0.5], [0.0], [1.0]]), np.array([1.0, 1.0, -1.0]), RegressionHead())
     assert np.array_equal(preds, [1.0, 0.0, 2.0])
     assert losses[0] == 0.0
     assert losses[1] == 0.5
     assert losses[2] == 4.5
 
 
-def test_regression_dL_dp_examples():
+def test_regression_dL_dz_examples():
     s = basis_state(1, 0)
-    assert np.array_equal(regression(s, 2.0)[2], np.zeros(2))
-    # prediction 2, target 0 -> delta 2, dL/d<Z> = 4, split +/- on the bit
-    assert np.array_equal(regression(s, 0.0)[2], [4.0, -4.0])
+    assert np.array_equal(read(s, 2.0)[2], np.zeros(1))
+    # prediction 2, target 0 -> delta 2, dL/d<Z> = output_scale * delta = 4
+    assert np.array_equal(read(s, 0.0)[2], [4.0])
     s3 = uniform_state(3)
-    _, pred, cot = regression(s3, -1.0)
+    _, pred, cot = read(s3, -1.0)
     delta = pred - (-1.0)
-    assert np.allclose(cot, 2.0 * delta * z_sign_vector(3, 0))
+    assert np.allclose(cot, [2.0 * delta])
 
 
 def test_heads_read_expectations_and_return_their_cotangent():
@@ -140,41 +111,40 @@ def test_classification_head_rejects_nan_gamma():
 
 def test_cross_entropy_examples():
     # |01> (qubit 0 set) gives <Z_1> - <Z_2> = -2, |10> gives +2
-    sure_one = probabilities(basis_state(2, 2))
-    sure_zero = probabilities(basis_state(2, 1))
-    loss, y1, _ = classification(sure_one, 1, ClassificationHead(gamma=40.0))
+    sure_one = basis_state(2, 2)
+    sure_zero = basis_state(2, 1)
+    loss, y1, _ = read(sure_one, 1, ClassificationHead(gamma=40.0))
     assert y1 == 1.0 and loss < 1e-11
-    uniform = probabilities(uniform_state(2))
-    assert abs(classification(uniform, 1, ClassificationHead())[0] - math.log(2)) < 1e-12
-    assert abs(classification(uniform, 0, ClassificationHead())[0] - math.log(2)) < 1e-12
-    loss, y1, _ = classification(sure_zero, 1, ClassificationHead(gamma=400.0))
+    uniform = uniform_state(2)
+    assert abs(read(uniform, 1, ClassificationHead())[0] - math.log(2)) < 1e-12
+    assert abs(read(uniform, 0, ClassificationHead())[0] - math.log(2)) < 1e-12
+    loss, y1, _ = read(sure_zero, 1, ClassificationHead(gamma=400.0))
     assert y1 == 0.0 and 0 < loss < math.inf  # clamped, no log(0) blowup
 
 
 def test_cross_entropy_nonnegative():
     rng = np.random.default_rng(1)
-    probs = rng.dirichlet(np.ones(4), size=200)
+    z = rng.uniform(-1.0, 1.0, size=(200, 2))
     labels = rng.integers(0, 2, size=200).astype(float)
     gamma = float(rng.uniform(0.5, 10.0))
-    losses, _, _ = readout(probs, labels, ClassificationHead(gamma=gamma), 2)
+    losses, _, _ = readout(z, labels, ClassificationHead(gamma=gamma))
     assert np.all(losses >= 0.0)
 
 
-def test_classification_dL_dp_equal_expectations():
+def test_classification_dL_dz_equal_expectations():
     # uniform state: z1 = z2 = 0 so y1 = 0.5; at gamma=1 the error signal is +/-0.5
     head = ClassificationHead(gamma=1.0)
-    uniform = probabilities(uniform_state(2))
-    cot1 = classification(uniform, 1, head)[2]
-    expected = -0.5 * (z_sign_vector(2, 0) - z_sign_vector(2, 1))
-    assert np.allclose(cot1, expected, atol=1e-12)
+    uniform = uniform_state(2)
+    cot1 = read(uniform, 1, head)[2]
+    assert np.allclose(cot1, [-0.5, 0.5], atol=1e-12)
     # flipping the label flips the signal
-    assert np.allclose(classification(uniform, 0, head)[2], -cot1, atol=1e-12)
+    assert np.allclose(read(uniform, 0, head)[2], -cot1, atol=1e-12)
 
 
-def test_classification_dL_dp_scales_with_gamma():
-    uniform = probabilities(uniform_state(2))
-    c1 = classification(uniform, 1, ClassificationHead(gamma=1.0))[2]
-    c5 = classification(uniform, 1, ClassificationHead(gamma=5.0))[2]
+def test_classification_dL_dz_scales_with_gamma():
+    uniform = uniform_state(2)
+    c1 = read(uniform, 1, ClassificationHead(gamma=1.0))[2]
+    c5 = read(uniform, 1, ClassificationHead(gamma=5.0))[2]
     # same y1 = 0.5 at both gammas here, so the gamma factor is exactly 5x
     assert np.allclose(c5, 5.0 * c1, atol=1e-12)
 
@@ -198,26 +168,21 @@ def test_batch_heads_match_scalar_ops():
     for _ in range(6):
         amps = rng.normal(size=8) + 1j * rng.normal(size=8)
         states.append(QuantumState(n, amps / np.linalg.norm(amps)))
-    probs = np.stack([probabilities(s) for s in states])
+    z = np.array([[z_expectation(s, q) for q in range(n)] for s in states])
 
-    head_r = RegressionHead()
     targets = rng.uniform(-2, 2, 6)
-    losses, preds, dL_dz = readout(probs, targets, head_r, n)
-    dl = spread(dL_dz, head_r, n)
+    losses, preds, dL_dz = readout(z[:, :1], targets, RegressionHead())
     for i, s in enumerate(states):
         pred = 2.0 * z_expectation(s, 0)
         assert abs(preds[i] - pred) < 1e-12
         assert abs(losses[i] - 0.5 * (pred - targets[i]) ** 2) < 1e-12
-        assert np.allclose(dl[i], 2.0 * (pred - targets[i]) * z_sign_vector(n, 0), atol=1e-12)
+        assert np.allclose(dL_dz[i], [2.0 * (pred - targets[i])], atol=1e-12)
 
-    head_c = ClassificationHead(gamma=3.0)
     labels = rng.integers(0, 2, 6).astype(float)
-    losses, y1s, dL_dz = readout(probs, labels, head_c, n)
-    dl = spread(dL_dz, head_c, n)
+    losses, y1s, dL_dz = readout(z[:, :2], labels, ClassificationHead(gamma=3.0))
     for i, s in enumerate(states):
         y1, y2 = softmax_gamma(z_expectation(s, 0), z_expectation(s, 1), 3.0)
         d = labels[i]
         assert abs(y1s[i] - y1) < 1e-12
         assert abs(losses[i] + d * math.log(y1) + (1 - d) * math.log(y2)) < 1e-12
-        expected = 3.0 * (y1 - d) * (z_sign_vector(n, 0) - z_sign_vector(n, 1))
-        assert np.allclose(dl[i], expected, atol=1e-12)
+        assert np.allclose(dL_dz[i], [3.0 * (y1 - d), -3.0 * (y1 - d)], atol=1e-12)

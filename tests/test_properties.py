@@ -52,10 +52,11 @@ def run(xs, theta, spec):
 @given(batches())
 def test_batch_forward_rows_equal_single_runs_bit_for_bit(case):
     spec, xs, theta, _ = case
-    tape = run(xs, theta, spec)
+    encoded = encode_batch(xs, spec)
+    tape = forward_batch(encoded, theta, spec)
     for i in range(len(xs)):
         single = run(xs[i : i + 1], theta, spec)
-        assert np.array_equal(tape.encoded[i], single.encoded[0])
+        assert np.array_equal(encoded[i], encode_batch(xs[i : i + 1], spec)[0])
         for post, single_post in zip(tape.posts, single.posts, strict=True):
             assert np.array_equal(post[i], single_post[0])
 
@@ -88,10 +89,10 @@ def single_input_objectives(draw):
     theta = draw(hnp.arrays(float, spec.param_count, elements=floats(0.0, 2.0 * np.pi)))
     if spec.n_qubits >= 2 and draw(st.booleans()):
         head = ClassificationHead(gamma=draw(floats(0.5, 5.0)))
-        dataset = Dataset(x, np.array([float(draw(st.integers(0, 1)))]), "classification", 0)
+        dataset = Dataset(x, np.array([float(draw(st.integers(0, 1)))]), "classification")
     else:
         head = RegressionHead(measured_qubit=draw(st.integers(0, spec.n_qubits - 1)))
-        dataset = Dataset(x, np.array([draw(floats(-2.0, 2.0))]), "regression", 0)
+        dataset = Dataset(x, np.array([draw(floats(-2.0, 2.0))]), "regression")
     return CircuitObjective(dataset, spec, head), theta
 
 

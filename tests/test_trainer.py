@@ -2,12 +2,14 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from conftest import z_reference
 
+import qcgrad.circuit as circuit
 import qcgrad.heads as heads
+import qcgrad.trainer as trainer
 
-from qcgrad.autodiff import backward_batch
 from qcgrad.baselines import finite_difference_grad
-from qcgrad.circuit import AnsatzSpec, encode_batch, forward_batch, run_variational
+from qcgrad.circuit import AnsatzSpec, encode_batch, run_variational
 from qcgrad.datasets import Dataset, gen_circles, gen_function_dataset, gen_moons
 from qcgrad.heads import ClassificationHead, RegressionHead, accuracy, r_squared, readout
 from qcgrad.state import apply_operator, z_sign_vector
@@ -15,8 +17,6 @@ from qcgrad.trainer import (
     CircuitObjective,
     TrainConfig,
     TrainingDivergedError,
-    batch_finals,
-    layer_rows,
     predict,
     train,
 )
@@ -139,7 +139,6 @@ def test_diverged_training_reports_iteration():
         x=np.array([[0.1], [0.2]]),
         targets=np.array([np.inf, 0.0]),
         task="regression",
-        seed=0,
     )
     with np.errstate(invalid="ignore"), pytest.raises(TrainingDivergedError) as err:
         train(bad, AnsatzSpec(1, 0), RegressionHead(), TrainConfig(iterations=5))
@@ -177,19 +176,24 @@ def test_head_qubits_out_of_range_rejected():
     CircuitObjective(circles, spec, ClassificationHead(qubit_1=2, qubit_2=0))
 
 
+def test_non_heads_rejected_by_the_objective_and_predict():
+    spec = AnsatzSpec(2, 0)
+    with pytest.raises(TypeError, match="unsupported head object"):
+        CircuitObjective(small_regression(), spec, object())
+    with pytest.raises(TypeError, match="unsupported head object"):
+        predict(np.zeros((2, 1)), np.zeros(spec.param_count), spec, object())
+
+
 @pytest.mark.parametrize("classification", [False, True])
 def test_out_of_range_head_qubits_rejected_wherever_they_become_signs(classification):
     n = 3
     xs = np.zeros((4, 2 if classification else 1))
     spec = AnsatzSpec(n, 1, feature_dim=xs.shape[1])
     theta = np.zeros(spec.param_count)
-    probs = np.full((4, 1 << n), 1.0 / (1 << n))
     for qubit in (n, n + 2, -1):
         head = ClassificationHead(qubit_2=qubit) if classification else RegressionHead(measured_qubit=qubit)
         with pytest.raises(ValueError, match="out of range"):
             predict(xs, theta, spec, head)
-        with pytest.raises(ValueError, match="out of range"):
-            readout(probs, np.zeros(4), head, n)
         with pytest.raises(ValueError, match="out of range"):
             z_sign_vector(n, qubit)
 
@@ -211,14 +215,11 @@ def test_operator_path_matches_per_sample_path(n):
     for l in range(6):
         for classification in (False, True) if n >= 2 else (False,):
             objective, theta = operator_objective(n, l, classification, count=130)
+            objective.rows = objective.encoded
+            ref_losses, ref_outputs, ref_grad = objective.backprop(theta)
             # shallow circuits run the inputs themselves; check the basis rows anyway
             objective.rows = np.eye(1 << n, dtype=complex)
             losses, outputs, grad = objective.backprop(theta)
-            tape = forward_batch(objective.encoded, theta, objective.spec)
-            ref_losses, ref_outputs, dL_dz = readout(
-                np.abs(tape.final) ** 2, objective.targets, objective.head, n
-            )
-            ref_grad = backward_batch(tape, (dL_dz @ objective.signs) * np.conj(tape.final)).mean(axis=0)
             assert np.abs(grad - ref_grad).max() <= 1e-14
             assert np.abs(losses - ref_losses).max() <= 1e-14
             assert np.abs(outputs - ref_outputs).max() <= 1e-14
@@ -254,11 +255,18 @@ def test_gradient_oracle_on_both_sides_of_the_operator_switch(n):
             assert np.all(np.abs(g_bp - g_fd) <= np.maximum(1e-7, 1e-5 * np.abs(g_fd)))
 
 
-def expectations(objective, theta):
-    """(B, k) <Z> of the head's qubits at theta, on the objective's rows."""
-    rows = objective.rows
-    final = batch_finals(objective.encoded, rows, run_variational(rows, theta, objective.spec, record=False))
-    return np.abs(final) ** 2 @ objective.signs.T
+@pytest.mark.parametrize("n", range(1, 9))
+def test_expectations_match_the_state_reference(n):
+    # the objective's one measurement against z_expectation of each final
+    # state, on both sides of the basis-row switch (worst 1.1e-15 at n <= 8)
+    for l in (0, 3):
+        for classification in (False, True) if n >= 2 else (False,):
+            objective, theta = operator_objective(n, l, classification, count=40)
+            final = run_variational(objective.encoded, theta, objective.spec, record=False)
+            reference = z_reference(final, objective.head.qubits)
+            for rows in (objective.encoded, np.eye(1 << n, dtype=complex)):
+                objective.rows = rows
+                assert np.abs(objective.expectations(theta) - reference).max() <= 1e-14
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -271,12 +279,12 @@ def test_backprop_matches_the_parameter_shift_rule(n):
             for basis_rows in (False, True):
                 objective, theta = operator_objective(n, l, classification, count=40)
                 objective.rows = np.eye(1 << n, dtype=complex) if basis_rows else objective.encoded
-                _, _, dL_dz = objective._readout(theta)
+                dL_dz = readout(objective.expectations(theta), objective.targets, objective.head)[2]
                 shifted = np.empty_like(theta)
                 for m in range(len(theta)):
                     step = np.zeros_like(theta)
                     step[m] = np.pi / 2
-                    dz = (expectations(objective, theta + step) - expectations(objective, theta - step)) / 2
+                    dz = (objective.expectations(theta + step) - objective.expectations(theta - step)) / 2
                     shifted[m] = np.sum(dL_dz * dz) / len(dz)
                 assert np.abs(objective.backprop(theta)[2] - shifted).max() <= 1e-13
 
@@ -325,8 +333,46 @@ def test_predict_matches_the_per_sample_rows(count):
     rng = np.random.default_rng(count)
     xs = rng.uniform(-1.0, 1.0, size=(count, 2))
     theta = rng.uniform(0.0, 2.0 * np.pi, spec.param_count)
-    encoded = encode_batch(xs, spec)
-    assert (layer_rows(encoded, spec.depth_l) is not encoded) == (count > 5)
-    final = run_variational(encoded, theta, spec, record=False)
-    expected = readout(np.abs(final) ** 2, np.zeros(count), head, spec.n_qubits)[1]
+    objective = CircuitObjective(Dataset(x=xs, targets=np.zeros(count), task=head.task), spec, head)
+    assert (objective.rows is not objective.encoded) == (count > 5)
+    final = run_variational(encode_batch(xs, spec), theta, spec, record=False)
+    expected = readout(z_reference(final, head.qubits), np.zeros(count), head)[1]
     assert np.abs(predict(xs, theta, spec, head) - expected).max() <= 1e-14
+
+
+@pytest.mark.parametrize("count", [8, 16], ids=["inputs", "basis-rows"])
+def test_evaluation_counts(monkeypatch, count):
+    # recording and loss-only forwards and backward passes, counted by
+    # rebinding the names where they are called, as perfbench's tracer does
+    calls = Counter()
+
+    def run(*args, _original=circuit.run_variational, **kwargs):
+        calls["record" if kwargs.get("record", args[3] if len(args) > 3 else True) else "loss"] += 1
+        return _original(*args, **kwargs)
+
+    def backward(*args, _original=trainer.backward_batch):
+        calls["backward"] += 1
+        return _original(*args)
+
+    for module in (circuit, trainer):
+        monkeypatch.setattr(module, "run_variational", run)
+    monkeypatch.setattr(trainer, "backward_batch", backward)
+    # at n = 2, l = 5 the layers run the basis rows from B = 12 on
+    dataset = gen_function_dataset("sine", count=count, noise_sigma=0.0, seed=0)
+    spec, head, iterations = AnsatzSpec(2, 5), RegressionHead(), 3
+    objective = CircuitObjective(dataset, spec, head)
+    assert (objective.rows is not objective.encoded) == (count == 16)
+    per_iteration = {
+        "finite_difference": {"loss": 2 * spec.param_count + 1},
+        "spsa": {"loss": 3},
+        "backprop": {"record": 1, "backward": 1},
+    }
+    for method, expected in per_iteration.items():
+        calls.clear()
+        train(dataset, spec, head, TrainConfig(iterations=iterations, gradient_method=method))
+        assert calls == {name: iterations * k for name, k in expected.items()}, method
+    theta = np.zeros(spec.param_count)
+    for run in (objective.loss, objective.evaluate, lambda th: predict(dataset.x, th, spec, head)):
+        calls.clear()
+        run(theta)
+        assert calls == {"loss": 1}
