@@ -65,10 +65,27 @@ differences (the binding oracle; see tests).
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
-from .circuit import BatchTape, rotation_phases, z_diagonals
+from .circuit import BatchTape, rotation_phases
 from .state import apply_hadamard, s_phases, z_sign_matrix
+
+
+@lru_cache(maxsize=None)
+def _gradient_signs(n_qubits: int) -> np.ndarray:
+    """(2, 2 * 2**n, n) read-only signs of ``Im(...) @ Zsigns`` for the [ã * s̃, v * t] products.
+
+    They are read from the products' float view: a contiguous matmul against
+    signs on the imaginary parts only.  H has +/-1 entries, so ã * s̃ carries
+    2**n too many, which the first row's 2**-n takes out.
+    """
+    signs = np.zeros((2, 1 << n_qubits, 2, n_qubits))
+    signs[:, :, 1] = z_sign_matrix(n_qubits) * np.array([0.5**n_qubits, 1.0])[:, None, None]
+    signs = signs.reshape(2, -1, n_qubits)
+    signs.flags.writeable = False
+    return signs
 
 
 def backward_batch(tape: BatchTape, cotangent: np.ndarray) -> np.ndarray:
@@ -86,17 +103,11 @@ def backward_batch(tape: BatchTape, cotangent: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"cotangent shape {cotangent.shape} does not match batch shape {tape.final.shape}"
         )
-    spec = tape.spec
-    n, l, (b, dim) = spec.n_qubits, spec.depth_l, cotangent.shape
-    # H below has +/-1 entries, so ã * s̃ and H D H each carry 2**n too many
-    scale = 0.5**n
-    # Im(...) @ Zsigns of the [ã * s̃, v * t] products, read from their float
-    # view: a contiguous matmul against signs on the imaginary parts only
-    signs = np.zeros((2, dim, 2, n))
-    signs[:, :, 1] = z_sign_matrix(n) * np.array([scale, 1.0])[:, None, None]
-    signs = signs.reshape(2, 2 * dim, n)
-    y_phases = rotation_phases(tape.theta.reshape(l + 1, n, 2)[:, :, 0], n) * scale
-    diags = z_diagonals(tape.theta, spec)
+    n, l, (b, dim) = tape.spec.n_qubits, tape.spec.depth_l, cotangent.shape
+    signs = _gradient_signs(n)
+    # H has +/-1 entries, so H D H carries 2**n too many
+    y_phases = rotation_phases(tape.theta.reshape(l + 1, n, 2)[:, :, 0], n) * 0.5**n
+    diags = tape.diags
     # one allocation for every buffer of the walk (see state.apply_hadamard):
     # rows [v, t] = [S a, S* s] of the current layer, so that one H gives
     # [ã, s̃]; the [ã * s̃, v * t] products; H's other buffer; S* as a full

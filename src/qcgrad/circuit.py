@@ -31,6 +31,12 @@ outside [-1, 1], and NaN, are rejected rather than clamped — clamping would
 silently corrupt the encoding, so dataset generators guarantee the range
 instead.
 
+:func:`layer_operators` builds every layer's operators in one go, and
+:func:`run_variational` runs them in one loop, for the tape and for every
+loss-only forward alike, with the float views of its buffers made once per
+call: at n = 4 a forward is a few microseconds of arithmetic and mostly
+per-call numpy overhead.
+
 Every simulation runs on a batch of shape ``(B, 2**n)``; a single input is
 the batch ``x[None, :]``.  The batch may also be the 2**n basis rows, whose
 final states are the rows of the circuit's operator (see
@@ -40,10 +46,11 @@ final states are the rows of the circuit's operator (see
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .state import KRON_BLOCK, apply_real_blocks, kron, ring_signs, z_sign_matrix
+from .state import KRON_BLOCK, kron, real_block_view, ring_signs, z_sign_matrix
 
 
 @dataclass(frozen=True)
@@ -74,11 +81,17 @@ class AnsatzSpec:
 
 @dataclass(frozen=True)
 class BatchTape:
-    """One forward pass: (B, 2**n) states after every Y sub-layer and at the end, and the angles."""
+    """One forward pass: the states, the angles and the diagonals it ran.
+
+    ``posts`` are the (B, 2**n) states after every Y sub-layer and at the
+    end; ``diags`` are the (l+1, 2**n) Z-and-entangler diagonals of
+    :func:`z_diagonals`, which the backward pass reads again.
+    """
 
     spec: AnsatzSpec
     posts: list[np.ndarray]
     theta: np.ndarray
+    diags: np.ndarray
 
     @property
     def final(self) -> np.ndarray:
@@ -92,7 +105,7 @@ def check_theta(theta: np.ndarray, spec: AnsatzSpec) -> np.ndarray:
             f"expected {spec.param_count} parameters for n={spec.n_qubits}, "
             f"l={spec.depth_l}, got shape {theta.shape}"
         )
-    if not np.all(np.isfinite(theta)):
+    if not np.isfinite(theta).all():
         raise ValueError("parameters must be finite")
     return theta
 
@@ -140,52 +153,121 @@ def z_diagonals(theta: np.ndarray, spec: AnsatzSpec) -> np.ndarray:
     return diags
 
 
-def layer_operators(
-    theta: np.ndarray, spec: AnsatzSpec
-) -> list[tuple[tuple[np.ndarray, ...], np.ndarray]]:
-    """(Y blocks, Z-and-entangler diagonal) of every rotation layer.
+@lru_cache(maxsize=None)
+def _y_block_indices(n_qubits: int, low: int) -> tuple[np.ndarray, np.ndarray]:
+    """(fold, entry) indices of the ry^T block of qubits ``low`` up to ``low + m - 1``.
 
-    The Y blocks split the Kronecker product of a layer's ry matrices into
-    blocks of at most ``KRON_BLOCK`` qubits.  Each block is a column-major
-    view: OpenBLAS ran these (dim, dim) @ (dim, 2) products about 1.7x
-    faster so.
+    Here m is ``min(KRON_BLOCK, n_qubits - low)``.  ``fold[i, x]`` picks,
+    from one layer's ``[cos_0, ..., cos_{n-1}, sin_0, ..., sin_{n-1}]``, the
+    factor of the block's qubit ``m - 1 - i`` in magnitude x: its cos where
+    x has a 0 at that qubit, its sin where x has a 1.  ``entry[r, c]``
+    indexes ``[mags, -mags]`` with the magnitude ``r ^ c`` and the sign of
+    the entry: ry^T = [[cos, sin], [-sin, cos]], so an entry is negative
+    where an odd number of qubits has bit 1 in r and 0 in c.
+    """
+    m = min(KRON_BLOCK, n_qubits - low)
+    x, qubits = np.arange(1 << m), np.arange(m - 1, -1, -1)[:, None]
+    bits = (x >> qubits) & 1
+    fold = low + qubits + n_qubits * bits
+    # bits.T @ (1 - bits) counts the qubits with bit 1 in r and 0 in c
+    entry = (x[:, None] ^ x) + len(x) * ((bits.T @ (1 - bits)) & 1)
+    for index in (fold, entry):
+        index.flags.writeable = False
+    return fold, entry
+
+
+def layer_operators(theta: np.ndarray, spec: AnsatzSpec) -> tuple[list[np.ndarray], np.ndarray]:
+    """(Y blocks, Z-and-entangler diagonals) of all l+1 rotation layers at once.
+
+    The diagonals are :func:`z_diagonals`.  The Y blocks split the Kronecker
+    product of a layer's ry matrices into blocks of at most ``KRON_BLOCK``
+    qubits; each block is an (l+1, dim, dim) stack, indexed by layer, of
+    column-major views: OpenBLAS ran these (dim, dim) @ (dim, 2) products
+    about 1.7x faster so.
+
+    How the blocks are built.  Entry (r, c) of the product of ry^T =
+    [[cos, sin], [-sin, cos]] over m qubits multiplies one factor per qubit,
+    each +/-cos or +/-sin of its half angle, so its magnitude depends only
+    on ``r ^ c``: there are 2**m magnitudes per layer, not 4**m entries.
+    The magnitudes are multiplied out in :func:`qcgrad.state.kron`'s factor
+    order, highest qubit first, and one ``take`` spreads them, with their
+    signs, over the entries (:func:`_y_block_indices`).  Negation is exact
+    and commutes with rounding, so every entry, and its sign bit, equals the
+    one ``kron`` builds from the full matrices.  ``kron`` runs its broadcast
+    steps over axes of length 2: with it this function took 47 us at n = 4,
+    l = 5, 85 us at l = 20 and 603 us at n = 6, l = 10, against 23, 35 and
+    137 us so (2 vCPUs, numpy 2.4).  :func:`encode_batch` keeps ``kron``:
+    an input's product state is a row of magnitudes with nothing to spread,
+    and on the 10,201 inputs of a 101x101 grid ``kron`` took 2.2 ms where
+    this fold took 3.2 ms.
     """
     n, l = spec.n_qubits, spec.depth_l
-    angles = theta.reshape(l + 1, n, 2)
-    # kron gets ry^T: it builds the row-major transpose of each block
-    c, s = np.cos(0.5 * angles[:, :, 0]), np.sin(0.5 * angles[:, :, 0])
-    mats = np.stack([c, s, -s, c], axis=-1).reshape(l + 1, n, 2, 2)
-    blocks = [kron(mats[:, q : q + KRON_BLOCK]).swapaxes(-1, -2) for q in range(0, n, KRON_BLOCK)]
-    return list(zip(zip(*blocks), z_diagonals(theta, spec)))
+    half = 0.5 * theta.reshape(l + 1, n, 2)[:, :, 0]
+    trig = np.concatenate([np.cos(half), np.sin(half)], axis=1)
+    blocks = []
+    for low in range(0, n, KRON_BLOCK):
+        fold, entry = _y_block_indices(n, low)
+        table = np.empty((l + 1, 2, fold.shape[1]))
+        # a left fold over the factors, in kron's order
+        np.multiply.reduce(trig.take(fold, axis=1), axis=1, out=table[:, 0])
+        np.negative(table[:, 0], out=table[:, 1])
+        blocks.append(table.reshape(l + 1, -1).take(entry, axis=1).swapaxes(-1, -2))
+    return blocks, z_diagonals(theta, spec)
 
 
 def run_variational(
-    encoded: np.ndarray, theta: np.ndarray, spec: AnsatzSpec, record: bool = True
+    encoded: np.ndarray,
+    theta: np.ndarray,
+    spec: AnsatzSpec,
+    record: bool = True,
+    *,
+    layers: tuple[list[np.ndarray], np.ndarray] | None = None,
 ) -> list[np.ndarray] | np.ndarray:
     """Apply the variational layers to encoded amplitudes of shape (B, dim).
 
     Returns the tape rows ``[Y_0, ..., Y_l, final]`` as a list when
     ``record`` is true, else just the final array.  This is the single code
     path behind the tape of :func:`forward_batch` and every loss-only
-    evaluation.
+    evaluation.  ``layers`` is :func:`layer_operators` of the checked theta
+    when the caller has built it already; theta is then not read.
     """
     amps = np.ascontiguousarray(encoded, dtype=complex)
-    layers = layer_operators(check_theta(theta, spec), spec)
+    blocks, diags = layers if layers is not None else layer_operators(check_theta(theta, spec), spec)
     # the rows are one allocation: many small ones freed together let the C
     # heap shrink and fault its pages back in on the next call.  They are the
     # tape, or one Y row and the final row when nothing is recorded
-    rows = len(layers) + 1 if record else 2
+    rows = len(diags) + 1 if record else 2
     posts = np.empty((rows,) + amps.shape, dtype=complex)
-    # the other buffer of a Y sub-layer split into Kronecker blocks
-    work = np.empty_like(amps) if len(layers[0][0]) > 1 else None
-    for k, (blocks, diag) in enumerate(layers):
-        amps = apply_real_blocks(amps, blocks, posts[min(k, rows - 2)], work)
+    # a Y sub-layer split into Kronecker blocks writes to the row and to this
+    # buffer in turn, so that its last block writes to the row (a fresh
+    # buffer per block made a loss-only forward at n = 7, B = 200, l = 3 take
+    # 504 minor page faults); a single block writes to the row alone
+    work = np.empty_like(amps) if len(blocks) > 1 else posts[0]
+    # each block's float views of the rows and of the work buffer, made once
+    steps, lo = [], 1
+    for stack in blocks:
+        m = stack.shape[1]
+        steps.append((stack, real_block_view(posts, m, lo), real_block_view(work, m, lo)))
+        lo *= m
+    # the first block reads the encoded states, then each diag * Y_k
+    source = real_block_view(amps, blocks[0].shape[1])
+    final_view = real_block_view(posts[-1], blocks[0].shape[1])
+    for k, diag in enumerate(diags):
+        row = min(k, rows - 2)
+        for i, (stack, at_rows, at_work) in enumerate(steps):
+            to_row = (len(steps) - i) % 2
+            if i:  # what the block before wrote
+                source = at_work if to_row else at_rows[row]
+            np.matmul(stack[k], source, out=at_rows[row] if to_row else at_work)
         # the final row holds each diag * Y_k until the next Y sub-layer reads it
-        amps = np.multiply(amps, diag, out=posts[-1])
-    return list(posts) if record else amps
+        np.multiply(posts[row], diag, out=posts[-1])
+        source = final_view
+    return list(posts) if record else posts[-1]
 
 
 def forward_batch(encoded: np.ndarray, theta: np.ndarray, spec: AnsatzSpec) -> BatchTape:
     """Run the variational layers on encoded amplitudes, recording the tape."""
     theta = check_theta(theta, spec)
-    return BatchTape(spec, run_variational(encoded, theta, spec, record=True), theta)
+    layers = layer_operators(theta, spec)
+    posts = run_variational(encoded, theta, spec, record=True, layers=layers)
+    return BatchTape(spec, posts, theta, layers[1])

@@ -147,16 +147,17 @@ def classification_batch(
     at gamma=1 this is the plain (y1 - d) error signal.
     """
     t = head.gamma * (z[:, 0] - z[:, 1])
-    y1 = np.empty_like(t)
-    pos = t >= 0
-    y1[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    e = np.exp(t[~pos])
-    y1[~pos] = e / (1.0 + e)
-    y = np.clip(y1, CLAMP_EPS, 1.0 - CLAMP_EPS)
-    d = labels.astype(float)
+    # the logistic form for each sign of t, with e = exp(-|t|), never overflows
+    e = np.exp(-np.abs(t))
+    denominator = 1.0 + e
+    y1 = np.where(t >= 0, 1.0 / denominator, e / denominator)
+    y = np.minimum(np.maximum(y1, CLAMP_EPS), 1.0 - CLAMP_EPS)
+    d = np.asarray(labels, dtype=float)
     losses = -(d * np.log(y) + (1.0 - d) * np.log(1.0 - y))
-    g = head.gamma * (y1 - d)
-    return losses, y1, np.column_stack([g, -g])
+    dL_dz = np.empty((len(t), 2))
+    np.multiply(head.gamma, y1 - d, out=dL_dz[:, 0])
+    np.negative(dL_dz[:, 0], out=dL_dz[:, 1])
+    return losses, y1, dL_dz
 
 
 def readout(

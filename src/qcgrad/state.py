@@ -11,11 +11,12 @@ Z readout and is documented prominently because binary-string endianness is
 otherwise ambiguous.
 
 The circuit runs whole layers at once on batches of shape ``(B, 2**n)``:
-:func:`kron` builds the dense real matrix of one rotation per qubit (and the
-encoded product states), :func:`apply_real_blocks` applies it with one
-matmul per state and block of at most :data:`KRON_BLOCK` qubits, and a
-diagonal layer is an elementwise product.  :func:`apply_operator` applies a
-whole circuit's dense operator, again one matmul per state.  The backward
+the dense real matrix of one rotation per qubit is applied with one matmul
+per state and block of at most :data:`KRON_BLOCK` qubits, through
+:func:`real_block_view`, and a diagonal layer is an elementwise product.
+:func:`kron` builds Kronecker products: the encoded product states and the
+Walsh-Hadamard blocks.  :func:`apply_operator` applies a whole circuit's
+dense operator, again one matmul per state.  The backward
 pass applies the fixed Walsh-Hadamard transform with :func:`apply_hadamard`
 instead, whose lowest block is one flat GEMM over all rows.
 
@@ -82,41 +83,22 @@ def kron(mats: np.ndarray) -> np.ndarray:
     return out
 
 
-def apply_real_blocks(
-    amps: np.ndarray,
-    blocks: tuple[np.ndarray, ...],
-    out: np.ndarray,
-    work: np.ndarray | None = None,
-    lo: int = 1,
-) -> np.ndarray:
-    """Apply real block matrices to a C-contiguous ``(B, 2**n)`` complex array.
+def real_block_view(amps: np.ndarray, m: int, lo: int = 1) -> np.ndarray:
+    """Float view of C-contiguous ``(..., B, 2**n)`` complex states for one real block.
 
-    ``blocks[0]`` acts on the qubits from bit ``log2(lo)`` up, each next
-    block on the qubits above the previous one.  Each state is its own
-    matmul over the real and imaginary parts, so a row's result never
-    depends on the other rows; one (2B, 2**n) matmul would not keep that.
-    The blocks write to ``out`` and ``work`` (C-contiguous, the shape of
-    ``amps``, neither one ``amps``) in turn, so that the last writes to
-    ``out``, which is returned; ``work`` may be None for a single block.
-    With a fresh intermediate per block instead, the C heap shrank and
-    faulted its pages back in: a loss-only forward at B=200, l=3 took 504
-    minor page faults at n=7 and 1,104 at n=8, against none with the buffers.
+    The block is an (m, m) matrix on the qubits from bit ``log2(lo)`` up.
+    The view has shape ``(..., B, 2**n // (m * lo), m, 2 * lo)``, so that
+    ``np.matmul(block, view)`` is one matmul per state over its real and
+    imaginary parts: a row's result never depends on the other rows, which
+    one (2B, 2**n) matmul would not keep.
     """
-    b, dim = amps.shape
-    for i, mat in enumerate(blocks):
-        m = len(mat)
-        dest = out if (len(blocks) - i) % 2 else work
-        view = amps.view(float).reshape(b, dim // (m * lo), m, 2 * lo)
-        np.matmul(mat, view, out=dest.view(float).reshape(view.shape))
-        amps = dest
-        lo *= m
-    return out
+    return amps.view(float).reshape(amps.shape[:-1] + (amps.shape[-1] // (m * lo), m, 2 * lo))
 
 
 def apply_operator(amps: np.ndarray, operator: np.ndarray) -> np.ndarray:
     """``amps @ operator`` of C-contiguous (B, 2**n) states and a (2**n, 2**n) matrix.
 
-    As in :func:`apply_real_blocks`, each state is its own matmul over the
+    As in :func:`real_block_view`, each state is its own matmul over the
     real and imaginary parts, so a row's result never depends on the other
     rows.  After a warm-up, the first products grew the resident set by
     40 KB in this real form, by 232 KB as complex per-state products and by
@@ -175,8 +157,9 @@ def apply_hadamard(amps: np.ndarray, work: np.ndarray) -> np.ndarray:
     lo = len(first) // 2
     for block in rest:
         amps, work = work, amps
-        apply_real_blocks(amps, (block,), work, lo=lo)
-        lo *= len(block)
+        m = len(block)
+        np.matmul(block, real_block_view(amps, m, lo), out=real_block_view(work, m, lo))
+        lo *= m
     return work
 
 

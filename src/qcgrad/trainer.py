@@ -125,11 +125,21 @@ class CircuitObjective:
 
     def _measure(self, row_finals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(final amplitudes, (B, k) <Z> of the head's qubits) of the batch, from
-        the final states of its rows.  Each <Z_q> is one matvec against its sign
-        row; one GEMM against all k rows rounds differently (2.7e-13 at n = 8)."""
+        the final states of its rows.
+
+        The operator is applied first when the layers ran on the basis rows.
+        Each <Z_q> is one matvec of the probabilities against its sign row,
+        written into row q of a fresh (k, B) array whose transpose is
+        returned; one GEMM against all k rows rounds differently (2.7e-13 at
+        n = 8).  The probabilities are squared in place.
+        """
         final = row_finals if self.rows is self.encoded else apply_operator(self.encoded, row_finals)
-        probs = np.abs(final) ** 2
-        return final, np.column_stack([probs @ signs for signs in self.signs])
+        probs = np.abs(final)
+        np.square(probs, out=probs)
+        z = np.empty((len(self.signs), len(final)))
+        for out, signs in zip(z, self.signs):
+            np.matmul(probs, signs, out=out)
+        return final, z.T
 
     def expectations(self, theta: np.ndarray) -> np.ndarray:
         """(B, k) <Z> of the head's qubits at theta: the one loss-only forward."""
@@ -137,7 +147,9 @@ class CircuitObjective:
 
     def loss(self, theta: np.ndarray) -> float:
         """Mean loss over the batch; the opaque evaluator handed to FD/SPSA."""
-        return float(readout(self.expectations(theta), self.targets, self.head)[0].mean())
+        losses = readout(self.expectations(theta), self.targets, self.head)[0]
+        # np.mean's own sum and division, without its Python-level dispatch
+        return float(losses.sum()) / len(losses)
 
     def evaluate(self, theta: np.ndarray) -> tuple[float, float, np.ndarray]:
         """(mean loss, the head's metric, per-sample outputs) at theta.

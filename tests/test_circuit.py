@@ -3,12 +3,14 @@ import pytest
 from conftest import single_tape
 
 from qcgrad import gates
-from qcgrad.circuit import AnsatzSpec, encode_angles, encode_batch, forward_batch
+from qcgrad.circuit import AnsatzSpec, encode_angles, encode_batch, forward_batch, layer_operators
 from qcgrad.state import (
+    KRON_BLOCK,
     QuantumState,
     apply_cz,
     apply_single_qubit,
     basis_state,
+    kron,
     ring_signs,
     z_expectation,
 )
@@ -176,6 +178,31 @@ def test_fused_final_state_matches_gate_by_gate_replay():
             state = replay_layers(QuantumState(n, encoded[0]), theta, spec)
             worst = max(worst, np.abs(state.amplitudes - forward_batch(encoded, theta, spec).final[0]).max())
     assert worst <= 1e-14
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_layer_blocks_equal_the_kron_of_the_ry_matrices(n):
+    # layer_operators spreads each block's 2**m magnitudes over its entries;
+    # every entry, sign bit and stride must be what kron builds from the
+    # stacked ry^T matrices.  n = 7 and 8 split a layer into two blocks
+    rng = np.random.default_rng(30 + n)
+    for l in (0, 3):
+        spec = AnsatzSpec(n, l)
+        for theta in (np.zeros(spec.param_count), rng.uniform(0, 2 * np.pi, spec.param_count)):
+            half = 0.5 * theta.reshape(l + 1, n, 2)[:, :, 0]
+            c, s = np.cos(half), np.sin(half)
+            ry_t = np.stack([c, s, -s, c], axis=-1).reshape(l + 1, n, 2, 2)
+            expected = [
+                kron(np.ascontiguousarray(ry_t[:, q : q + KRON_BLOCK])).swapaxes(-1, -2)
+                for q in range(0, n, KRON_BLOCK)
+            ]
+            blocks, _ = layer_operators(theta, spec)
+            assert len(blocks) == len(expected) == (1 if n <= KRON_BLOCK else 2)
+            for block, reference in zip(blocks, expected):
+                # the strides of each layer's matrix, which its matmuls see
+                assert block.shape == reference.shape and block.strides[1:] == reference.strides[1:]
+                assert np.array_equal(block, reference)
+                assert np.array_equal(np.signbit(block), np.signbit(reference))
 
 
 def test_batch_rows_equal_single_runs_at_five_and_six_qubits():

@@ -5,6 +5,7 @@ import pytest
 
 from qcgrad import gates
 from qcgrad.heads import (
+    CLAMP_EPS,
     ClassificationHead,
     RegressionHead,
     classification_batch,
@@ -186,3 +187,34 @@ def test_batch_heads_match_scalar_ops():
         assert abs(y1s[i] - y1) < 1e-12
         assert abs(losses[i] + d * math.log(y1) + (1 - d) * math.log(y2)) < 1e-12
         assert np.allclose(dL_dz[i], [3.0 * (y1 - d), -3.0 * (y1 - d)], atol=1e-12)
+
+
+def masked_classification(z, labels, gamma):
+    """classification_batch's returns in their earlier boolean-mask form, as a reference."""
+    t = gamma * (z[:, 0] - z[:, 1])
+    y1 = np.empty_like(t)
+    pos = t >= 0
+    y1[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
+    e = np.exp(t[~pos])
+    y1[~pos] = e / (1.0 + e)
+    y = np.clip(y1, CLAMP_EPS, 1.0 - CLAMP_EPS)
+    d = labels.astype(float)
+    losses = -(d * np.log(y) + (1.0 - d) * np.log(1.0 - y))
+    g = gamma * (y1 - d)
+    return losses, y1, np.column_stack([g, -g])
+
+
+@pytest.mark.parametrize("gamma", [1.0, 2.0, 30.0, 400.0])
+def test_classification_batch_equals_the_masked_form_bit_for_bit(gamma):
+    # each edge row comes with both labels: t = gamma * (z1 - z2) is +0 in
+    # rows 0-1 and -0 in rows 2-3, and at gamma = 400 rows 4-11 reach
+    # |t| >= 740, up to 800, past the 745 where exp underflows to 0
+    edges = np.array([[0.0, 0.0], [-0.0, 0.0], [1.0, -1.0], [-1.0, 1.0], [0.9, -0.95], [-0.95, 0.9]])
+    z = np.concatenate([np.repeat(edges, 2, axis=0), np.random.default_rng(12).uniform(-1, 1, (200, 2))])
+    labels = np.concatenate([np.tile([0.0, 1.0], len(edges)), np.random.default_rng(13).integers(0, 2, 200)])
+    head = ClassificationHead(gamma=gamma)
+    assert np.signbit(gamma * (z[2, 0] - z[2, 1])) and not np.signbit(gamma * (z[0, 0] - z[0, 1]))
+    expected = masked_classification(z, labels, gamma)
+    for got, reference in zip(classification_batch(z, labels, head), expected, strict=True):
+        assert got.shape == reference.shape
+        assert np.array_equal(got, reference)
