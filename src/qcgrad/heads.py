@@ -49,9 +49,10 @@ def accuracy(predicted_labels: np.ndarray, true_labels: np.ndarray) -> float:
     """Fraction of matching 0/1 labels."""
     predicted_labels = np.asarray(predicted_labels)
     true_labels = np.asarray(true_labels)
-    if predicted_labels.shape != true_labels.shape:
-        raise ValueError("label vectors must have equal length")
-    return float(np.mean(predicted_labels == true_labels))
+    if predicted_labels.shape != true_labels.shape or true_labels.size == 0:
+        raise ValueError("label vectors must be equal-length and non-empty")
+    # the count is an exact integer, so this is np.mean of the matches, bit for bit
+    return np.count_nonzero(predicted_labels == true_labels) / true_labels.size
 
 
 @dataclass(frozen=True)
@@ -101,7 +102,7 @@ class ClassificationHead:
         return (self.qubit_1, self.qubit_2)
 
     def metric(self, outputs: np.ndarray, targets: np.ndarray) -> float:
-        return accuracy((outputs > 0.5).astype(int), np.asarray(targets).astype(int))
+        return accuracy(outputs > 0.5, targets)
 
 
 def _sigmoid(t: float) -> float:

@@ -17,8 +17,9 @@ per state and block of at most :data:`KRON_BLOCK` qubits, through
 :func:`kron` builds Kronecker products: the encoded product states and the
 Walsh-Hadamard blocks.  :func:`apply_operator` applies a whole circuit's
 dense operator, again one matmul per state.  The backward
-pass applies the fixed Walsh-Hadamard transform with :func:`apply_hadamard`
-instead, whose lowest block is one flat GEMM over all rows.
+pass applies the fixed Walsh-Hadamard transform instead, through the matmul
+steps that :func:`hadamard_plan` lays out once per call; its lowest block is
+one flat GEMM over all rows.
 
 Why two kinds of matmul: the forward pass keeps every batch row equal bit for
 bit to the same input run alone (B=1), so training on a batch and replaying
@@ -139,28 +140,31 @@ def hadamard_blocks(n_qubits: int) -> tuple[np.ndarray, ...]:
     return tuple(blocks)
 
 
-def apply_hadamard(amps: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """``H^{(x)n}`` with +/-1 entries (applying it twice multiplies by 2**n).
+def hadamard_plan(amps: np.ndarray, work: np.ndarray) -> tuple[list[tuple], np.ndarray]:
+    """Plan ``H^{(x)n}`` with +/-1 entries (applying it twice multiplies by 2**n).
 
-    ``amps`` and ``work`` are C-contiguous ``(R, 2**n)`` complex arrays.  The
+    ``amps`` and ``work`` are C-contiguous ``(R, 2**n)`` complex arrays.
+    Returns ``(steps, result)``: ``np.matmul(*step)`` for each step in turn
+    transforms whatever ``amps`` holds at that time and leaves it in
+    ``result``, so a plan made once serves every transform of a call.  The
     lowest block is one flat GEMM over all rows, so a row's last bits may
     depend on the other rows (see the module docstring); the blocks above it
     multiply each row separately.  The blocks write to ``amps`` and ``work``
     in turn, so nothing is allocated: fresh temporaries of this size made
     the C heap shrink and fault its pages back in, about 2,000 page faults
-    per backward pass at n=8, B=200.  Both arrays are overwritten; returns
-    the one that holds the result (``work`` when the blocks are odd in number).
+    per backward pass at n=8, B=200.  The steps overwrite both arrays;
+    ``result`` is ``work`` when the blocks are odd in number, else ``amps``.
     """
     first, *rest = hadamard_blocks(amps.shape[1].bit_length() - 1)
     flat = (-1, len(first))
-    np.matmul(amps.view(float).reshape(flat), first, out=work.view(float).reshape(flat))
+    steps = [(amps.view(float).reshape(flat), first, work.view(float).reshape(flat))]
     lo = len(first) // 2
     for block in rest:
         amps, work = work, amps
         m = len(block)
-        np.matmul(block, real_block_view(amps, m, lo), out=real_block_view(work, m, lo))
+        steps.append((block, real_block_view(amps, m, lo), real_block_view(work, m, lo)))
         lo *= m
-    return work
+    return steps, work
 
 
 @lru_cache(maxsize=None)

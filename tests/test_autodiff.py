@@ -58,6 +58,9 @@ def test_gradient_matches_finite_differences():
     for n in (5, 6, 7, 8):
         check(n, 1, False)
         check(n, 2, True)
+    # n = 9 and 10 split it into three blocks, where its buffers swap twice
+    check(9, 1, False)
+    check(10, 1, True)
 
 
 def test_gradient_is_real_and_finite():

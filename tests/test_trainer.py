@@ -50,6 +50,8 @@ def test_accuracy_examples():
     assert accuracy(np.array([1, 0, 1, 1]), np.array([1, 0, 0, 1])) == 0.75
     with pytest.raises(ValueError):
         accuracy(np.ones(3), np.ones(2))
+    with pytest.raises(ValueError):
+        accuracy(np.array([]), np.array([]))
 
 
 def test_train_config_validation():
