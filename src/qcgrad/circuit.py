@@ -31,11 +31,13 @@ outside [-1, 1], and NaN, are rejected rather than clamped — clamping would
 silently corrupt the encoding, so dataset generators guarantee the range
 instead.
 
-:func:`layer_operators` builds every layer's operators in one go, and
-:func:`run_variational` runs them in one loop, for the tape and for every
-loss-only forward alike, with the float views of its buffers made once per
-call: at n = 4 a forward is a few microseconds of arithmetic and mostly
-per-call numpy overhead.
+Each forward turns a checked theta into layers once, in its caller:
+:func:`forward_batch` for the tape and ``CircuitObjective.expectations`` (in
+:mod:`qcgrad.trainer`) for every loss-only forward call
+:func:`layer_operators`, which builds every layer's operators in one go.
+:func:`run_variational` only runs the layers it is handed, in one loop, with
+the float views of its buffers made once per call: at n = 4 a forward is a
+few microseconds of arithmetic and mostly per-call numpy overhead.
 
 Every simulation runs on a batch of shape ``(B, 2**n)``; a single input is
 the batch ``x[None, :]``.  The batch may also be the 2**n basis rows, whose
@@ -50,7 +52,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .state import KRON_BLOCK, kron, real_block_view, ring_signs, z_sign_matrix
+from .state import KRON_BLOCK, as_index, kron, real_block_view, ring_signs, z_sign_matrix
 
 
 @dataclass(frozen=True)
@@ -66,11 +68,11 @@ class AnsatzSpec:
     feature_dim: int = 1
 
     def __post_init__(self):
-        if self.n_qubits < 1:
+        if as_index(self.n_qubits, "n_qubits") < 1:
             raise ValueError(f"n_qubits must be >= 1, got {self.n_qubits}")
-        if self.depth_l < 0:
+        if as_index(self.depth_l, "depth_l") < 0:
             raise ValueError(f"depth_l must be >= 0, got {self.depth_l}")
-        if self.feature_dim not in (1, 2):
+        if as_index(self.feature_dim, "feature_dim") not in (1, 2):
             raise ValueError(f"feature_dim must be 1 or 2, got {self.feature_dim}")
         if self.feature_dim == 2 and self.n_qubits < 2:
             raise ValueError("2-D inputs need at least 2 qubits")
@@ -216,23 +218,17 @@ def layer_operators(theta: np.ndarray, spec: AnsatzSpec) -> tuple[list[np.ndarra
 
 
 def run_variational(
-    encoded: np.ndarray,
-    theta: np.ndarray,
-    spec: AnsatzSpec,
-    record: bool = True,
-    *,
-    layers: tuple[list[np.ndarray], np.ndarray] | None = None,
+    encoded: np.ndarray, layers: tuple[list[np.ndarray], np.ndarray], *, record: bool
 ) -> list[np.ndarray] | np.ndarray:
-    """Apply the variational layers to encoded amplitudes of shape (B, dim).
+    """Apply the :func:`layer_operators` ``layers`` to encoded amplitudes of shape (B, dim).
 
     Returns the tape rows ``[Y_0, ..., Y_l, final]`` as a list when
     ``record`` is true, else just the final array.  This is the single code
     path behind the tape of :func:`forward_batch` and every loss-only
-    evaluation.  ``layers`` is :func:`layer_operators` of the checked theta
-    when the caller has built it already; theta is then not read.
+    evaluation; both build the layers from a checked theta first.
     """
     amps = np.ascontiguousarray(encoded, dtype=complex)
-    blocks, diags = layers if layers is not None else layer_operators(check_theta(theta, spec), spec)
+    blocks, diags = layers
     # the rows are one allocation: many small ones freed together let the C
     # heap shrink and fault its pages back in on the next call.  They are the
     # tape, or one Y row and the final row when nothing is recorded
@@ -269,5 +265,4 @@ def forward_batch(encoded: np.ndarray, theta: np.ndarray, spec: AnsatzSpec) -> B
     """Run the variational layers on encoded amplitudes, recording the tape."""
     theta = check_theta(theta, spec)
     layers = layer_operators(theta, spec)
-    posts = run_variational(encoded, theta, spec, record=True, layers=layers)
-    return BatchTape(spec, posts, theta, layers[1])
+    return BatchTape(spec, run_variational(encoded, layers, record=True), theta, layers[1])

@@ -32,6 +32,8 @@ class Dataset:
             raise ValueError(f"x must be 2-D (count, dim), got shape {np.shape(self.x)}")
         if len(self.x) == 0:
             raise ValueError("dataset must not be empty")
+        if np.ndim(self.targets) != 1:
+            raise ValueError(f"targets must be 1-D (count,), got shape {np.shape(self.targets)}")
         if len(self.x) != len(self.targets):
             raise ValueError(f"{len(self.x)} inputs but {len(self.targets)} targets")
         if self.task == "classification" and not np.isin(self.targets, (0, 1)).all():

@@ -37,6 +37,7 @@ reference the circuit is tested against.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -193,13 +194,15 @@ def ring_signs(n_qubits: int) -> np.ndarray:
     return signs
 
 
-@lru_cache(maxsize=None)
+# typed, so that a float qubit misses the cache of its int and is rejected
+@lru_cache(maxsize=None, typed=True)
 def z_sign_vector(n_qubits: int, qubit: int) -> np.ndarray:
     """+1 where ``qubit``'s bit of the basis index is 0, -1 where it is 1.
 
-    Raises ValueError for a qubit outside ``0 <= qubit < n_qubits``.
+    Raises ValueError for a qubit outside ``0 <= qubit < n_qubits``, and
+    TypeError for one that is not an integer.
     """
-    _check_qubit(n_qubits, qubit)
+    qubit = _check_qubit(n_qubits, qubit)
     idx = np.arange(1 << n_qubits)
     signs = 1.0 - 2.0 * ((idx >> qubit) & 1)
     signs.flags.writeable = False
@@ -250,8 +253,17 @@ class QuantumState:
         return abs(float(np.sum(np.abs(self.amplitudes) ** 2)) - 1.0)
 
 
+def as_index(value, name: str) -> int:
+    """``value`` as an int, through ``operator.index``: numpy integers pass,
+    and a float raises TypeError naming ``name`` rather than being truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _check_qubit(n_qubits: int, qubit: int, name: str = "qubit") -> int:
-    qubit = int(qubit)
+    qubit = as_index(qubit, f"{name} index")
     if not 0 <= qubit < n_qubits:
         raise ValueError(f"{name} index {qubit} out of range for {n_qubits} qubit(s)")
     return qubit

@@ -40,10 +40,10 @@ import numpy as np
 
 from .autodiff import backward_batch
 from .baselines import SpsaConfig, finite_difference_grad, spsa_grad
-from .circuit import AnsatzSpec, encode_batch, forward_batch, run_variational
+from .circuit import AnsatzSpec, check_theta, encode_batch, forward_batch, layer_operators, run_variational
 from .datasets import Dataset
 from .heads import ClassificationHead, RegressionHead, readout
-from .state import apply_operator, z_sign_vector
+from .state import apply_operator, as_index, z_sign_vector
 
 GRADIENT_METHODS = ("backprop", "finite_difference", "spsa")
 
@@ -76,7 +76,7 @@ class TrainConfig:
             value = getattr(self, name)
             if not 0 < value < math.inf:
                 raise ValueError(f"{name} must be finite and > 0, got {value}")
-        if self.iterations < 1:
+        if as_index(self.iterations, "iterations") < 1:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
         if self.gradient_method not in GRADIENT_METHODS:
             raise ValueError(
@@ -143,7 +143,8 @@ class CircuitObjective:
 
     def expectations(self, theta: np.ndarray) -> np.ndarray:
         """(B, k) <Z> of the head's qubits at theta: the one loss-only forward."""
-        return self._measure(run_variational(self.rows, theta, self.spec, record=False))[1]
+        layers = layer_operators(check_theta(theta, self.spec), self.spec)
+        return self._measure(run_variational(self.rows, layers, record=False))[1]
 
     def loss(self, theta: np.ndarray) -> float:
         """Mean loss over the batch; the opaque evaluator handed to FD/SPSA."""

@@ -3,7 +3,14 @@ import pytest
 from conftest import single_tape
 
 from qcgrad import gates
-from qcgrad.circuit import AnsatzSpec, encode_angles, encode_batch, forward_batch, layer_operators
+from qcgrad.circuit import (
+    AnsatzSpec,
+    encode_angles,
+    encode_batch,
+    forward_batch,
+    layer_operators,
+    run_variational,
+)
 from qcgrad.state import (
     KRON_BLOCK,
     QuantumState,
@@ -54,6 +61,11 @@ def test_spec_validation():
         AnsatzSpec(2, 1, feature_dim=3)
     with pytest.raises(ValueError):
         AnsatzSpec(1, 1, feature_dim=2)
+    # a float count used to construct and fail later, in a shift or np.empty
+    for counts in ((2.5, 1), (2.0, 1, 2), (2, 1.0), (2, 1, 2.0)):
+        with pytest.raises(TypeError, match="must be an integer"):
+            AnsatzSpec(*counts)
+    assert AnsatzSpec(np.int64(2), np.int64(1), np.int64(2)).param_count == 8
 
 
 def test_param_count():
@@ -203,6 +215,21 @@ def test_layer_blocks_equal_the_kron_of_the_ry_matrices(n):
                 assert block.shape == reference.shape and block.strides[1:] == reference.strides[1:]
                 assert np.array_equal(block, reference)
                 assert np.array_equal(np.signbit(block), np.signbit(reference))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_recording_and_loss_only_forwards_agree(n):
+    # the loss-only forward keeps one Y row, which at n = 7 and 8 (two
+    # Kronecker blocks) it alternates with the work buffer; its final rows
+    # must be the tape's, on encoded inputs and on the basis rows alike
+    rng = np.random.default_rng(40 + n)
+    for l in (0, 3):
+        spec = AnsatzSpec(n, l)
+        layers = layer_operators(rng.uniform(0, 2 * np.pi, spec.param_count), spec)
+        for rows in (encode_batch(rng.uniform(-1, 1, (5, 1)), spec), np.eye(1 << n, dtype=complex)):
+            tape = run_variational(rows, layers, record=True)
+            assert len(tape) == l + 2
+            assert np.array_equal(run_variational(rows, layers, record=False), tape[-1])
 
 
 def test_batch_rows_equal_single_runs_at_five_and_six_qubits():

@@ -124,6 +124,10 @@ def test_dataset_validation():
     for x in (np.zeros(3), np.zeros((3, 1, 1)), np.float64(0.5)):
         with pytest.raises(ValueError, match="must be 2-D"):
             Dataset(x=x, targets=np.zeros(3), task="regression")
+    # a (3, 3) target used to broadcast into a (3, 3) loss array
+    for targets in (np.zeros((3, 3)), np.zeros((3, 1)), np.float64(0.5)):
+        with pytest.raises(ValueError, match="targets must be 1-D"):
+            Dataset(x=np.zeros((3, 1)), targets=targets, task="regression")
     for labels in ([0, 2, 1], [0, -1, 1], [0, 0.5, 1], [0, np.nan, 1]):
         with pytest.raises(ValueError, match="must be 0 or 1"):
             Dataset(x=np.zeros((3, 2)), targets=np.array(labels), task="classification")

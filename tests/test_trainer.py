@@ -8,11 +8,12 @@ import qcgrad.circuit as circuit
 import qcgrad.heads as heads
 import qcgrad.trainer as trainer
 
+from qcgrad import gates
 from qcgrad.baselines import finite_difference_grad
-from qcgrad.circuit import AnsatzSpec, encode_batch, run_variational
+from qcgrad.circuit import AnsatzSpec, encode_batch, forward_batch
 from qcgrad.datasets import Dataset, gen_circles, gen_function_dataset, gen_moons
 from qcgrad.heads import ClassificationHead, RegressionHead, accuracy, r_squared, readout
-from qcgrad.state import apply_operator, z_sign_vector
+from qcgrad.state import apply_cz, apply_operator, apply_single_qubit, basis_state, marginal, z_sign_vector
 from qcgrad.trainer import (
     CircuitObjective,
     TrainConfig,
@@ -61,6 +62,9 @@ def test_train_config_validation():
         TrainConfig(learning_rate=0.0)
     with pytest.raises(ValueError):
         TrainConfig(gradient_method="adagrad")
+    with pytest.raises(TypeError, match="iterations must be an integer"):
+        TrainConfig(iterations=2.0)
+    assert TrainConfig(iterations=np.int64(2)).iterations == 2
 
 
 @pytest.mark.parametrize(
@@ -200,6 +204,32 @@ def test_out_of_range_head_qubits_rejected_wherever_they_become_signs(classifica
             z_sign_vector(n, qubit)
 
 
+NON_INTEGER_QUBITS = {
+    "apply_single_qubit": (1.9, lambda q: apply_single_qubit(basis_state(2, 0), gates.ry(np.pi), q)),
+    "apply_cz": (0.5, lambda q: apply_cz(basis_state(2, 3), q, 1)),
+    "marginal": (0.7, lambda q: marginal(basis_state(2, 1), q)),
+    "objective": (
+        1.0,
+        lambda q: CircuitObjective(
+            gen_function_dataset("sine", 4), AnsatzSpec(2, 1), RegressionHead(measured_qubit=q)
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("cached", [False, True], ids=["fresh", "int-cached"])
+@pytest.mark.parametrize("qubit, call", NON_INTEGER_QUBITS.values(), ids=NON_INTEGER_QUBITS)
+def test_non_integer_qubits_rejected(qubit, call, cached):
+    # int() used to truncate each of these to a qubit, and z_sign_vector
+    # shifted by the raw float unless the int's cache entry answered first
+    z_sign_vector.cache_clear()
+    if cached:
+        z_sign_vector(2, 1)
+    with pytest.raises(TypeError, match="index must be an integer"):
+        call(qubit)
+    call(np.int64(int(qubit)))
+
+
 def operator_objective(n, l, classification, count, seed=0):
     """(objective, theta) on a moons or sine dataset of ``count`` points."""
     if classification:
@@ -235,7 +265,7 @@ def test_operator_apply_rows_equal_single_runs(n):
     rng = np.random.default_rng(300 + n)
     spec = AnsatzSpec(n, 2)
     theta = rng.uniform(0.0, 2.0 * np.pi, spec.param_count)
-    operator = run_variational(np.eye(1 << n, dtype=complex), theta, spec, record=False)
+    operator = forward_batch(np.eye(1 << n, dtype=complex), theta, spec).final
     for b in (2, 3, 200):
         states = rng.normal(size=(b, 1 << n)) + 1j * rng.normal(size=(b, 1 << n))
         rows = apply_operator(states, operator)
@@ -264,7 +294,7 @@ def test_expectations_match_the_state_reference(n):
     for l in (0, 3):
         for classification in (False, True) if n >= 2 else (False,):
             objective, theta = operator_objective(n, l, classification, count=40)
-            final = run_variational(objective.encoded, theta, objective.spec, record=False)
+            final = forward_batch(objective.encoded, theta, objective.spec).final
             reference = z_reference(final, objective.head.qubits)
             for rows in (objective.encoded, np.eye(1 << n, dtype=complex)):
                 objective.rows = rows
@@ -337,7 +367,7 @@ def test_predict_matches_the_per_sample_rows(count):
     theta = rng.uniform(0.0, 2.0 * np.pi, spec.param_count)
     objective = CircuitObjective(Dataset(x=xs, targets=np.zeros(count), task=head.task), spec, head)
     assert (objective.rows is not objective.encoded) == (count > 5)
-    final = run_variational(encode_batch(xs, spec), theta, spec, record=False)
+    final = forward_batch(encode_batch(xs, spec), theta, spec).final
     expected = readout(z_reference(final, head.qubits), np.zeros(count), head)[1]
     assert np.abs(predict(xs, theta, spec, head) - expected).max() <= 1e-14
 
@@ -349,7 +379,7 @@ def test_evaluation_counts(monkeypatch, count):
     calls = Counter()
 
     def run(*args, _original=circuit.run_variational, **kwargs):
-        calls["record" if kwargs.get("record", args[3] if len(args) > 3 else True) else "loss"] += 1
+        calls["record" if kwargs["record"] else "loss"] += 1
         return _original(*args, **kwargs)
 
     def backward(*args, _original=trainer.backward_batch):
