@@ -7,7 +7,7 @@ benchmark of the gradient methods.
 __version__ = "0.1.0"
 
 from .autodiff import backward_batch
-from .baselines import SpsaConfig, finite_difference_grad, spsa_grad
+from .baselines import finite_difference_grad, spsa_grad
 from .bench import BenchmarkRecord, run_benchmark
 from .circuit import AnsatzSpec, encode_batch, forward_batch
 from .datasets import Dataset, gen_circles, gen_function_dataset, gen_moons
@@ -45,7 +45,6 @@ __all__ = [
     "Dataset",
     "QuantumState",
     "RegressionHead",
-    "SpsaConfig",
     "TrainConfig",
     "TrainResult",
     "TrainingDivergedError",

@@ -2,43 +2,28 @@
 
 Both take an opaque loss evaluator ``f(theta) -> float`` so their evaluation
 counts are exactly what they appear to be: 2 * len(theta) calls for finite
-differences, 2 calls for one SPSA estimate.
+differences, 2 calls for one SPSA estimate.  SPSA's perturbation follows
+Spall's practical guidelines with fixed constants; the trainer applies its
+estimates with its own plain learning rate, not Spall's step-size schedule,
+so that timing comparisons isolate gradient-computation cost.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 LossFunction = Callable[[np.ndarray], float]
 
+#: Spall's practical perturbation constants, the c_k of :func:`spsa_perturbation_size`.
+SPSA_C, SPSA_GAMMA = 0.1, 0.101
 
-@dataclass(frozen=True)
-class SpsaConfig:
-    """SPSA perturbation constants following Spall's practical guidelines.
 
-    ``c``/``gamma_exp`` set the perturbation decay c_k = c / (k + 1)^gamma_exp.
-    The trainer applies SPSA estimates with its own plain learning rate, not
-    Spall's step-size schedule, so that timing comparisons isolate
-    gradient-computation cost.
-    """
-
-    c: float = 0.1
-    gamma_exp: float = 0.101
-    seed: int = 0
-
-    def __post_init__(self):
-        if not 0 < self.c < math.inf:  # NaN fails too
-            raise ValueError(f"c must be finite and > 0, got {self.c}")
-        if not 0 < self.gamma_exp <= 1:
-            raise ValueError(f"gamma_exp must lie in (0, 1], got {self.gamma_exp}")
-
-    def perturbation_size(self, k: int) -> float:
-        """c_k = c / (k + 1)^gamma_exp, monotonically decaying in k."""
-        return self.c / (k + 1) ** self.gamma_exp
+def spsa_perturbation_size(k: int) -> float:
+    """c_k = SPSA_C / (k + 1)^SPSA_GAMMA, monotonically decaying in k."""
+    return SPSA_C / (k + 1) ** SPSA_GAMMA
 
 
 def _check_value(value: float, where: str) -> float:
@@ -68,19 +53,18 @@ def finite_difference_grad(f: LossFunction, theta: np.ndarray, h: float) -> np.n
     return grad
 
 
-def spsa_grad(f: LossFunction, theta: np.ndarray, k: int, cfg: SpsaConfig) -> np.ndarray:
+def spsa_grad(f: LossFunction, theta: np.ndarray, k: int, seed: int) -> np.ndarray:
     """One simultaneous-perturbation estimate at iteration k; 2 calls to ``f``.
 
-    The Rademacher direction is drawn from a generator seeded by
-    (cfg.seed, k), so estimates are reproducible and independent across
-    iterations.
+    The Rademacher direction is drawn from a generator seeded by (seed, k),
+    so estimates are reproducible and independent across iterations.
     """
     if k < 0:
         raise ValueError(f"iteration index must be >= 0, got {k}")
     theta = np.asarray(theta, dtype=float)
-    rng = np.random.default_rng([cfg.seed, k])
+    rng = np.random.default_rng([seed, k])
     delta = rng.integers(0, 2, size=theta.size) * 2.0 - 1.0
-    ck = cfg.perturbation_size(k)
+    ck = spsa_perturbation_size(k)
     f_plus = _check_value(f(theta + ck * delta), f"iteration {k}, +c_k")
     f_minus = _check_value(f(theta - ck * delta), f"iteration {k}, -c_k")
     # 1/delta == delta componentwise for +/-1 entries

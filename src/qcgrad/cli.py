@@ -35,7 +35,6 @@ from .heads import ClassificationHead, RegressionHead
 from .trainer import (
     GRADIENT_METHODS,
     TrainConfig,
-    TrainingDivergedError,
     predict,
     random_objective,
     train,
@@ -385,7 +384,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (TrainingDivergedError, ArithmeticError) as exc:
+    except ArithmeticError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except ValueError as exc:

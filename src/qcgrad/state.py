@@ -238,7 +238,7 @@ class QuantumState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        if self.n_qubits < 1:
+        if as_index(self.n_qubits, "n_qubits") < 1:
             raise ValueError(f"n_qubits must be >= 1, got {self.n_qubits}")
         amps = np.asarray(self.amplitudes, dtype=complex)
         if amps.shape != (1 << self.n_qubits,):
@@ -271,10 +271,10 @@ def _check_qubit(n_qubits: int, qubit: int, name: str = "qubit") -> int:
 
 def basis_state(n_qubits: int, index: int) -> QuantumState:
     """Computational-basis state |index> with amplitude 1 at that index."""
-    if n_qubits < 1:
+    if as_index(n_qubits, "n_qubits") < 1:
         raise ValueError(f"n_qubits must be >= 1, got {n_qubits}")
     dim = 1 << n_qubits
-    if not 0 <= index < dim:
+    if not 0 <= as_index(index, "basis index") < dim:
         raise ValueError(f"basis index {index} out of range for {n_qubits} qubit(s)")
     amps = np.zeros(dim, dtype=complex)
     amps[index] = 1.0

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import backward_batch
-from .baselines import SpsaConfig, finite_difference_grad, spsa_grad
+from .baselines import finite_difference_grad, spsa_grad
 from .circuit import AnsatzSpec, check_theta, encode_batch, forward_batch, layer_operators, run_variational
 from .datasets import Dataset
 from .heads import ClassificationHead, RegressionHead, readout
@@ -54,7 +54,7 @@ OPERATOR_APPLY_COST = 4
 
 
 class TrainingDivergedError(ArithmeticError):
-    """Raised when the loss or gradient turns non-finite during training."""
+    """Raised when the loss or the parameters turn non-finite during training."""
 
     def __init__(self, iteration: int, message: str):
         super().__init__(f"iteration {iteration}: {message}")
@@ -78,6 +78,8 @@ class TrainConfig:
                 raise ValueError(f"{name} must be finite and > 0, got {value}")
         if as_index(self.iterations, "iterations") < 1:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
+        if as_index(self.init_seed, "init_seed") < 0:
+            raise ValueError(f"init_seed must be >= 0, got {self.init_seed}")
         if self.gradient_method not in GRADIENT_METHODS:
             raise ValueError(
                 f"unknown gradient_method {self.gradient_method!r}; "
@@ -209,31 +211,33 @@ def train(dataset: Dataset, spec: AnsatzSpec, head, cfg: TrainConfig) -> TrainRe
 
     The loss/metric histories are recorded at the pre-update parameters of
     each iteration.  Raises :class:`TrainingDivergedError` (with the
-    iteration index) if anything turns non-finite.
+    iteration index) if the loss or theta turns non-finite.  The loop runs
+    under ``np.errstate(over="raise", invalid="raise")``, so an overflow in
+    an iteration raises there rather than warning and running on.
     """
     objective = CircuitObjective(dataset, spec, head)
     theta = initial_theta(spec, cfg)
     losses = np.empty(cfg.iterations)
     metrics = np.empty(cfg.iterations)
-    spsa_cfg = SpsaConfig(seed=cfg.init_seed)
     start = time.perf_counter()
-    for it in range(cfg.iterations):
-        try:
-            if cfg.gradient_method == "backprop":
-                loss, metric, grad = objective.loss_and_grad_backprop(theta)
-            elif cfg.gradient_method == "finite_difference":
-                loss, metric, _ = objective.evaluate(theta)
-                grad = finite_difference_grad(objective.loss, theta, cfg.fd_step)
-            else:
-                loss, metric, _ = objective.evaluate(theta)
-                grad = spsa_grad(objective.loss, theta, it, spsa_cfg)
-        except ArithmeticError as exc:
-            raise TrainingDivergedError(it, str(exc)) from exc
-        if not math.isfinite(loss) or not np.all(np.isfinite(grad)):
-            raise TrainingDivergedError(it, "non-finite loss or gradient")
-        losses[it] = loss
-        metrics[it] = metric
-        theta = theta - cfg.learning_rate * grad
+    with np.errstate(over="raise", invalid="raise"):
+        for it in range(cfg.iterations):
+            try:
+                if cfg.gradient_method == "backprop":
+                    loss, metric, grad = objective.loss_and_grad_backprop(theta)
+                elif cfg.gradient_method == "finite_difference":
+                    loss, metric, _ = objective.evaluate(theta)
+                    grad = finite_difference_grad(objective.loss, theta, cfg.fd_step)
+                else:
+                    loss, metric, _ = objective.evaluate(theta)
+                    grad = spsa_grad(objective.loss, theta, it, cfg.init_seed)
+                theta = theta - cfg.learning_rate * grad
+            except ArithmeticError as exc:
+                raise TrainingDivergedError(it, str(exc)) from exc
+            if not math.isfinite(loss) or not np.isfinite(theta).all():
+                raise TrainingDivergedError(it, "non-finite loss or parameters")
+            losses[it] = loss
+            metrics[it] = metric
     wall = time.perf_counter() - start
     return TrainResult(
         final_theta=theta, loss_history=losses, metric_history=metrics, wall_time_seconds=wall

@@ -194,6 +194,19 @@ def test_bench_csv_row_count(tmp_path, capsys):
     assert manifest["command"] == "bench"
 
 
+def test_bench_records_a_failed_cell_and_exits_0(tmp_path, capsys):
+    # the qubit sweep's (1, 10) cell cannot encode the 2-D moons
+    out = tmp_path / "bench"
+    code = run_cli(["bench", "--methods", "backprop", "--depth-sweep", "0",
+                    "--qubit-sweep", "1", "--out-dir", str(out)])
+    assert code == 0
+    assert "failed cell" in capsys.readouterr().err
+    failed = json.loads((out / "manifest.json").read_text())["failed_cells"]
+    assert [(c["method"], c["n_qubits"], c["depth_l"]) for c in failed] == [("backprop", 1, 10)]
+    assert "2-D inputs need at least 2 qubits" in failed[0]["error"]
+    assert len((out / "bench.csv").read_text().splitlines()) == 1 + 2
+
+
 def test_bench_rejects_unknown_method(tmp_path, capsys):
     code = run_cli(["bench", "--methods", "sorcery", "--depth-sweep", "0",
                     "--qubit-sweep", "2", "--out-dir", str(tmp_path / "x")])
@@ -242,10 +255,39 @@ def test_config_file_sets_switches(tmp_path, capsys):
     assert run_cli(["gradcheck", "--config", str(cfg)]) == 1
 
 
-def test_config_file_unknown_key_is_usage_error(tmp_path):
+def test_config_file_unknown_key_is_usage_error(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("volume=11\n")
     assert run_cli(["regress", "--config", str(cfg)]) == 1
+    # a line without "=" and the reserved keys name their file and line
+    for text, where in (
+        ("iters=2\nqubits 2\n", ":2: expected key=value, got 'qubits 2'"),
+        ("config=other.cfg\n", ":1: unknown config key 'config'"),
+        ("\nhelp=true\n", ":2: unknown config key 'help'"),
+    ):
+        cfg.write_text(text)
+        capsys.readouterr()
+        assert run_cli(["regress", "--config", str(cfg), "--out-dir", str(tmp_path / "x")]) == 1
+        assert f"{cfg}{where}" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_config_file_skips_comments_and_blank_lines(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# a comment = not a key\n\n  iters=2\nsamples=10\nqubits=2\ndepth=0\n")
+    out = tmp_path / "a"
+    assert run_cli(["regress", "--config", str(cfg), "--out-dir", str(out)]) == 0
+    config = json.loads((out / "manifest.json").read_text())["config"]
+    assert (config["iters"], config["samples"], config["qubits"]) == (2, 10, 2)
+
+
+def test_diverged_training_is_a_numeric_failure(tmp_path, capsys):
+    # iteration 3 overflows (see test_trainer's lr = 1e308 run)
+    args = ["regress", "--target", "linear", "--samples", "10", "--qubits", "2",
+            "--depth", "1", "--lr", "1e308", "--out-dir", str(tmp_path / "a")]
+    for iters in ("4", "5"):
+        assert run_cli([*args, "--iters", iters]) == 2
+        assert "numeric failure: iteration 3" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -48,11 +48,18 @@ def test_basis_state_rejects_bad_index():
         basis_state(2, -1)
     with pytest.raises(ValueError):
         basis_state(0, 0)
+    with pytest.raises(TypeError, match="basis index must be an integer, got 1.0"):
+        basis_state(2, 1.0)
+    with pytest.raises(TypeError, match="n_qubits must be an integer, got 2.0"):
+        basis_state(2.0, 1)
+    assert basis_state(np.int64(2), np.int64(3)).amplitudes[3] == 1.0
 
 
 def test_quantum_state_shape_validation():
     with pytest.raises(ValueError):
         QuantumState(2, np.ones(3, dtype=complex))
+    with pytest.raises(TypeError, match="n_qubits must be an integer, got 2.0"):
+        QuantumState(2.0, np.ones(4))
 
 
 def test_apply_single_qubit_examples():

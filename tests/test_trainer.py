@@ -1,3 +1,4 @@
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -65,6 +66,11 @@ def test_train_config_validation():
     with pytest.raises(TypeError, match="iterations must be an integer"):
         TrainConfig(iterations=2.0)
     assert TrainConfig(iterations=np.int64(2)).iterations == 2
+    with pytest.raises(TypeError, match="init_seed must be an integer, got 2.5"):
+        TrainConfig(init_seed=2.5)
+    with pytest.raises(ValueError, match="init_seed must be >= 0, got -1"):
+        TrainConfig(init_seed=-1)
+    assert TrainConfig(init_seed=np.int64(3)).init_seed == 3
 
 
 @pytest.mark.parametrize(
@@ -140,15 +146,30 @@ def test_classification_training_improves_accuracy():
     assert result.loss_history[-1] < result.loss_history[0]
 
 
-def test_diverged_training_reports_iteration():
+@pytest.mark.parametrize("method", ["backprop", "finite_difference", "spsa"])
+def test_diverged_training_reports_iteration(method):
     bad = Dataset(
         x=np.array([[0.1], [0.2]]),
         targets=np.array([np.inf, 0.0]),
         task="regression",
     )
-    with np.errstate(invalid="ignore"), pytest.raises(TrainingDivergedError) as err:
-        train(bad, AnsatzSpec(1, 0), RegressionHead(), TrainConfig(iterations=5))
+    with pytest.raises(TrainingDivergedError) as err:
+        train(bad, AnsatzSpec(1, 0), RegressionHead(), TrainConfig(iterations=5, gradient_method=method))
     assert err.value.iteration == 0
+
+
+@pytest.mark.parametrize("iterations", [4, 5])
+@pytest.mark.parametrize("warning_filter", ["default", "error"])
+def test_overflowing_iteration_raises_diverged(iterations, warning_filter):
+    # lr = 1e308 puts theta near the float limit, and iteration 3's forward
+    # overflows summing its angles: an error, whatever the warning filter
+    ds = gen_function_dataset("linear", 10, 0.015, 0)
+    cfg = TrainConfig(learning_rate=1e308, iterations=iterations, init_seed=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter(warning_filter)
+        with pytest.raises(TrainingDivergedError) as err:
+            train(ds, AnsatzSpec(2, 1), RegressionHead(), cfg)
+    assert err.value.iteration == 3
 
 
 def test_head_dataset_mismatch_rejected():
