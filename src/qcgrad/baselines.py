@@ -33,6 +33,15 @@ def _check_value(value: float, where: str) -> float:
     return value
 
 
+def _check_moved(theta: np.ndarray, plus: np.ndarray, minus: np.ndarray, step: str) -> None:
+    # once the step is below half an ulp of a coordinate, theta +/- step is
+    # theta, and the estimate would read an exact 0 rather than fail
+    stuck = np.flatnonzero((plus == theta) | (minus == theta))
+    if stuck.size:
+        m = stuck[0]
+        raise ArithmeticError(f"coordinate {m} = {float(theta[m])} does not move by +/-{step}")
+
+
 def finite_difference_grad(f: LossFunction, theta: np.ndarray, h: float) -> np.ndarray:
     """Central finite differences: (f(theta + h e_m) - f(theta - h e_m)) / 2h.
 
@@ -41,12 +50,14 @@ def finite_difference_grad(f: LossFunction, theta: np.ndarray, h: float) -> np.n
     if not 0 < h < math.inf:  # NaN fails too
         raise ValueError(f"step size must be finite and > 0, got {h}")
     theta = np.asarray(theta, dtype=float)
+    plus, minus = theta + h, theta - h
+    _check_moved(theta, plus, minus, f"h = {h}")
     grad = np.empty_like(theta)
     probe = theta.copy()
     for m in range(theta.size):
-        probe[m] = theta[m] + h
+        probe[m] = plus[m]
         f_plus = _check_value(f(probe), f"coordinate {m}, +h")
-        probe[m] = theta[m] - h
+        probe[m] = minus[m]
         f_minus = _check_value(f(probe), f"coordinate {m}, -h")
         probe[m] = theta[m]
         grad[m] = (f_plus - f_minus) / (2.0 * h)
@@ -65,7 +76,9 @@ def spsa_grad(f: LossFunction, theta: np.ndarray, k: int, seed: int) -> np.ndarr
     rng = np.random.default_rng([seed, k])
     delta = rng.integers(0, 2, size=theta.size) * 2.0 - 1.0
     ck = spsa_perturbation_size(k)
-    f_plus = _check_value(f(theta + ck * delta), f"iteration {k}, +c_k")
-    f_minus = _check_value(f(theta - ck * delta), f"iteration {k}, -c_k")
+    plus, minus = theta + ck * delta, theta - ck * delta
+    _check_moved(theta, plus, minus, f"c_k = {ck}")
+    f_plus = _check_value(f(plus), f"iteration {k}, +c_k")
+    f_minus = _check_value(f(minus), f"iteration {k}, -c_k")
     # 1/delta == delta componentwise for +/-1 entries
     return ((f_plus - f_minus) / (2.0 * ck)) * delta

@@ -19,6 +19,7 @@ from dataclasses import dataclass, replace
 from .circuit import AnsatzSpec
 from .datasets import Dataset
 from .heads import ClassificationHead
+from .state import as_index
 from .trainer import TrainConfig, train
 
 
@@ -62,7 +63,7 @@ def run_benchmark(
         raise ValueError("need at least one method and one sweep cell")
     if dataset.task != "classification":
         raise ValueError("benchmarks run on a classification dataset")
-    if repeats < 1:
+    if as_index(repeats, "repeats") < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
 
     records = []

@@ -87,7 +87,7 @@ class BatchTape:
 
     ``posts`` are the (B, 2**n) states after every Y sub-layer and at the
     end; ``diags`` are the (l+1, 2**n) Z-and-entangler diagonals of
-    :func:`z_diagonals`, which the backward pass reads again.
+    :func:`layer_operators`, which the backward pass reads again.
     """
 
     spec: AnsatzSpec
@@ -147,14 +147,6 @@ def rotation_phases(angles: np.ndarray, n_qubits: int) -> np.ndarray:
     return np.exp(-0.5j * (angles @ z_sign_matrix(n_qubits).T))
 
 
-def z_diagonals(theta: np.ndarray, spec: AnsatzSpec) -> np.ndarray:
-    """(l+1, 2**n) diagonals of every Z sub-layer and, except after the last, the ring."""
-    angles = theta.reshape(spec.depth_l + 1, spec.n_qubits, 2)
-    diags = rotation_phases(angles[:, :, 1], spec.n_qubits)
-    diags[:-1] *= ring_signs(spec.n_qubits)
-    return diags
-
-
 @lru_cache(maxsize=None)
 def _y_block_indices(n_qubits: int, low: int) -> tuple[np.ndarray, np.ndarray]:
     """(fold, entry) indices of the ry^T block of qubits ``low`` up to ``low + m - 1``.
@@ -181,7 +173,8 @@ def _y_block_indices(n_qubits: int, low: int) -> tuple[np.ndarray, np.ndarray]:
 def layer_operators(theta: np.ndarray, spec: AnsatzSpec) -> tuple[list[np.ndarray], np.ndarray]:
     """(Y blocks, Z-and-entangler diagonals) of all l+1 rotation layers at once.
 
-    The diagonals are :func:`z_diagonals`.  The Y blocks split the Kronecker
+    The (l+1, 2**n) diagonals are every Z sub-layer's phases times, except
+    after the last, the ring's signs.  The Y blocks split the Kronecker
     product of a layer's ry matrices into blocks of at most ``KRON_BLOCK``
     qubits; each block is an (l+1, dim, dim) stack, indexed by layer, of
     column-major views: OpenBLAS ran these (dim, dim) @ (dim, 2) products
@@ -204,7 +197,8 @@ def layer_operators(theta: np.ndarray, spec: AnsatzSpec) -> tuple[list[np.ndarra
     this fold took 3.2 ms.
     """
     n, l = spec.n_qubits, spec.depth_l
-    half = 0.5 * theta.reshape(l + 1, n, 2)[:, :, 0]
+    angles = theta.reshape(l + 1, n, 2)
+    half = 0.5 * angles[:, :, 0]
     trig = np.concatenate([np.cos(half), np.sin(half)], axis=1)
     blocks = []
     for low in range(0, n, KRON_BLOCK):
@@ -214,7 +208,9 @@ def layer_operators(theta: np.ndarray, spec: AnsatzSpec) -> tuple[list[np.ndarra
         np.multiply.reduce(trig.take(fold, axis=1), axis=1, out=table[:, 0])
         np.negative(table[:, 0], out=table[:, 1])
         blocks.append(table.reshape(l + 1, -1).take(entry, axis=1).swapaxes(-1, -2))
-    return blocks, z_diagonals(theta, spec)
+    diags = rotation_phases(angles[:, :, 1], n)
+    diags[:-1] *= ring_signs(n)
+    return blocks, diags
 
 
 def run_variational(

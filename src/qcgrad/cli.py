@@ -144,7 +144,7 @@ def run_gradcheck(config: dict) -> dict:
         rng = np.random.default_rng([config["seed"], trial])
         classification = n >= 2 and trial % 2 == 1
         objective, theta = random_objective(rng, n, l, classification)
-        _, _, g_bp = objective.backprop(theta)
+        g_bp = objective.loss_and_grad_backprop(theta)[2]
         g_fd = finite_difference_grad(objective.loss, theta, 1e-5)
         abs_dev = np.abs(g_bp - g_fd)
         scaled = abs_dev / np.maximum(1.0, np.abs(g_fd))

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .state import as_index
+
 REGRESSION_KINDS = ("linear", "square", "sine")
 
 
@@ -61,7 +63,7 @@ def gen_function_dataset(
     kind: str, count: int = 100, noise_sigma: float = 0.015, seed: int = 0
 ) -> Dataset:
     """1-D regression data: x ~ U[-1, 1], target = f(x) + noise_sigma * N(0, 1)."""
-    if count < 1:
+    if as_index(count, "count") < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     _check_noise(noise_sigma)
     rng = np.random.default_rng(seed)
@@ -77,7 +79,7 @@ def _check_noise(noise_sigma: float) -> None:
 
 def _check_pair_count(count: int) -> None:
     """Two-class shapes put half of ``count`` points in each class."""
-    if count < 2:
+    if as_index(count, "count") < 2:
         raise ValueError(f"count must be >= 2, got {count}")
     if count % 2 != 0:
         raise ValueError(f"count must be even, got {count}")

@@ -43,10 +43,6 @@ from functools import lru_cache
 
 import numpy as np
 
-#: Tolerance for norm / probability-sum checks (double precision accumulated
-#: over at most ~2^20 terms).
-NORM_ATOL = 1e-12
-
 
 def apply_matrix(amps: np.ndarray, gate: np.ndarray, target: int, n_qubits: int) -> np.ndarray:
     """Apply a 2x2 matrix to ``target`` of a ``(..., 2**n_qubits)`` array.
@@ -169,13 +165,27 @@ def hadamard_plan(amps: np.ndarray, work: np.ndarray) -> tuple[list[tuple], np.n
 
 
 @lru_cache(maxsize=None)
-def cz_signs(n_qubits: int, qubit_a: int, qubit_b: int) -> np.ndarray:
-    """Diagonal of CZ between two qubits as a cached +/-1 vector."""
-    idx = np.arange(1 << n_qubits)
-    both = ((idx >> qubit_a) & 1) & ((idx >> qubit_b) & 1)
-    signs = 1.0 - 2.0 * both
+def z_sign_matrix(n_qubits: int) -> np.ndarray:
+    """(2**n, n) table whose column q is +1 where qubit q's bit of the basis
+    index is 0 and -1 where it is 1: the diagonal of Z on qubit q."""
+    signs = 1.0 - 2.0 * ((np.arange(1 << n_qubits)[:, None] >> np.arange(n_qubits)) & 1)
     signs.flags.writeable = False
     return signs
+
+
+def z_sign_vector(n_qubits: int, qubit: int) -> np.ndarray:
+    """Column ``qubit`` of :func:`z_sign_matrix`, checked.
+
+    Raises ValueError for a qubit outside ``0 <= qubit < n_qubits``, and
+    TypeError for one that is not an integer.
+    """
+    return z_sign_matrix(n_qubits)[:, _check_qubit(n_qubits, qubit)]
+
+
+def cz_signs(n_qubits: int, qubit_a: int, qubit_b: int) -> np.ndarray:
+    """Diagonal of CZ between two qubits: -1 only where both Z signs are -1."""
+    signs = z_sign_matrix(n_qubits)
+    return np.maximum(signs[:, qubit_a], signs[:, qubit_b])
 
 
 @lru_cache(maxsize=None)
@@ -194,21 +204,6 @@ def ring_signs(n_qubits: int) -> np.ndarray:
     return signs
 
 
-# typed, so that a float qubit misses the cache of its int and is rejected
-@lru_cache(maxsize=None, typed=True)
-def z_sign_vector(n_qubits: int, qubit: int) -> np.ndarray:
-    """+1 where ``qubit``'s bit of the basis index is 0, -1 where it is 1.
-
-    Raises ValueError for a qubit outside ``0 <= qubit < n_qubits``, and
-    TypeError for one that is not an integer.
-    """
-    qubit = _check_qubit(n_qubits, qubit)
-    idx = np.arange(1 << n_qubits)
-    signs = 1.0 - 2.0 * ((idx >> qubit) & 1)
-    signs.flags.writeable = False
-    return signs
-
-
 @lru_cache(maxsize=None)
 def s_phases(n_qubits: int) -> np.ndarray:
     """Diagonal of ``S^{(x)n}``, S = diag(1, i): ``i**popcount(j)`` for every basis index j."""
@@ -218,20 +213,12 @@ def s_phases(n_qubits: int) -> np.ndarray:
     return phases
 
 
-@lru_cache(maxsize=None)
-def z_sign_matrix(n_qubits: int) -> np.ndarray:
-    """(2**n, n) matrix whose column q is :func:`z_sign_vector` of qubit q."""
-    signs = np.stack([z_sign_vector(n_qubits, q) for q in range(n_qubits)], axis=1)
-    signs.flags.writeable = False
-    return signs
-
-
 @dataclass(frozen=True)
 class QuantumState:
     """Length-2**n complex amplitude vector over the computational basis.
 
     Valid states are unit norm; unitary operations preserve the norm within
-    :data:`NORM_ATOL`.  The amplitudes array is treated as immutable.
+    1e-12.  The amplitudes array is treated as immutable.
     """
 
     n_qubits: int

@@ -1,14 +1,15 @@
 """Full-batch gradient descent over any of the supported gradient methods.
 
 The heavy lifting happens in :class:`CircuitObjective`, which encodes the
-dataset once and evaluates losses/gradients for the whole batch with
-vectorized kernels.  Per-sample quantities are reduced in fixed order, so a
-fixed seed reproduces every history bit for bit.  The head owns its task,
-qubits and metric; the objective owns the measurement.  Its one loss-only
-forward, :meth:`~CircuitObjective.expectations`, maps theta to the (B, k) <Z>
-of the head's qubits for ``loss``, ``evaluate`` and :func:`predict` (a
-zero-target batch, so it meets every check); backprop measures the same way
-and spreads the head's dL/d<Z> over the same +/-1 sign rows into dL/dp.
+dataset once and returns losses, outputs and gradients for the whole batch;
+:func:`train` scores the head's metric from the outputs.  Per-sample
+quantities are reduced in fixed order, so a fixed seed reproduces every
+history bit for bit.  The head owns its task, qubits and metric; the
+objective owns the measurement.  Its one loss-only forward,
+:meth:`~CircuitObjective.expectations`, maps theta to the (B, k) <Z> of the
+head's qubits for ``loss``, ``evaluate`` and :func:`predict` (a zero-target
+batch, so it meets every check); ``loss_and_grad_backprop`` measures the same
+way and spreads dL/d<Z> over the same +/-1 sign rows into dL/dp.
 
 Basis rows.  With d = 2**n the circuit is ``final = psi @ P`` in row
 convention, and P is the circuit run on the d basis rows.  The objective runs
@@ -154,28 +155,23 @@ class CircuitObjective:
         # np.mean's own sum and division, without its Python-level dispatch
         return float(losses.sum()) / len(losses)
 
-    def evaluate(self, theta: np.ndarray) -> tuple[float, float, np.ndarray]:
-        """(mean loss, the head's metric, per-sample outputs) at theta.
+    def evaluate(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
+        """(mean loss, per-sample outputs) at theta from one loss-only forward.
 
         The outputs are predictions (regression) or y1 (classification).
         """
         losses, outputs, _ = readout(self.expectations(theta), self.targets, self.head)
-        return float(losses.mean()), self.head.metric(outputs, self.targets), outputs
+        return float(losses.mean()), outputs
 
-    def backprop(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(per-sample losses, per-sample outputs, mean gradient) via one forward and one backward."""
+    def loss_and_grad_backprop(self, theta: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+        """(mean loss, per-sample outputs, mean gradient) via one forward and one backward."""
         tape = forward_batch(self.rows, theta, self.spec)
         final, z = self._measure(tape.final)
         losses, outputs, dL_dz = readout(z, self.targets, self.head)
         cotangent = (dL_dz @ self.signs) * np.conj(final)
         if self.rows is not self.encoded:
             cotangent = self.encoded.T @ cotangent
-        return losses, outputs, backward_batch(tape, cotangent).sum(axis=0) / len(final)
-
-    def loss_and_grad_backprop(self, theta: np.ndarray) -> tuple[float, float, np.ndarray]:
-        """(mean loss, metric, mean gradient) via one forward and one backward."""
-        losses, outputs, grad = self.backprop(theta)
-        return float(losses.mean()), self.head.metric(outputs, self.targets), grad
+        return float(losses.mean()), outputs, backward_batch(tape, cotangent).sum(axis=0) / len(final)
 
 
 def random_objective(
@@ -209,11 +205,12 @@ def initial_theta(spec: AnsatzSpec, cfg: TrainConfig) -> np.ndarray:
 def train(dataset: Dataset, spec: AnsatzSpec, head, cfg: TrainConfig) -> TrainResult:
     """Plain full-batch gradient descent: theta <- theta - lr * mean gradient.
 
-    The loss/metric histories are recorded at the pre-update parameters of
-    each iteration.  Raises :class:`TrainingDivergedError` (with the
-    iteration index) if the loss or theta turns non-finite.  The loop runs
-    under ``np.errstate(over="raise", invalid="raise")``, so an overflow in
-    an iteration raises there rather than warning and running on.
+    The loss and the head's metric, scored here from the objective's outputs,
+    are recorded at the pre-update parameters of each iteration.  Raises
+    :class:`TrainingDivergedError` (with the iteration index) if the loss or
+    theta turns non-finite.  The loop runs under ``np.errstate(over="raise",
+    invalid="raise")``, so an overflow in an iteration raises there rather
+    than warning and running on.
     """
     objective = CircuitObjective(dataset, spec, head)
     theta = initial_theta(spec, cfg)
@@ -224,13 +221,14 @@ def train(dataset: Dataset, spec: AnsatzSpec, head, cfg: TrainConfig) -> TrainRe
         for it in range(cfg.iterations):
             try:
                 if cfg.gradient_method == "backprop":
-                    loss, metric, grad = objective.loss_and_grad_backprop(theta)
+                    loss, outputs, grad = objective.loss_and_grad_backprop(theta)
                 elif cfg.gradient_method == "finite_difference":
-                    loss, metric, _ = objective.evaluate(theta)
+                    loss, outputs = objective.evaluate(theta)
                     grad = finite_difference_grad(objective.loss, theta, cfg.fd_step)
                 else:
-                    loss, metric, _ = objective.evaluate(theta)
+                    loss, outputs = objective.evaluate(theta)
                     grad = spsa_grad(objective.loss, theta, it, cfg.init_seed)
+                metric = head.metric(outputs, objective.targets)
                 theta = theta - cfg.learning_rate * grad
             except ArithmeticError as exc:
                 raise TrainingDivergedError(it, str(exc)) from exc

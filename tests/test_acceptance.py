@@ -26,7 +26,6 @@ import time
 from dataclasses import replace
 
 import numpy as np
-from conftest import backprop_gradient, random_instance
 
 from qcgrad.baselines import finite_difference_grad
 from qcgrad.bench import run_benchmark
@@ -43,7 +42,7 @@ from qcgrad.state import (
     marginal,
     probabilities,
 )
-from qcgrad.trainer import CircuitObjective, TrainConfig, initial_theta, train
+from qcgrad.trainer import CircuitObjective, TrainConfig, initial_theta, random_objective, train
 
 
 def report(number, name, ok, detail):
@@ -60,9 +59,9 @@ def test_criterion_1_gradient_oracle():
         for l in range(0, 5):
             for rep in range(8):
                 classification = n >= 2 and trial % 2 == 1
-                spec, x, theta, loss_fn, cotangent_fn = random_instance(rng, n, l, classification)
-                g_bp = backprop_gradient(spec, x, theta, cotangent_fn)
-                g_fd = finite_difference_grad(loss_fn, theta, 1e-5)
+                objective, theta = random_objective(rng, n, l, classification)
+                g_bp = objective.loss_and_grad_backprop(theta)[2]
+                g_fd = finite_difference_grad(objective.loss, theta, 1e-5)
                 abs_err = np.abs(g_bp - g_fd)
                 tol = np.maximum(1e-7, 1e-5 * np.abs(g_fd))
                 worst_abs = max(worst_abs, float(abs_err.max()))

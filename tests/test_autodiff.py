@@ -3,13 +3,14 @@ import time
 
 import numpy as np
 import pytest
-from conftest import backprop_gradient, random_instance, single_tape, z_reference
+from conftest import single_tape, z_reference
 
 from qcgrad.autodiff import backward_batch
 from qcgrad.baselines import finite_difference_grad
 from qcgrad.circuit import AnsatzSpec, encode_batch, forward_batch
 from qcgrad.heads import ClassificationHead, readout
 from qcgrad.state import z_sign_vector
+from qcgrad.trainer import random_objective
 
 
 def test_seed_cotangent_length_mismatch():
@@ -43,9 +44,9 @@ def test_gradient_matches_finite_differences():
     rng = np.random.default_rng(42)
 
     def check(n, l, classification):
-        spec, x, theta, loss_fn, gradient_fn = random_instance(rng, n, l, classification)
-        g_bp = backprop_gradient(spec, x, theta, gradient_fn)
-        g_fd = finite_difference_grad(loss_fn, theta, 1e-5)
+        objective, theta = random_objective(rng, n, l, classification)
+        g_bp = objective.loss_and_grad_backprop(theta)[2]
+        g_fd = finite_difference_grad(objective.loss, theta, 1e-5)
         assert np.all(np.abs(g_bp - g_fd) <= np.maximum(1e-7, 1e-5 * np.abs(g_fd)))
 
     for trial in range(30):
@@ -65,8 +66,8 @@ def test_gradient_matches_finite_differences():
 
 def test_gradient_is_real_and_finite():
     rng = np.random.default_rng(1)
-    spec, x, theta, _, gradient_fn = random_instance(rng, 4, 3, classification=True)
-    grad = backprop_gradient(spec, x, theta, gradient_fn)
+    objective, theta = random_objective(rng, 4, 3, classification=True)
+    grad = objective.loss_and_grad_backprop(theta)[2]
     assert grad.dtype.kind == "f"
     assert np.all(np.isfinite(grad))
 

@@ -44,6 +44,11 @@ def test_fd_validation():
             finite_difference_grad(lambda th: 0.0, np.zeros(2), h)
     with pytest.raises(ArithmeticError):
         finite_difference_grad(lambda th: float("nan"), np.zeros(2), 1e-5)
+    # 1e13 + 1e-4 rounds back to 1e13, so both losses would be one evaluation
+    f = CountingLoss(lambda th: 0.0)
+    with pytest.raises(ArithmeticError, match=r"coordinate 0 = 10000000000000\.0 does not move"):
+        finite_difference_grad(f, np.array([1e13, 0.5]), 1e-4)
+    assert f.calls == 0
 
 
 def test_fd_evaluation_count():
@@ -100,3 +105,9 @@ def test_spsa_validation():
         spsa_grad(lambda th: 0.0, np.zeros(2), -1, 0)
     with pytest.raises(ArithmeticError):
         spsa_grad(lambda th: float("inf"), np.zeros(2), 0, 0)
+    # c_0 = 0.1 still moves 1e13 (its ulp is 2**-9) but rounds away at 1e16
+    f = CountingLoss(lambda th: 0.0)
+    spsa_grad(f, np.array([1e13, 0.5]), 0, 0)
+    with pytest.raises(ArithmeticError, match=r"coordinate 0 = 1e\+16 does not move"):
+        spsa_grad(f, np.array([1e16, 0.5]), 0, 0)
+    assert f.calls == 2

@@ -56,6 +56,8 @@ def test_input_validation():
         run_benchmark(["backprop"], [1], [], regression, cfg)
     with pytest.raises(ValueError):
         run_benchmark(["backprop"], [1], [], tiny_dataset(), cfg, repeats=0)
+    with pytest.raises(TypeError, match="repeats must be an integer, got 1.5"):
+        run_benchmark(["backprop"], [1], [], tiny_dataset(), cfg, repeats=1.5)
 
 
 def test_backprop_much_faster_than_finite_difference_small_cell():

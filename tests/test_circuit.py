@@ -101,6 +101,8 @@ def test_encode_input_rejects_out_of_range():
         encode_batch(np.array([[-2.0]]), AnsatzSpec(1, 0))
     with pytest.raises(ValueError):
         encode_batch(np.array([0.5]), AnsatzSpec(1, 0))  # a single input is a (1, d) batch
+    with pytest.raises(ValueError, match=r"expected 1 feature\(s\)"):
+        encode_batch(np.zeros((2, 2)), AnsatzSpec(2, 1))
 
 
 def test_encode_input_rejects_nan():

@@ -5,7 +5,8 @@ import sys
 import numpy as np
 import pytest
 
-from qcgrad.cli import main
+from qcgrad.cli import _build_parser, main
+from qcgrad.trainer import GRADIENT_METHODS
 
 
 def run_cli(args):
@@ -205,6 +206,12 @@ def test_bench_records_a_failed_cell_and_exits_0(tmp_path, capsys):
     assert [(c["method"], c["n_qubits"], c["depth_l"]) for c in failed] == [("backprop", 1, 10)]
     assert "2-D inputs need at least 2 qubits" in failed[0]["error"]
     assert len((out / "bench.csv").read_text().splitlines()) == 1 + 2
+
+
+def test_methods_all_parses_to_every_gradient_method():
+    parser = _build_parser()[0]
+    assert parser.parse_args(["bench", "--methods", "all"]).methods == list(GRADIENT_METHODS)
+    assert parser.parse_args(["bench", "--methods", "spsa, backprop"]).methods == ["spsa", "backprop"]
 
 
 def test_bench_rejects_unknown_method(tmp_path, capsys):

@@ -33,6 +33,9 @@ def test_function_dataset_validation():
         gen_function_dataset("cube", 10, 0.0, 0)
     with pytest.raises(ValueError):
         gen_function_dataset("sine", 0, 0.0, 0)
+    with pytest.raises(TypeError, match="count must be an integer, got 2.5"):
+        gen_function_dataset("sine", 2.5)
+    assert len(gen_function_dataset("sine", np.int64(3))) == 3
     for noise in (-0.1, math.nan, math.inf):
         with pytest.raises(ValueError, match="noise_sigma"):
             gen_function_dataset("sine", 10, noise, 0)
@@ -67,6 +70,9 @@ def test_circles_validation():
         gen_circles(count=7)
     for count in (0, -2, -3):
         with pytest.raises(ValueError, match="count must be >= 2"):
+            gen_circles(count=count)
+    for count in (6.0, 5.0):
+        with pytest.raises(TypeError, match=f"count must be an integer, got {count}"):
             gen_circles(count=count)
     with pytest.raises(ValueError):
         gen_circles(count=10, inner_factor=1.0)
@@ -108,6 +114,11 @@ def test_moons_validation():
     for count in (0, -2, -3):
         with pytest.raises(ValueError, match="count must be >= 2"):
             gen_moons(count=count)
+    # a float count, even or odd, is a type error rather than a parity one
+    for count in (4.0, 5.0):
+        with pytest.raises(TypeError, match=f"count must be an integer, got {count}"):
+            gen_moons(count=count)
+    assert len(gen_moons(count=np.int64(4))) == 4
     assert len(gen_moons(count=2)) == 2
     for noise in (-0.1, math.nan, math.inf):
         with pytest.raises(ValueError, match="noise_sigma"):

@@ -100,6 +100,6 @@ def single_input_objectives(draw):
 @given(single_input_objectives())
 def test_backprop_matches_central_differences(case):
     objective, theta = case
-    _, _, g_bp = objective.backprop(theta)
+    g_bp = objective.loss_and_grad_backprop(theta)[2]
     g_fd = finite_difference_grad(objective.loss, theta, 1e-5)
     assert np.all(np.abs(g_bp - g_fd) <= np.maximum(1e-7, 1e-5 * np.abs(g_fd)))

@@ -60,6 +60,8 @@ def test_quantum_state_shape_validation():
         QuantumState(2, np.ones(3, dtype=complex))
     with pytest.raises(TypeError, match="n_qubits must be an integer, got 2.0"):
         QuantumState(2.0, np.ones(4))
+    with pytest.raises(ValueError, match="n_qubits must be >= 1"):
+        QuantumState(0, np.ones(1))
 
 
 def test_apply_single_qubit_examples():

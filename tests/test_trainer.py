@@ -14,7 +14,15 @@ from qcgrad.baselines import finite_difference_grad
 from qcgrad.circuit import AnsatzSpec, encode_batch, forward_batch
 from qcgrad.datasets import Dataset, gen_circles, gen_function_dataset, gen_moons
 from qcgrad.heads import ClassificationHead, RegressionHead, accuracy, r_squared, readout
-from qcgrad.state import apply_cz, apply_operator, apply_single_qubit, basis_state, marginal, z_sign_vector
+from qcgrad.state import (
+    apply_cz,
+    apply_operator,
+    apply_single_qubit,
+    basis_state,
+    marginal,
+    z_sign_matrix,
+    z_sign_vector,
+)
 from qcgrad.trainer import (
     CircuitObjective,
     TrainConfig,
@@ -148,14 +156,16 @@ def test_classification_training_improves_accuracy():
 
 @pytest.mark.parametrize("method", ["backprop", "finite_difference", "spsa"])
 def test_diverged_training_reports_iteration(method):
-    bad = Dataset(
-        x=np.array([[0.1], [0.2]]),
-        targets=np.array([np.inf, 0.0]),
-        task="regression",
-    )
-    with pytest.raises(TrainingDivergedError) as err:
-        train(bad, AnsatzSpec(1, 0), RegressionHead(), TrainConfig(iterations=5, gradient_method=method))
-    assert err.value.iteration == 0
+    # an infinite target raises a floating-point error inside the iteration;
+    # a NaN one raises none, so under backprop it reaches the check of the
+    # loss and theta (FD and SPSA reject the NaN loss they evaluate)
+    for target in (np.inf, np.nan):
+        bad = Dataset(x=np.array([[0.1], [0.2]]), targets=np.array([target, 0.0]), task="regression")
+        with pytest.raises(TrainingDivergedError) as err:
+            train(bad, AnsatzSpec(1, 0), RegressionHead(), TrainConfig(iterations=5, gradient_method=method))
+        assert err.value.iteration == 0
+        if method == "backprop" and np.isnan(target):
+            assert "non-finite loss or parameters" in str(err.value)
 
 
 @pytest.mark.parametrize("iterations", [4, 5])
@@ -170,6 +180,20 @@ def test_overflowing_iteration_raises_diverged(iterations, warning_filter):
         with pytest.raises(TrainingDivergedError) as err:
             train(ds, AnsatzSpec(2, 1), RegressionHead(), cfg)
     assert err.value.iteration == 3
+
+
+@pytest.mark.parametrize(
+    "method, lr",
+    [("finite_difference", 1e308), ("finite_difference", 1e15), ("spsa", 1e15), ("spsa", 1e20)],
+)
+def test_perturbation_that_rounds_away_raises_diverged(method, lr):
+    # after iteration 0, theta +/- h (or +/- c_k) rounds back to theta, so the
+    # estimate would read an exact 0 and training would run on with a flat loss
+    ds = gen_function_dataset("linear", 10, 0.015, 0)
+    cfg = TrainConfig(learning_rate=lr, iterations=5, init_seed=1, gradient_method=method)
+    with pytest.raises(TrainingDivergedError, match="does not move") as err:
+        train(ds, AnsatzSpec(2, 1), RegressionHead(), cfg)
+    assert err.value.iteration == 1
 
 
 def test_head_dataset_mismatch_rejected():
@@ -241,9 +265,9 @@ NON_INTEGER_QUBITS = {
 @pytest.mark.parametrize("cached", [False, True], ids=["fresh", "int-cached"])
 @pytest.mark.parametrize("qubit, call", NON_INTEGER_QUBITS.values(), ids=NON_INTEGER_QUBITS)
 def test_non_integer_qubits_rejected(qubit, call, cached):
-    # int() used to truncate each of these to a qubit, and z_sign_vector
-    # shifted by the raw float unless the int's cache entry answered first
-    z_sign_vector.cache_clear()
+    # int() used to truncate each of these to a qubit, and a cached sign
+    # table must not answer for a float before the qubit is checked
+    z_sign_matrix.cache_clear()
     if cached:
         z_sign_vector(2, 1)
     with pytest.raises(TypeError, match="index must be an integer"):
@@ -269,16 +293,18 @@ def test_operator_path_matches_per_sample_path(n):
         for classification in (False, True) if n >= 2 else (False,):
             objective, theta = operator_objective(n, l, classification, count=130)
             objective.rows = objective.encoded
-            ref_losses, ref_outputs, ref_grad = objective.backprop(theta)
+            ref_losses = readout(objective.expectations(theta), objective.targets, objective.head)[0]
+            _, ref_outputs, ref_grad = objective.loss_and_grad_backprop(theta)
             # shallow circuits run the inputs themselves; check the basis rows anyway
             objective.rows = np.eye(1 << n, dtype=complex)
-            losses, outputs, grad = objective.backprop(theta)
+            losses = readout(objective.expectations(theta), objective.targets, objective.head)[0]
+            loss, outputs, grad = objective.loss_and_grad_backprop(theta)
             assert np.abs(grad - ref_grad).max() <= 1e-14
             assert np.abs(losses - ref_losses).max() <= 1e-14
             assert np.abs(outputs - ref_outputs).max() <= 1e-14
-            loss, _, evaluated = objective.evaluate(theta)
+            evaluated_loss, evaluated = objective.evaluate(theta)
             assert np.array_equal(evaluated, outputs)
-            assert loss == objective.loss(theta) == float(losses.mean())
+            assert loss == evaluated_loss == objective.loss(theta) == float(losses.mean())
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -303,7 +329,7 @@ def test_gradient_oracle_on_both_sides_of_the_operator_switch(n):
         for classification in (False, True):
             objective, theta = operator_objective(n, l, classification, count, seed=count)
             assert (objective.rows is not objective.encoded) == operator
-            _, _, g_bp = objective.backprop(theta)
+            g_bp = objective.loss_and_grad_backprop(theta)[2]
             g_fd = finite_difference_grad(objective.loss, theta, 1e-5)
             assert np.all(np.abs(g_bp - g_fd) <= np.maximum(1e-7, 1e-5 * np.abs(g_fd)))
 
@@ -339,7 +365,7 @@ def test_backprop_matches_the_parameter_shift_rule(n):
                     step[m] = np.pi / 2
                     dz = (objective.expectations(theta + step) - objective.expectations(theta - step)) / 2
                     shifted[m] = np.sum(dL_dz * dz) / len(dz)
-                assert np.abs(objective.backprop(theta)[2] - shifted).max() <= 1e-13
+                assert np.abs(objective.loss_and_grad_backprop(theta)[2] - shifted).max() <= 1e-13
 
 
 def test_every_readout_calls_the_head_functions_by_name(monkeypatch):
@@ -357,7 +383,7 @@ def test_every_readout_calls_the_head_functions_by_name(monkeypatch):
         for run in (
             objective.loss,
             objective.evaluate,
-            objective.backprop,
+            objective.loss_and_grad_backprop,
             lambda th: predict(xs, th, objective.spec, objective.head),
         ):
             before = calls[name]
