@@ -43,7 +43,7 @@ Y sub-layer, in the Y eigenbasis.  ``ry(t) = w diag(e^{-it/2}, e^{it/2}) w^dag``
 with ``w = S H``, S = diag(1, i) and H = [[1, 1], [1, -1]] / sqrt(2), so the
 sub-layer is ``K = W D_y W^dag`` with ``W = S^{(x)n} H^{(x)n}`` and
 ``D_y = exp(-i/2 * Zsigns @ theta_y)``, the same form as a Z sub-layer.
-``S^{(x)n}`` is the diagonal ``i**popcount(j)``.  dK/dt_q K^-1 =
+``S^{(x)n}`` is the diagonal :func:`s_phases`.  dK/dt_q K^-1 =
 W diag(-i/2 * Zsigns[:, q]) W^dag, so with ``ã = W^T a_Y = H^{(x)n} (S a_Y)``
 and ``s̃ = W^dag Y_k = H^{(x)n} (S* Y_k)`` the sub-layer's Y gradient is again
 one product, ``Im(ã * s̃) @ Zsigns``.  The cotangent step
@@ -59,15 +59,14 @@ cotangent step, whose result nothing reads.  The transforms use +/-1 entries,
 a factor 2**(n/2) each; the 2**-n this leaves per product and per round trip
 is folded into the Y signs and into ``D_y``, exactly, as a power of two.
 
-Both transforms are planned once per call with
-:func:`qcgrad.state.hadamard_plan`, as the matmul steps of their blocks on
-the walk's fixed buffers, and every other view is made up front too.  A
-layer is then only its numpy calls: ``t``, ``v * t``, H, ``ã * s̃``, the
-sign matmul, ``D_y ã``, H and the next diagonal, with one more matmul per
-transform for each Walsh-Hadamard block beyond the first (n > 4).  At
-n = 4 on the 16 basis rows a layer costs about 13 µs, where rebuilding the
-block views in every transform cost 20 (p10, numpy 2.4 with OpenBLAS,
-2 vCPUs).
+Both transforms are planned once per call with :func:`hadamard_plan`, as
+the matmul steps of their blocks on the walk's fixed buffers, and every
+other view is made up front too.  A layer is then only its numpy calls:
+``t``, ``v * t``, H, ``ã * s̃``, the sign matmul, ``D_y ã``, H and the
+next diagonal, with one more matmul per transform for each Walsh-Hadamard
+block beyond the first (n > :data:`HADAMARD_BLOCK`).  At n = 4 on the 16
+basis rows a layer costs about 13 µs, where rebuilding the block views in
+every transform cost 20 (p10, numpy 2.4 with OpenBLAS, 2 vCPUs).
 
 These conventions are validated end to end against central finite
 differences (the binding oracle; see tests).
@@ -80,7 +79,72 @@ from functools import lru_cache
 import numpy as np
 
 from .circuit import BatchTape, rotation_phases
-from .state import hadamard_plan, s_phases, z_sign_matrix
+from .state import kron, real_block_view, z_sign_matrix
+
+
+#: Most qubits one Walsh-Hadamard block of the backward pass spans.  The
+#: widened lowest block costs O(4**m) per state: with B=200, two 3-qubit
+#: blocks ran the backward pass at n=6 1.6-1.9x faster than one 6-qubit
+#: block.  At n = 4, 5 and 7-10 limits of 4-6 were within noise of each
+#: other, and a limit of 3 was slower at n = 4, 8 and 10.
+HADAMARD_BLOCK = 4
+
+
+@lru_cache(maxsize=None)
+def hadamard_blocks(n_qubits: int) -> tuple[np.ndarray, ...]:
+    """Unnormalised Walsh-Hadamard blocks (entries +/-1) over all ``n_qubits``, lowest first.
+
+    The qubits split into as few blocks of at most :data:`HADAMARD_BLOCK` as
+    possible, with sizes differing by at most one.  The lowest block is
+    widened to ``H (x) I_2`` so that it acts on the interleaved real and
+    imaginary parts of the float view.
+    """
+    count = -(-n_qubits // HADAMARD_BLOCK)
+    h = np.broadcast_to(np.array([[1.0, 1.0], [1.0, -1.0]]), (HADAMARD_BLOCK, 2, 2))
+    blocks = [np.ascontiguousarray(kron(h[: (n_qubits + i) // count])) for i in range(count)]
+    blocks[0] = np.kron(blocks[0], np.eye(2))
+    for block in blocks:
+        block.flags.writeable = False
+    return tuple(blocks)
+
+
+def hadamard_plan(amps: np.ndarray, work: np.ndarray) -> tuple[list[tuple], np.ndarray]:
+    """Plan ``H^{(x)n}`` with +/-1 entries (applying it twice multiplies by 2**n).
+
+    ``amps`` and ``work`` are C-contiguous ``(R, 2**n)`` complex arrays.
+    Returns ``(steps, result)``: ``np.matmul(*step)`` for each step in turn
+    transforms whatever ``amps`` holds at that time and leaves it in
+    ``result``, so a plan made once serves every transform of a call.  The
+    lowest block is one flat GEMM over all rows, so a row's last bits may
+    depend on the other rows: unlike the forward pass, which keeps each row
+    equal bit for bit to its B=1 run (see :mod:`qcgrad.circuit`), the
+    backward pass only has to match its B=1 runs to 1e-14, and one flat GEMM
+    is the faster way to get there.  The blocks above it multiply each row
+    separately.  The blocks write to ``amps`` and ``work`` in turn, so
+    nothing is allocated: fresh temporaries of this size made the C heap
+    shrink and fault its pages back in, about 2,000 page faults per backward
+    pass at n=8, B=200.  The steps overwrite both arrays; ``result`` is
+    ``work`` when the blocks are odd in number, else ``amps``.
+    """
+    first, *rest = hadamard_blocks(amps.shape[1].bit_length() - 1)
+    flat = (-1, len(first))
+    steps = [(amps.view(float).reshape(flat), first, work.view(float).reshape(flat))]
+    lo = len(first) // 2
+    for block in rest:
+        amps, work = work, amps
+        m = len(block)
+        steps.append((block, real_block_view(amps, m, lo), real_block_view(work, m, lo)))
+        lo *= m
+    return steps, work
+
+
+@lru_cache(maxsize=None)
+def s_phases(n_qubits: int) -> np.ndarray:
+    """Diagonal of ``S^{(x)n}``, S = diag(1, i): ``i**popcount(j)`` for every basis index j."""
+    popcount = (n_qubits - z_sign_matrix(n_qubits).sum(axis=1).astype(int)) // 2
+    phases = np.array([1, 1j, -1, -1j])[popcount % 4]
+    phases.flags.writeable = False
+    return phases
 
 
 @lru_cache(maxsize=None)
@@ -118,7 +182,7 @@ def backward_batch(tape: BatchTape, cotangent: np.ndarray) -> np.ndarray:
     # H has +/-1 entries, so H D H carries 2**n too many
     y_phases = rotation_phases(tape.theta.reshape(l + 1, n, 2)[:, :, 0], n) * 0.5**n
     diags = tape.diags
-    # one allocation for every buffer of the walk (see state.hadamard_plan):
+    # one allocation for every buffer of the walk (see hadamard_plan):
     # rows [v, t] = [S a, S* s] of the current layer, so that one H gives
     # [ã, s̃]; the [ã * s̃, v * t] products; H's other buffer; S* as a full
     # (B, dim) factor, since numpy multiplies a broadcast short row about 2x slower

@@ -1,14 +1,16 @@
-"""Wall-clock comparison of gradient methods across circuit depth and width.
+"""Wall-clock comparison of gradient methods on a list of circuit cells.
 
-Each benchmark cell calls :func:`qcgrad.trainer.train` for a fixed number of
-iterations on the same classification dataset and records its
-``wall_time_seconds``: the bare loop of forward, gradient, parameter update,
-and the per-iteration loss and metric that ``train`` records.  For finite
-differences that bookkeeping is one loss evaluation per iteration on top of
-the 2P of the gradient; for SPSA it is one on top of 2.  Dataset encoding and
-parameter initialization happen outside the timed region, a 1-iteration
-``train`` warms each cell up, and every cell is repeated with the median
-reported.  Cells run strictly sequentially.
+A cell is an ``(n_qubits, depth_l)`` pair, and the caller picks the cells:
+the ``bench`` command runs the paper's depth and qubit sweeps.  Each cell
+calls :func:`qcgrad.trainer.train` for a fixed number of iterations on the
+same classification dataset and records its ``wall_time_seconds``: the bare
+loop of forward, gradient, parameter update, and the per-iteration loss and
+metric that ``train`` records.  For finite differences that bookkeeping is
+one loss evaluation per iteration on top of the 2P of the gradient; for SPSA
+it is one on top of 2.  Dataset encoding and parameter initialization happen
+outside the timed region, a 1-iteration ``train`` warms each cell up, and
+every cell is repeated with the median reported.  Cells run strictly
+sequentially.
 """
 
 from __future__ import annotations
@@ -42,25 +44,21 @@ def _cell_seconds(spec: AnsatzSpec, dataset: Dataset, cfg: TrainConfig, repeats:
 
 
 def run_benchmark(
-    methods,
-    depth_sweep,
-    qubit_sweep,
-    dataset: Dataset,
-    cfg: TrainConfig,
-    fixed_n: int = 4,
-    fixed_l: int = 10,
-    repeats: int = 3,
+    methods, cells, dataset: Dataset, cfg: TrainConfig, repeats: int = 3
 ) -> list[BenchmarkRecord]:
-    """One record per (method, cell), depth cells first then qubit cells.
+    """One record per (method, cell), method-major, with ``cells`` in the order given.
 
-    A cell that fails numerically is recorded with ``error`` set and a NaN
-    time instead of aborting the whole run.
+    ``cells`` are ``(n_qubits, depth_l)`` pairs.  A method or cell that no
+    run can have raises before any cell runs.  A cell that fails on the
+    dataset (one qubit cannot encode 2-D inputs) or numerically is recorded
+    with ``error`` set and a NaN time instead of aborting the whole run.
     """
-    # TrainConfig rejects an unknown method, so this fails before any cell runs
+    # TrainConfig rejects an unknown method, and AnsatzSpec a negative,
+    # zero-qubit or non-integer cell
     configs = [replace(cfg, gradient_method=method) for method in methods]
-    cells = [(fixed_n, l) for l in depth_sweep] + [(n, fixed_l) for n in qubit_sweep]
-    if not configs or not cells:
-        raise ValueError("need at least one method and one sweep cell")
+    specs = [AnsatzSpec(n, l) for n, l in cells]
+    if not configs or not specs:
+        raise ValueError("need at least one method and one cell")
     if dataset.task != "classification":
         raise ValueError("benchmarks run on a classification dataset")
     if as_index(repeats, "repeats") < 1:
@@ -68,10 +66,10 @@ def run_benchmark(
 
     records = []
     for method_cfg in configs:
-        for n, l in cells:
+        for spec in specs:
             try:
-                spec = AnsatzSpec(n_qubits=n, depth_l=l, feature_dim=dataset.feature_dim)
-                seconds = _cell_seconds(spec, dataset, method_cfg, repeats)
+                cell = replace(spec, feature_dim=dataset.feature_dim)
+                seconds = _cell_seconds(cell, dataset, method_cfg, repeats)
                 error = None
             except (ArithmeticError, ValueError) as exc:
                 seconds = float("nan")
@@ -79,9 +77,9 @@ def run_benchmark(
             records.append(
                 BenchmarkRecord(
                     method=method_cfg.gradient_method,
-                    n_qubits=n,
-                    depth_l=l,
-                    n_params=2 * n * (l + 1),
+                    n_qubits=spec.n_qubits,
+                    depth_l=spec.depth_l,
+                    n_params=spec.param_count,
                     seconds_per_100_iterations=seconds,
                     error=error,
                 )

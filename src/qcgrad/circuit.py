@@ -5,9 +5,10 @@ layers with a CZ-ring entangler between consecutive rotation layers.  Each
 rotation layer splits into two commuting sub-layers: first every qubit's Y
 rotation, then every qubit's Z rotation.  The simulation applies each
 sub-layer as one fused operator: the Y sub-layer as one real Kronecker
-matrix (a matmul per state), the Z sub-layer and the entangler after it as
-one diagonal ``exp(-i/2 * Zsigns @ theta_z) * ring_signs``.  The tape keeps
-the batch of states after every Y sub-layer, then the final state:
+matrix, in blocks of at most :data:`KRON_BLOCK` qubits, and the Z sub-layer
+and the entangler after it as one diagonal, ``exp(-i/2 * Zsigns @ theta_z)``
+times the ring's signs (:func:`ring_signs`).  The tape keeps the batch of
+states after every Y sub-layer, then the final state:
 
     [Y_0, Y_1, ..., Y_l, final]
 
@@ -43,6 +44,13 @@ Every simulation runs on a batch of shape ``(B, 2**n)``; a single input is
 the batch ``x[None, :]``.  The batch may also be the 2**n basis rows, whose
 final states are the rows of the circuit's operator (see
 :mod:`qcgrad.trainer`).
+
+Each Y block multiplies every state separately, through
+:func:`qcgrad.state.real_block_view`, so that every batch row equals bit for
+bit the same input run alone (B=1), and training on a batch and replaying
+one sample agree exactly.  How BLAS computes a GEMM depends on its row
+count: with one flat GEMM per Y sub-layer, all 2,072 rows of a check at
+n = 3-6 and B = 2-200 differed from their B=1 runs.
 """
 
 from __future__ import annotations
@@ -52,7 +60,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .state import KRON_BLOCK, as_index, kron, real_block_view, ring_signs, z_sign_matrix
+from .state import as_index, cz_signs, kron, real_block_view, z_sign_matrix
 
 
 @dataclass(frozen=True)
@@ -145,6 +153,28 @@ def rotation_phases(angles: np.ndarray, n_qubits: int) -> np.ndarray:
     Y eigenbasis (see :mod:`qcgrad.autodiff`).
     """
     return np.exp(-0.5j * (angles @ z_sign_matrix(n_qubits).T))
+
+
+#: Most qubits one dense rotation matrix spans.  A dense matrix over m
+#: qubits costs O(4**m) per state against O(m 2**m) for one gate at a time,
+#: so larger registers are split into blocks of at most this many qubits.
+KRON_BLOCK = 6
+
+
+@lru_cache(maxsize=None)
+def ring_signs(n_qubits: int) -> np.ndarray:
+    """Diagonal of the full CZ ring, qubit j to (j+1) mod n for every j.
+
+    Sign flips are exact in floating point, so multiplying by this combined
+    diagonal is bit-identical to applying the ring's CZ gates one by one.
+    For n < 2 the ring is empty and this is all ones.
+    """
+    signs = np.ones(1 << n_qubits)
+    if n_qubits >= 2:
+        for j in range(n_qubits):
+            signs = signs * cz_signs(n_qubits, j, (j + 1) % n_qubits)
+    signs.flags.writeable = False
+    return signs
 
 
 @lru_cache(maxsize=None)

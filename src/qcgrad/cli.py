@@ -176,9 +176,9 @@ def run_gradcheck(config: dict) -> dict:
 def run_bench(config: dict, out_dir: Path) -> None:
     dataset = gen_moons(count=200, noise_sigma=0.0, seed=config["seed"])
     cfg = TrainConfig(iterations=100, init_seed=config["seed"] + 1)
-    records = run_benchmark(
-        config["methods"], config["depth_sweep"], config["qubit_sweep"], dataset, cfg
-    )
+    # the paper's sweeps: the depths at 4 qubits, then the qubit counts at depth 10
+    cells = [(4, l) for l in config["depth_sweep"]] + [(n, 10) for n in config["qubit_sweep"]]
+    records = run_benchmark(config["methods"], cells, dataset, cfg)
     _write_csv(
         out_dir / "bench.csv",
         ["method", "n_qubits", "depth_l", "n_params", "seconds_per_100_iters"],
@@ -277,8 +277,8 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
 
     bn = subparsers["bench"]
     bn.add_argument("--methods", type=_csv_methods, default=list(GRADIENT_METHODS))
-    bn.add_argument("--depth-sweep", type=_csv_ints, default=[5, 10, 15, 20])
-    bn.add_argument("--qubit-sweep", type=_csv_ints, default=[2, 3, 4, 5, 6])
+    bn.add_argument("--depth-sweep", type=_csv_ints, default=[5, 10, 15, 20], help="at 4 qubits")
+    bn.add_argument("--qubit-sweep", type=_csv_ints, default=[2, 3, 4, 5, 6], help="at depth 10")
 
     rr = subparsers["rerun"] = sub.add_parser("rerun", help="replay a saved manifest")
     rr.add_argument("manifest", help="path to a manifest.json")

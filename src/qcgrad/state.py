@@ -1,4 +1,4 @@
-"""Dense complex statevector, gate-application kernels, and Pauli-Z readout.
+"""Dense complex statevector, shared batch kernels, and Pauli-Z readout.
 
 Bit/string convention
 ---------------------
@@ -10,24 +10,15 @@ This convention is forced by the marginal-probability grouping used for the
 Z readout and is documented prominently because binary-string endianness is
 otherwise ambiguous.
 
-The circuit runs whole layers at once on batches of shape ``(B, 2**n)``:
-the dense real matrix of one rotation per qubit is applied with one matmul
-per state and block of at most :data:`KRON_BLOCK` qubits, through
-:func:`real_block_view`, and a diagonal layer is an elementwise product.
-:func:`kron` builds Kronecker products: the encoded product states and the
-Walsh-Hadamard blocks.  :func:`apply_operator` applies a whole circuit's
-dense operator, again one matmul per state.  The backward
-pass applies the fixed Walsh-Hadamard transform instead, through the matmul
-steps that :func:`hadamard_plan` lays out once per call; its lowest block is
-one flat GEMM over all rows.
-
-Why two kinds of matmul: the forward pass keeps every batch row equal bit for
-bit to the same input run alone (B=1), so training on a batch and replaying
-one sample agree exactly.  How BLAS computes a GEMM depends on its row count:
-with one flat GEMM per Y sub-layer, all 2,072 rows of a check at n = 3-6
-and B = 2-200 differed from their B=1 runs.  So the forward multiplies each
-state separately.  The backward pass only has to match its B=1 runs to
-1e-14, and one flat GEMM over all rows is the faster way to get there.
+The kernels here serve the forward pass (:mod:`qcgrad.circuit`), the
+backward pass (:mod:`qcgrad.autodiff`) and the objective
+(:mod:`qcgrad.trainer`), on batches of shape ``(B, 2**n)``.  :func:`kron`
+builds Kronecker products: the encoded product states and the
+Walsh-Hadamard blocks.  :func:`real_block_view` lets a matmul apply a real
+block of qubits to each state separately, and :func:`apply_operator`
+applies a whole circuit's dense operator, again one matmul per state.
+:func:`z_sign_matrix` is the one table of Z signs: the readout, the
+rotation phases, the gradient signs and :func:`cz_signs` read it.
 
 :func:`apply_matrix` applies one 2x2 matrix to one qubit; the
 :class:`QuantumState` operations are value-in/value-out single-state
@@ -59,12 +50,6 @@ def apply_matrix(amps: np.ndarray, gate: np.ndarray, target: int, n_qubits: int)
     out[..., 0, :] = gate[0, 0] * a0 + gate[0, 1] * a1
     out[..., 1, :] = gate[1, 0] * a0 + gate[1, 1] * a1
     return out.reshape(amps.shape)
-
-
-#: Most qubits one dense rotation matrix spans.  A dense matrix over m
-#: qubits costs O(4**m) per state against O(m 2**m) for one gate at a time,
-#: so larger registers are split into blocks of at most this many qubits.
-KRON_BLOCK = 6
 
 
 def kron(mats: np.ndarray) -> np.ndarray:
@@ -111,59 +96,6 @@ def apply_operator(amps: np.ndarray, operator: np.ndarray) -> np.ndarray:
     return out.reshape(len(amps), 2 * dim).view(complex)
 
 
-#: Most qubits one Walsh-Hadamard block of the backward pass spans.  The
-#: widened lowest block costs O(4**m) per state: with B=200, two 3-qubit
-#: blocks ran the backward pass at n=6 1.6-1.9x faster than one 6-qubit
-#: block.  At n = 4, 5 and 7-10 limits of 4-6 were within noise of each
-#: other, and a limit of 3 was slower at n = 4, 8 and 10.
-HADAMARD_BLOCK = 4
-
-
-@lru_cache(maxsize=None)
-def hadamard_blocks(n_qubits: int) -> tuple[np.ndarray, ...]:
-    """Unnormalised Walsh-Hadamard blocks (entries +/-1) over all ``n_qubits``, lowest first.
-
-    The qubits split into as few blocks of at most :data:`HADAMARD_BLOCK` as
-    possible, with sizes differing by at most one.  The lowest block is
-    widened to ``H (x) I_2`` so that it acts on the interleaved real and
-    imaginary parts of the float view.
-    """
-    count = -(-n_qubits // HADAMARD_BLOCK)
-    h = np.broadcast_to(np.array([[1.0, 1.0], [1.0, -1.0]]), (HADAMARD_BLOCK, 2, 2))
-    blocks = [np.ascontiguousarray(kron(h[: (n_qubits + i) // count])) for i in range(count)]
-    blocks[0] = np.kron(blocks[0], np.eye(2))
-    for block in blocks:
-        block.flags.writeable = False
-    return tuple(blocks)
-
-
-def hadamard_plan(amps: np.ndarray, work: np.ndarray) -> tuple[list[tuple], np.ndarray]:
-    """Plan ``H^{(x)n}`` with +/-1 entries (applying it twice multiplies by 2**n).
-
-    ``amps`` and ``work`` are C-contiguous ``(R, 2**n)`` complex arrays.
-    Returns ``(steps, result)``: ``np.matmul(*step)`` for each step in turn
-    transforms whatever ``amps`` holds at that time and leaves it in
-    ``result``, so a plan made once serves every transform of a call.  The
-    lowest block is one flat GEMM over all rows, so a row's last bits may
-    depend on the other rows (see the module docstring); the blocks above it
-    multiply each row separately.  The blocks write to ``amps`` and ``work``
-    in turn, so nothing is allocated: fresh temporaries of this size made
-    the C heap shrink and fault its pages back in, about 2,000 page faults
-    per backward pass at n=8, B=200.  The steps overwrite both arrays;
-    ``result`` is ``work`` when the blocks are odd in number, else ``amps``.
-    """
-    first, *rest = hadamard_blocks(amps.shape[1].bit_length() - 1)
-    flat = (-1, len(first))
-    steps = [(amps.view(float).reshape(flat), first, work.view(float).reshape(flat))]
-    lo = len(first) // 2
-    for block in rest:
-        amps, work = work, amps
-        m = len(block)
-        steps.append((block, real_block_view(amps, m, lo), real_block_view(work, m, lo)))
-        lo *= m
-    return steps, work
-
-
 @lru_cache(maxsize=None)
 def z_sign_matrix(n_qubits: int) -> np.ndarray:
     """(2**n, n) table whose column q is +1 where qubit q's bit of the basis
@@ -186,31 +118,6 @@ def cz_signs(n_qubits: int, qubit_a: int, qubit_b: int) -> np.ndarray:
     """Diagonal of CZ between two qubits: -1 only where both Z signs are -1."""
     signs = z_sign_matrix(n_qubits)
     return np.maximum(signs[:, qubit_a], signs[:, qubit_b])
-
-
-@lru_cache(maxsize=None)
-def ring_signs(n_qubits: int) -> np.ndarray:
-    """Diagonal of the full CZ ring, qubit j to (j+1) mod n for every j.
-
-    Sign flips are exact in floating point, so multiplying by this combined
-    diagonal is bit-identical to applying the ring's CZ gates one by one.
-    For n < 2 the ring is empty and this is all ones.
-    """
-    signs = np.ones(1 << n_qubits)
-    if n_qubits >= 2:
-        for j in range(n_qubits):
-            signs = signs * cz_signs(n_qubits, j, (j + 1) % n_qubits)
-    signs.flags.writeable = False
-    return signs
-
-
-@lru_cache(maxsize=None)
-def s_phases(n_qubits: int) -> np.ndarray:
-    """Diagonal of ``S^{(x)n}``, S = diag(1, i): ``i**popcount(j)`` for every basis index j."""
-    popcount = (n_qubits - z_sign_matrix(n_qubits).sum(axis=1).astype(int)) // 2
-    phases = np.array([1, 1j, -1, -1j])[popcount % 4]
-    phases.flags.writeable = False
-    return phases
 
 
 @dataclass(frozen=True)

@@ -187,7 +187,8 @@ def test_criterion_7_benchmark_shape():
     # A backprop cell lasts a fraction of a second, so one host stall, or the
     # host's speed drifting between cells, would decide depth_ratio.  Each
     # depth's time is the median of 5 rounds that each time every depth once.
-    rounds = [run_benchmark(["backprop"], depths, [], dataset, cfg, repeats=1) for _ in range(5)]
+    depth_cells = [(4, l) for l in depths]
+    rounds = [run_benchmark(["backprop"], depth_cells, dataset, cfg, repeats=1) for _ in range(5)]
     cells = zip(*rounds, strict=True)
     medians = [statistics.median(r.seconds_per_100_iterations for r in cell) for cell in cells]
     records = [replace(r, seconds_per_100_iterations=m) for r, m in zip(rounds[0], medians)]
@@ -200,7 +201,7 @@ def test_criterion_7_benchmark_shape():
         objective = CircuitObjective(dataset, spec, ClassificationHead(gamma=cfg.gamma))
         theta0 = initial_theta(spec, cfg)
         before = _seconds_per_loss(objective, theta0)
-        records += run_benchmark(["finite_difference"], [l], [], dataset, cfg, repeats=1)
+        records += run_benchmark(["finite_difference"], [(4, l)], dataset, cfg, repeats=1)
         after = _seconds_per_loss(objective, theta0)
         seconds_per_eval[l] = 0.5 * (before + after)
     elapsed = time.perf_counter() - start

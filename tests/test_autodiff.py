@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from conftest import single_tape, z_reference
 
-from qcgrad.autodiff import backward_batch
+from qcgrad.autodiff import HADAMARD_BLOCK, backward_batch, hadamard_plan
 from qcgrad.baselines import finite_difference_grad
 from qcgrad.circuit import AnsatzSpec, encode_batch, forward_batch
 from qcgrad.heads import ClassificationHead, readout
@@ -149,3 +149,27 @@ def test_backward_costs_at_most_three_forwards():
             lambda: forward_batch(encoded, theta, spec), lambda: backward_batch(tape, cotangent), 15
         )
         assert t_bwd <= 3.0 * t_fwd, f"l={l}: backward {t_bwd:.4f}s vs forward {t_fwd:.4f}s"
+
+
+def test_hadamard_plan_matches_dense_walsh_hadamard():
+    # integer-valued rows keep every partial sum exact, so the plan must equal
+    # the dense product bit for bit; n = 1-10 gives 1, 2 and 3 blocks, and
+    # so both buffers as the one that ends up holding the result
+    rng = np.random.default_rng(13)
+    h = np.array([[1.0, 1.0], [1.0, -1.0]])
+    walsh = np.ones((1, 1))
+    for n in range(1, 11):
+        walsh = np.kron(walsh, h)
+        rows = rng.integers(-8, 9, (3, 1 << n)) + 1j * rng.integers(-8, 9, (3, 1 << n))
+        amps, work = rows.copy(), np.empty_like(rows)
+        steps, result = hadamard_plan(amps, work)
+        assert len(steps) == -(-n // HADAMARD_BLOCK)
+        assert result is (work if len(steps) % 2 else amps)
+        for step in steps:
+            np.matmul(*step)
+        assert np.array_equal(result, rows @ walsh)
+        # the plan transforms whatever amps holds when it runs
+        amps[:] = result
+        for step in steps:
+            np.matmul(*step)
+        assert np.array_equal(result, rows * (1 << n))

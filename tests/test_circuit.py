@@ -4,21 +4,21 @@ from conftest import single_tape
 
 from qcgrad import gates
 from qcgrad.circuit import (
+    KRON_BLOCK,
     AnsatzSpec,
     encode_angles,
     encode_batch,
     forward_batch,
     layer_operators,
+    ring_signs,
     run_variational,
 )
 from qcgrad.state import (
-    KRON_BLOCK,
     QuantumState,
     apply_cz,
     apply_single_qubit,
     basis_state,
     kron,
-    ring_signs,
     z_expectation,
 )
 

@@ -190,7 +190,10 @@ def test_bench_csv_row_count(tmp_path, capsys):
     assert code == 0
     lines = (out / "bench.csv").read_text().splitlines()
     assert lines[0] == "method,n_qubits,depth_l,n_params,seconds_per_100_iters"
-    assert len(lines) == 1 + 2 * 2  # |methods| * (|depth_sweep| + |qubit_sweep|)
+    # method-major: the depth cells at 4 qubits, then the qubit cells at depth 10
+    assert [line.split(",")[:3] for line in lines[1:]] == [
+        ["backprop", "4", "0"], ["backprop", "2", "10"], ["spsa", "4", "0"], ["spsa", "2", "10"]
+    ]
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["command"] == "bench"
 
@@ -206,6 +209,15 @@ def test_bench_records_a_failed_cell_and_exits_0(tmp_path, capsys):
     assert [(c["method"], c["n_qubits"], c["depth_l"]) for c in failed] == [("backprop", 1, 10)]
     assert "2-D inputs need at least 2 qubits" in failed[0]["error"]
     assert len((out / "bench.csv").read_text().splitlines()) == 1 + 2
+
+
+def test_bench_rejects_an_impossible_cell_before_writing(tmp_path, capsys):
+    out = tmp_path / "bench"
+    code = run_cli(["bench", "--methods", "backprop", "--depth-sweep", "-1",
+                    "--qubit-sweep", "", "--out-dir", str(out)])
+    assert code == 1
+    assert "error: depth_l must be >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_methods_all_parses_to_every_gradient_method():

@@ -3,12 +3,10 @@ import pytest
 
 from qcgrad import gates
 from qcgrad.state import (
-    HADAMARD_BLOCK,
     QuantumState,
     apply_cz,
     apply_single_qubit,
     basis_state,
-    hadamard_plan,
     marginal,
     probabilities,
     z_expectation,
@@ -190,27 +188,3 @@ def test_norm_preservation_sweep():
         after = apply_single_qubit(s, random_unitary_2x2(rng), target)
         worst = max(worst, after.norm_error())
     assert worst < 1e-12
-
-
-def test_hadamard_plan_matches_dense_walsh_hadamard():
-    # integer-valued rows keep every partial sum exact, so the plan must equal
-    # the dense product bit for bit; n = 1-10 gives 1, 2 and 3 blocks, and
-    # so both buffers as the one that ends up holding the result
-    rng = np.random.default_rng(13)
-    h = np.array([[1.0, 1.0], [1.0, -1.0]])
-    walsh = np.ones((1, 1))
-    for n in range(1, 11):
-        walsh = np.kron(walsh, h)
-        rows = rng.integers(-8, 9, (3, 1 << n)) + 1j * rng.integers(-8, 9, (3, 1 << n))
-        amps, work = rows.copy(), np.empty_like(rows)
-        steps, result = hadamard_plan(amps, work)
-        assert len(steps) == -(-n // HADAMARD_BLOCK)
-        assert result is (work if len(steps) % 2 else amps)
-        for step in steps:
-            np.matmul(*step)
-        assert np.array_equal(result, rows @ walsh)
-        # the plan transforms whatever amps holds when it runs
-        amps[:] = result
-        for step in steps:
-            np.matmul(*step)
-        assert np.array_equal(result, rows * (1 << n))
