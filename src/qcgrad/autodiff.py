@@ -59,9 +59,11 @@ cotangent step, whose result nothing reads.  The transforms use +/-1 entries,
 a factor 2**(n/2) each; the 2**-n this leaves per product and per round trip
 is folded into the Y signs and into ``D_y``, exactly, as a power of two.
 
-Both transforms are planned once per call with :func:`hadamard_plan`, as
-the matmul steps of their blocks on the walk's fixed buffers, and every
-other view is made up front too.  A layer is then only its numpy calls:
+Both transforms are planned with :func:`hadamard_plan`, as the matmul
+steps of their blocks on the walk's fixed buffers, and every other view is
+made up front too, in a :func:`backward_plan`, which ``CircuitObjective``
+makes once and every other caller once per call.  A layer is then only its
+numpy calls:
 ``t``, ``v * t``, H, ``ã * s̃``, the sign matmul, ``D_y ã``, H and the
 next diagonal, with one more matmul per transform for each Walsh-Hadamard
 block beyond the first (n > :data:`HADAMARD_BLOCK`).  At n = 4 on the 16
@@ -78,7 +80,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .circuit import BatchTape, rotation_phases
+from .circuit import AnsatzSpec, BatchTape, rotation_phases
 from .state import kron, real_block_view, z_sign_matrix
 
 
@@ -123,8 +125,10 @@ def hadamard_plan(amps: np.ndarray, work: np.ndarray) -> tuple[list[tuple], np.n
     separately.  The blocks write to ``amps`` and ``work`` in turn, so
     nothing is allocated: fresh temporaries of this size made the C heap
     shrink and fault its pages back in, about 2,000 page faults per backward
-    pass at n=8, B=200.  The steps overwrite both arrays; ``result`` is
-    ``work`` when the blocks are odd in number, else ``amps``.
+    pass at n=8, B=200, and the arrays themselves are kept for every call in
+    the :func:`backward_plan` of ``CircuitObjective``.  The steps overwrite
+    both arrays; ``result`` is ``work`` when the blocks are odd in number,
+    else ``amps``.
     """
     first, *rest = hadamard_blocks(amps.shape[1].bit_length() - 1)
     flat = (-1, len(first))
@@ -162,7 +166,28 @@ def _gradient_signs(n_qubits: int) -> np.ndarray:
     return signs
 
 
-def backward_batch(tape: BatchTape, cotangent: np.ndarray) -> np.ndarray:
+def backward_plan(spec: AnsatzSpec, count: int) -> tuple:
+    """The buffers, views and Walsh-Hadamard plans of :func:`backward_batch`
+    on ``count`` rows of ``spec``'s circuit."""
+    n, l, dim = spec.n_qubits, spec.depth_l, 1 << spec.n_qubits
+    # one allocation for every buffer of the walk (see hadamard_plan):
+    # rows [v, t] = [S a, S* s] of the current layer, so that one H gives
+    # [ã, s̃]; the [ã * s̃, v * t] products; H's other buffer; S* as a full
+    # (B, dim) factor, since numpy multiplies a broadcast short row about 2x slower
+    work = np.empty((7, count, dim), dtype=complex)
+    vt, products, h_work, s_conj = work[:2], work[2:4], work[4:6], work[6]
+    # both transforms are planned once: [v, t] -> [ã, s̃], and D_y ã in the
+    # products, which are free by then, back to the new v
+    vt_plan, vt_tilde = hadamard_plan(vt.reshape(2 * count, dim), h_work.reshape(2 * count, dim))
+    u_plan, h_u = hadamard_plan(products[0], products[1])
+    s_conj[:] = np.conj(s_phases(n))
+    grad = np.empty((count, l + 1, n, 2))
+    # row k of the transpose is layer k's (2, count, n) [Y, Z] gradients
+    return (*vt, vt_plan, *vt_tilde.reshape(2, count, dim), *products, products.view(float), u_plan, h_u,
+            s_conj, grad.transpose(1, 3, 0, 2), grad)
+
+
+def backward_batch(tape: BatchTape, cotangent: np.ndarray, plan: tuple | None = None) -> np.ndarray:
     """Per-row gradients, shape (R, param_count), from a tape of R rows.
 
     The circuit is the one the tape was recorded for, ``tape.spec``.
@@ -171,35 +196,25 @@ def backward_batch(tape: BatchTape, cotangent: np.ndarray) -> np.ndarray:
     for a tape of the inputs themselves, or ``encoded.T @ A`` for a tape of
     the basis rows (see the module docstring).  The result is real with the
     parameter layout of :mod:`qcgrad.circuit`.
+
+    ``plan``, from :func:`backward_plan` for the tape's circuit and row
+    count, is the one its caller keeps for every call: the result is then a
+    view of its buffer, overwritten by the next call.  Without one, the
+    call plans for itself.
     """
     cotangent = np.asarray(cotangent, dtype=complex)
     if cotangent.shape != tape.final.shape:
         raise ValueError(
             f"cotangent shape {cotangent.shape} does not match batch shape {tape.final.shape}"
         )
-    n, l, (b, dim) = tape.spec.n_qubits, tape.spec.depth_l, cotangent.shape
+    n, l, b = tape.spec.n_qubits, tape.spec.depth_l, len(cotangent)
+    v, t, vt_plan, a_tilde, s_tilde, ab_product, vt_product, product_floats, u_plan, h_u, s_conj, grad_rows, grad = (
+        backward_plan(tape.spec, b) if plan is None else plan
+    )
     signs = _gradient_signs(n)
     # H has +/-1 entries, so H D H carries 2**n too many
     y_phases = rotation_phases(tape.theta.reshape(l + 1, n, 2)[:, :, 0], n) * 0.5**n
     diags = tape.diags
-    # one allocation for every buffer of the walk (see hadamard_plan):
-    # rows [v, t] = [S a, S* s] of the current layer, so that one H gives
-    # [ã, s̃]; the [ã * s̃, v * t] products; H's other buffer; S* as a full
-    # (B, dim) factor, since numpy multiplies a broadcast short row about 2x slower
-    work = np.empty((7, b, dim), dtype=complex)
-    vt, products, h_work, s_conj = work[:2], work[2:4], work[4:6], work[6]
-    v, t = vt
-    ab_product, vt_product = products
-    # both transforms are planned once: [v, t] -> [ã, s̃], and D_y ã in the
-    # products, which are free by then, back to the new v
-    vt_plan, vt_tilde = hadamard_plan(vt.reshape(2 * b, dim), h_work.reshape(2 * b, dim))
-    a_tilde, s_tilde = vt_tilde.reshape(2, b, dim)
-    u_plan, h_u = hadamard_plan(ab_product, vt_product)
-    product_floats = products.view(float)
-    grad = np.empty((b, l + 1, n, 2))
-    # row k is layer k's (2, b, n) [Y, Z] gradients
-    grad_rows = grad.transpose(1, 3, 0, 2)
-    s_conj[:] = np.conj(s_phases(n))
     np.multiply(cotangent, diags[l] * s_phases(n), out=v)
     for k in range(l, -1, -1):
         np.multiply(tape.posts[k], s_conj, out=t)

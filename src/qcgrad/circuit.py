@@ -33,12 +33,12 @@ silently corrupt the encoding, so dataset generators guarantee the range
 instead.
 
 Each forward turns a checked theta into layers once, in its caller:
-:func:`forward_batch` for the tape and ``CircuitObjective.expectations`` (in
-:mod:`qcgrad.trainer`) for every loss-only forward call
-:func:`layer_operators`, which builds every layer's operators in one go.
-:func:`run_variational` only runs the layers it is handed, in one loop, with
-the float views of its buffers made once per call: at n = 4 a forward is a
-few microseconds of arithmetic and mostly per-call numpy overhead.
+:func:`forward_batch` and ``CircuitObjective`` (in :mod:`qcgrad.trainer`)
+call :func:`layer_operators`, which builds every layer's operators in one go.
+:func:`run_variational` only runs the layers it is handed, in one loop, over
+the buffers and float views of a :func:`variational_plan`, which
+``CircuitObjective`` makes once per path and every other caller once per
+call.
 
 Every simulation runs on a batch of shape ``(B, 2**n)``; a single input is
 the batch ``x[None, :]``.  The batch may also be the 2**n basis rows, whose
@@ -243,21 +243,22 @@ def layer_operators(theta: np.ndarray, spec: AnsatzSpec) -> tuple[list[np.ndarra
     return blocks, diags
 
 
-def run_variational(
+def variational_plan(
     encoded: np.ndarray, layers: tuple[list[np.ndarray], np.ndarray], *, record: bool
-) -> list[np.ndarray] | np.ndarray:
-    """Apply the :func:`layer_operators` ``layers`` to encoded amplitudes of shape (B, dim).
+) -> tuple[np.ndarray, list[tuple]]:
+    """``(posts, steps)``: the buffers and matmul steps of :func:`run_variational` on ``encoded``.
 
-    Returns the tape rows ``[Y_0, ..., Y_l, final]`` as a list when
-    ``record`` is true, else just the final array.  This is the single code
-    path behind the tape of :func:`forward_batch` and every loss-only
-    evaluation; both build the layers from a checked theta first.
+    ``posts`` holds the tape rows ``[Y_0, ..., Y_l, final]`` when ``record``
+    is true, else one Y row and the final row.  ``steps[k]`` is layer k's
+    ``(source, out)`` float views, one pair per Y block, and the row that
+    its diagonal multiplies into the final row.  A plan serves every call on
+    the same ``encoded`` array with layers of the same shapes.
     """
     amps = np.ascontiguousarray(encoded, dtype=complex)
     blocks, diags = layers
-    # the rows are one allocation: many small ones freed together let the C
-    # heap shrink and fault its pages back in on the next call.  They are the
-    # tape, or one Y row and the final row when nothing is recorded
+    # the rows are one allocation, and the objective keeps its plan: rows
+    # freed after every call let the C heap shrink and fault its pages back
+    # in on the next (1,470 minor faults per backprop step at n = 7, l = 5)
     rows = len(diags) + 1 if record else 2
     posts = np.empty((rows,) + amps.shape, dtype=complex)
     # a Y sub-layer split into Kronecker blocks writes to the row and to this
@@ -265,26 +266,53 @@ def run_variational(
     # buffer per block made a loss-only forward at n = 7, B = 200, l = 3 take
     # 504 minor page faults); a single block writes to the row alone
     work = np.empty_like(amps) if len(blocks) > 1 else posts[0]
-    # each block's float views of the rows and of the work buffer, made once
-    steps, lo = [], 1
+    views, lo = [], 1
     for stack in blocks:
         m = stack.shape[1]
-        steps.append((stack, real_block_view(posts, m, lo), real_block_view(work, m, lo)))
+        views.append((real_block_view(posts, m, lo), real_block_view(work, m, lo)))
         lo *= m
     # the first block reads the encoded states, then each diag * Y_k
-    source = real_block_view(amps, blocks[0].shape[1])
-    final_view = real_block_view(posts[-1], blocks[0].shape[1])
-    for k, diag in enumerate(diags):
-        row = min(k, rows - 2)
-        for i, (stack, at_rows, at_work) in enumerate(steps):
-            to_row = (len(steps) - i) % 2
+    m = blocks[0].shape[1]
+    source, final = real_block_view(amps, m), real_block_view(posts[-1], m)
+    steps = []
+    for k in range(len(diags)):
+        row, matmuls = min(k, rows - 2), []
+        for i, (at_rows, at_work) in enumerate(views):
+            to_row = (len(views) - i) % 2
             if i:  # what the block before wrote
                 source = at_work if to_row else at_rows[row]
-            np.matmul(stack[k], source, out=at_rows[row] if to_row else at_work)
+            matmuls.append((source, at_rows[row] if to_row else at_work))
+        steps.append((matmuls, posts[row]))
         # the final row holds each diag * Y_k until the next Y sub-layer reads it
-        np.multiply(posts[row], diag, out=posts[-1])
-        source = final_view
-    return list(posts) if record else posts[-1]
+        source = final
+    return posts, steps
+
+
+def run_variational(
+    encoded: np.ndarray, layers: tuple[list[np.ndarray], np.ndarray], *, record: bool, plan: tuple | None = None
+) -> list[np.ndarray] | np.ndarray:
+    """Apply the :func:`layer_operators` ``layers`` to encoded amplitudes of shape (B, dim).
+
+    Returns the tape rows ``[Y_0, ..., Y_l, final]`` as a list when
+    ``record`` is true, else just the final array.  This is the single code
+    path behind every tape and every loss-only evaluation; each caller builds
+    the layers from a checked theta first.
+
+    ``plan``, from :func:`variational_plan` with the same ``encoded`` and
+    ``record``, is the one its caller keeps for every call: the rows
+    returned are then its buffers, overwritten by the next call.  Without
+    one, the call plans for itself.  At n = 4 a forward is a few
+    microseconds of arithmetic and mostly per-call numpy overhead, which
+    making the views again on every call adds to.
+    """
+    posts, steps = variational_plan(encoded, layers, record=record) if plan is None else plan
+    blocks, diags = layers
+    final = posts[-1]
+    for k, (matmuls, row) in enumerate(steps):
+        for stack, (source, out) in zip(blocks, matmuls):
+            np.matmul(stack[k], source, out=out)
+        np.multiply(row, diags[k], out=final)
+    return list(posts) if record else final
 
 
 def forward_batch(encoded: np.ndarray, theta: np.ndarray, spec: AnsatzSpec) -> BatchTape:

@@ -78,7 +78,22 @@ def real_block_view(amps: np.ndarray, m: int, lo: int = 1) -> np.ndarray:
     return amps.view(float).reshape(amps.shape[:-1] + (amps.shape[-1] // (m * lo), m, 2 * lo))
 
 
-def apply_operator(amps: np.ndarray, operator: np.ndarray) -> np.ndarray:
+def operator_plan(amps: np.ndarray) -> tuple[np.ndarray, tuple, np.ndarray]:
+    """``(real, step, out)``: the buffers and the matmul of :func:`apply_operator` on ``amps``.
+
+    ``real`` is a (2**n, 2, 2**n) complex buffer for ``[P, 1j * P]``, whose
+    float view is the real (2 * 2**n, 2 * 2**n) form of P: row r of P
+    acting on the real part, then on the imaginary part.  ``np.matmul(*step)``
+    writes ``amps @ P`` into ``out``.
+    """
+    dim = amps.shape[1]
+    real = np.empty((dim, 2, dim), dtype=complex)
+    out = np.empty_like(amps)
+    step = (amps.view(float)[:, None, :], real.view(float).reshape(2 * dim, 2 * dim), out.view(float)[:, None, :])
+    return real, step, out
+
+
+def apply_operator(amps: np.ndarray, operator: np.ndarray, plan: tuple | None = None) -> np.ndarray:
     """``amps @ operator`` of C-contiguous (B, 2**n) states and a (2**n, 2**n) matrix.
 
     As in :func:`real_block_view`, each state is its own matmul over the
@@ -86,14 +101,16 @@ def apply_operator(amps: np.ndarray, operator: np.ndarray) -> np.ndarray:
     rows.  After a warm-up, the first products grew the resident set by
     40 KB in this real form, by 232 KB as complex per-state products and by
     428 KB as one flat complex GEMM (numpy 2.4 with OpenBLAS, 2 vCPUs).
+
+    ``plan``, from :func:`operator_plan` on these ``amps``, serves every
+    call on them; the result is then its ``out`` buffer.  Without one, the
+    call plans for itself.
     """
-    dim = len(operator)
-    real = np.empty((dim, 2, dim, 2))
-    real[:, 0, :, 0] = real[:, 1, :, 1] = operator.real
-    real[:, 0, :, 1] = operator.imag
-    real[:, 1, :, 0] = -operator.imag
-    out = np.matmul(amps.view(float)[:, None, :], real.reshape(2 * dim, 2 * dim))
-    return out.reshape(len(amps), 2 * dim).view(complex)
+    real, step, out = operator_plan(amps) if plan is None else plan
+    real[:, 0] = operator
+    np.multiply(operator, 1j, out=real[:, 1])
+    np.matmul(*step)
+    return out
 
 
 @lru_cache(maxsize=None)

@@ -5,11 +5,24 @@ dataset once and returns losses, outputs and gradients for the whole batch;
 :func:`train` scores the head's metric from the outputs.  Per-sample
 quantities are reduced in fixed order, so a fixed seed reproduces every
 history bit for bit.  The head owns its task, qubits and metric; the
-objective owns the measurement.  Its one loss-only forward,
-:meth:`~CircuitObjective.expectations`, maps theta to the (B, k) <Z> of the
-head's qubits for ``loss``, ``evaluate`` and :func:`predict` (a zero-target
+objective owns the measurement.  Its one loss-only forward maps theta to
+the (B, k) <Z> of the head's qubits for ``loss``, ``evaluate``,
+:meth:`~CircuitObjective.expectations` and :func:`predict` (a zero-target
 batch, so it meets every check); ``loss_and_grad_backprop`` measures the same
 way and spreads dL/d<Z> over the same +/-1 sign rows into dL/dp.
+
+Plans.  The objective owns one plan per path, the loss-only forward and the
+backprop step, made on the path's first call and again only if ``rows``
+changes: the arrays of the forward (:func:`qcgrad.circuit.variational_plan`),
+of the operator (:func:`qcgrad.state.operator_plan`), the probabilities and
+<Z>, the cotangent and the backward (:func:`qcgrad.autodiff.backward_plan`),
+with every float view and matmul step over them.  At n = 4, B = 200 a
+loss-only forward is mostly numpy's per-call overhead, and making these on
+every call cost about a fifth of it; at n = 7, l = 5 freeing them after
+every backprop step cost 1,470 minor page faults per step.  So one objective
+is not re-entrant: each call overwrites the buffers of the one before.
+Nothing it returns aliases a plan: the outputs and the gradient are fresh
+arrays, and ``expectations`` returns a copy.
 
 Basis rows.  With d = 2**n the circuit is ``final = psi @ P`` in row
 convention, and P is the circuit run on the d basis rows.  The objective runs
@@ -39,12 +52,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import backward_batch
+from .autodiff import backward_batch, backward_plan
 from .baselines import finite_difference_grad, spsa_grad
-from .circuit import AnsatzSpec, check_theta, encode_batch, forward_batch, layer_operators, run_variational
+from .circuit import (
+    AnsatzSpec, BatchTape, check_theta, encode_batch, layer_operators, run_variational, variational_plan,
+)
 from .datasets import Dataset
 from .heads import ClassificationHead, RegressionHead, readout
-from .state import apply_operator, as_index, z_sign_vector
+from .state import apply_operator, as_index, operator_plan, z_sign_vector
 
 GRADIENT_METHODS = ("backprop", "finite_difference", "spsa")
 
@@ -125,33 +140,28 @@ class CircuitObjective:
         count, dim = self.encoded.shape
         basis_rows = (spec.depth_l + 1) * (count - dim) >= OPERATOR_APPLY_COST * count
         self.rows = np.eye(dim, dtype=complex) if basis_rows else self.encoded
+        self._plans = {}
 
-    def _measure(self, row_finals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(final amplitudes, (B, k) <Z> of the head's qubits) of the batch, from
-        the final states of its rows.
+    def _plan(self, layers, record):
+        """The plan of one path, made on its first call and again if ``rows`` changed."""
+        plan = self._plans.get(record)
+        if plan is None or plan.rows is not self.rows:
+            plan = self._plans[record] = _Plan(self, layers, record)
+        return plan
 
-        The operator is applied first when the layers ran on the basis rows.
-        Each <Z_q> is one matvec of the probabilities against its sign row,
-        written into row q of a fresh (k, B) array whose transpose is
-        returned; one GEMM against all k rows rounds differently (2.7e-13 at
-        n = 8).  The probabilities are squared in place.
-        """
-        final = row_finals if self.rows is self.encoded else apply_operator(self.encoded, row_finals)
-        probs = np.abs(final)
-        np.square(probs, out=probs)
-        z = np.empty((len(self.signs), len(final)))
-        for out, signs in zip(z, self.signs):
-            np.matmul(probs, signs, out=out)
-        return final, z.T
+    def _z(self, theta):
+        """The loss-only forward: the (B, k) <Z> at theta, a view of the plan's buffer."""
+        layers = layer_operators(check_theta(theta, self.spec), self.spec)
+        plan = self._plan(layers, False)
+        return plan.measure(run_variational(self.rows, layers, record=False, plan=plan.forward))
 
     def expectations(self, theta: np.ndarray) -> np.ndarray:
-        """(B, k) <Z> of the head's qubits at theta: the one loss-only forward."""
-        layers = layer_operators(check_theta(theta, self.spec), self.spec)
-        return self._measure(run_variational(self.rows, layers, record=False))[1]
+        """(B, k) <Z> of the head's qubits at theta, from the one loss-only forward, as a fresh array."""
+        return self._z(theta).copy()
 
     def loss(self, theta: np.ndarray) -> float:
         """Mean loss over the batch; the opaque evaluator handed to FD/SPSA."""
-        losses = readout(self.expectations(theta), self.targets, self.head)[0]
+        losses = readout(self._z(theta), self.targets, self.head)[0]
         # np.mean's own sum and division, without its Python-level dispatch
         return float(losses.sum()) / len(losses)
 
@@ -160,18 +170,62 @@ class CircuitObjective:
 
         The outputs are predictions (regression) or y1 (classification).
         """
-        losses, outputs, _ = readout(self.expectations(theta), self.targets, self.head)
+        losses, outputs, _ = readout(self._z(theta), self.targets, self.head)
         return float(losses.mean()), outputs
 
     def loss_and_grad_backprop(self, theta: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
         """(mean loss, per-sample outputs, mean gradient) via one forward and one backward."""
-        tape = forward_batch(self.rows, theta, self.spec)
-        final, z = self._measure(tape.final)
-        losses, outputs, dL_dz = readout(z, self.targets, self.head)
-        cotangent = (dL_dz @ self.signs) * np.conj(final)
-        if self.rows is not self.encoded:
-            cotangent = self.encoded.T @ cotangent
-        return float(losses.mean()), outputs, backward_batch(tape, cotangent).sum(axis=0) / len(final)
+        theta = check_theta(theta, self.spec)
+        layers = layer_operators(theta, self.spec)
+        plan = self._plan(layers, True)
+        posts = run_variational(self.rows, layers, record=True, plan=plan.forward)
+        tape = BatchTape(self.spec, posts, theta, layers[1])
+        losses, outputs, dL_dz = readout(plan.measure(tape.final), self.targets, self.head)
+        np.multiply(dL_dz @ self.signs, np.conjugate(plan.final, out=plan.cotangent), out=plan.cotangent)
+        if plan.operator is not None:
+            np.matmul(self.encoded.T, plan.cotangent, out=plan.row_cotangent)
+        grad = backward_batch(tape, plan.row_cotangent, plan.backward)
+        return float(losses.mean()), outputs, grad.sum(axis=0) / len(outputs)
+
+
+class _Plan:
+    """The buffers of one path of :class:`CircuitObjective`, and every view and step over them.
+
+    It reads the objective's rows, encoded batch, sign rows and spec, but
+    keeps no reference to the objective: with one, each objective's buffers
+    would wait for the cyclic collector.
+    """
+
+    def __init__(self, objective, layers, record):
+        self.rows, self.encoded = rows, encoded = objective.rows, objective.encoded
+        self.forward = variational_plan(rows, layers, record=record)
+        # the operator is applied first when the layers run on the basis rows
+        self.operator = None if rows is encoded else operator_plan(encoded)
+        self.final = self.forward[0][-1] if self.operator is None else self.operator[2]
+        self.probs = np.empty(self.final.shape)
+        z = np.empty((len(objective.signs), len(encoded)))
+        self.z_steps = [(self.probs, row, out) for row, out in zip(objective.signs, z)]
+        self.z = z.T
+        if record:
+            self.cotangent = np.empty_like(self.final)
+            self.row_cotangent = self.cotangent if self.operator is None else np.empty_like(rows)
+            self.backward = backward_plan(objective.spec, len(rows))
+
+    def measure(self, row_finals):
+        """The (B, k) <Z> of the head's qubits, from the final states of the rows.
+
+        Each <Z_q> is one matvec of the probabilities against its sign row,
+        written into row q of a (k, B) array whose transpose is returned;
+        one GEMM against all k rows rounds differently (2.7e-13 at n = 8).
+        The probabilities are squared in place.
+        """
+        if self.operator is not None:
+            apply_operator(self.encoded, row_finals, self.operator)
+        np.abs(self.final, out=self.probs)
+        np.square(self.probs, out=self.probs)
+        for step in self.z_steps:
+            np.matmul(*step)
+        return self.z
 
 
 def random_objective(

@@ -1,4 +1,6 @@
+import gc
 import warnings
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -319,6 +321,62 @@ def test_operator_apply_rows_equal_single_runs(n):
         assert np.abs(rows - states @ operator).max() <= 1e-13
         for i in range(b):
             assert np.array_equal(rows[i], apply_operator(states[i : i + 1], operator)[0])
+
+
+def every_result(objective, theta):
+    """What each of the objective's paths returns at theta, in one list."""
+    return [
+        objective.loss(theta),
+        *objective.evaluate(theta),
+        objective.expectations(theta),
+        *objective.loss_and_grad_backprop(theta),
+    ]
+
+
+@pytest.mark.parametrize(
+    "n, l, count, basis_rows",
+    # n = 7 has two Kronecker blocks in the forward and two Walsh-Hadamard blocks in the backward
+    [(4, 5, 200, True), (4, 2, 200, False), (7, 5, 400, True), (7, 3, 40, False)],
+)
+def test_plans_are_reused_bit_for_bit_and_nothing_returned_aliases_them(n, l, count, basis_rows):
+    # one objective keeps a plan per path across calls; a fresh objective
+    # per call plans for that call alone.  After both paths have run, the
+    # rows are reassigned to the other kind, so the plans are made again
+    for classification in (False, True):
+        objective, theta = operator_objective(n, l, classification, count)
+        assert (objective.rows is not objective.encoded) == basis_rows
+        for reassigned in (False, True):
+            if reassigned:
+                other = objective.encoded if basis_rows else np.eye(1 << n, dtype=complex)
+                objective.rows = other
+            first = kept = None
+            for theta_i in (theta, theta[::-1].copy(), theta):
+                fresh = operator_objective(n, l, classification, count)[0]
+                if reassigned:
+                    fresh.rows = fresh.encoded if basis_rows else np.eye(1 << n, dtype=complex)
+                got = every_result(objective, theta_i)
+                for value, expected in zip(got, every_result(fresh, theta_i)):
+                    assert np.array_equal(value, expected)
+                if first is None:
+                    first, kept = got, [np.copy(value) for value in got]
+                for value, expected in zip(first, kept):
+                    assert np.array_equal(value, expected)
+
+
+def test_an_objective_is_freed_without_the_cyclic_collector():
+    # its plans hold no reference back to it: with one, each train()'s
+    # buffers waited for the collector and perfbench's peak RSS rose
+    for count in (8, 200):  # the inputs, then the basis rows
+        objective, theta = operator_objective(4, 5, True, count)
+        objective.loss(theta)
+        objective.loss_and_grad_backprop(theta)
+        freed = weakref.ref(objective)
+        gc.disable()
+        try:
+            del objective
+            assert freed() is None
+        finally:
+            gc.enable()
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
