@@ -17,7 +17,9 @@ through dL/d<Z> directly.
 
 The cotangents implement the exact chain rule of the losses as coded here
 (including the gamma factor and the output-scale factor), so they agree
-with finite differences of the end-to-end loss to oracle precision.
+with finite differences of the end-to-end loss to oracle precision.  The
+cross entropy is computed in closed form from the softmax's logit, not as
+the log of a clamped y1, so that holds where y1 rounds to 0 or 1 too.
 """
 
 from __future__ import annotations
@@ -27,10 +29,6 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
-
-#: Probabilities are clamped to [eps, 1-eps] before log().
-CLAMP_EPS = 1e-12
-
 
 def r_squared(predictions: np.ndarray, targets: np.ndarray) -> float:
     """Coefficient of determination, 1 - SS_res / SS_tot."""
@@ -143,18 +141,19 @@ def classification_batch(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(losses, y1, dL/d<Z>) of cross entropy -(d*log(y1) + (1-d)*log(1-y1)).
 
-    ``z`` is the (B, 2) of (<Z_1>, <Z_2>).  y1 is clamped to [eps, 1-eps]
-    before log().  dL/d<Z_1> = gamma*(y1 - d) and dL/d<Z_2> is its negative;
-    at gamma=1 this is the plain (y1 - d) error signal.
+    ``z`` is the (B, 2) of (<Z_1>, <Z_2>) and t = gamma*(<Z_1> - <Z_2>).  The
+    loss is computed as log(1 + exp(-t)) for label 1 and log(1 + exp(t)) for
+    label 0, which is exact, finite and smooth however far y1 is from the
+    label.  dL/d<Z_1> = gamma*(y1 - d) and dL/d<Z_2> is its negative; at
+    gamma=1 this is the plain (y1 - d) error signal.
     """
     t = head.gamma * (z[:, 0] - z[:, 1])
     # the logistic form for each sign of t, with e = exp(-|t|), never overflows
     e = np.exp(-np.abs(t))
     denominator = 1.0 + e
     y1 = np.where(t >= 0, 1.0 / denominator, e / denominator)
-    y = np.minimum(np.maximum(y1, CLAMP_EPS), 1.0 - CLAMP_EPS)
     d = np.asarray(labels, dtype=float)
-    losses = -(d * np.log(y) + (1.0 - d) * np.log(1.0 - y))
+    losses = np.logaddexp(0.0, (1.0 - 2.0 * d) * t)
     dL_dz = np.empty((len(t), 2))
     np.multiply(head.gamma, y1 - d, out=dL_dz[:, 0])
     np.negative(dL_dz[:, 0], out=dL_dz[:, 1])

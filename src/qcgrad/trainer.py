@@ -11,18 +11,19 @@ the (B, k) <Z> of the head's qubits for ``loss``, ``evaluate``,
 batch, so it meets every check); ``loss_and_grad_backprop`` measures the same
 way and spreads dL/d<Z> over the same +/-1 sign rows into dL/dp.
 
-Plans.  The objective owns one plan per path, the loss-only forward and the
-backprop step, made on the path's first call and again only if ``rows``
-changes: the arrays of the forward (:func:`qcgrad.circuit.variational_plan`),
-of the operator (:func:`qcgrad.state.operator_plan`), the probabilities and
-<Z>, the cotangent and the backward (:func:`qcgrad.autodiff.backward_plan`),
-with every float view and matmul step over them.  At n = 4, B = 200 a
-loss-only forward is mostly numpy's per-call overhead, and making these on
-every call cost about a fifth of it; at n = 7, l = 5 freeing them after
-every backprop step cost 1,470 minor page faults per step.  So one objective
-is not re-entrant: each call overwrites the buffers of the one before.
-Nothing it returns aliases a plan: the outputs and the gradient are fresh
-arrays, and ``expectations`` returns a copy.
+Buffers.  The objective keeps every array its evaluations write, with
+every float view and matmul step over them: the measurement's (the operator
+of :func:`qcgrad.state.operator_plan`, the probabilities and <Z>), shared by
+both paths and made with the objective, whose ``rows`` are fixed then; each
+path's forward (:func:`qcgrad.circuit.variational_plan`), made on the path's
+first call; and the cotangents and backward
+(:func:`qcgrad.autodiff.backward_plan`), made on the first backprop step.
+At n = 4, B = 200 a loss-only forward is mostly numpy's per-call overhead,
+and making these on every call cost about a fifth of it; at n = 7, l = 5
+freeing them after every backprop step cost 1,470 minor page faults per
+step.  So one objective is not re-entrant: each call overwrites the buffers
+of the one before.  Nothing it returns aliases a buffer: the outputs and the
+gradient are fresh arrays, and ``expectations`` returns a copy.
 
 Basis rows.  With d = 2**n the circuit is ``final = psi @ P`` in row
 convention, and P is the circuit run on the d basis rows.  The objective runs
@@ -140,28 +141,54 @@ class CircuitObjective:
         count, dim = self.encoded.shape
         basis_rows = (spec.depth_l + 1) * (count - dim) >= OPERATOR_APPLY_COST * count
         self.rows = np.eye(dim, dtype=complex) if basis_rows else self.encoded
-        self._plans = {}
+        # the measurement's buffers, which both paths share; the operator is
+        # applied first when the layers run on the basis rows
+        self._operator = operator_plan(self.encoded) if basis_rows else None
+        self._probs = np.empty(self.encoded.shape)
+        z = np.empty((len(self.signs), count))
+        self._z_steps = [(self._probs, row, out) for row, out in zip(self.signs, z)]
+        self._z = z.T
+        # each path's forward, loss-only then recording, and the backprop
+        # step's buffers, made on first use
+        self._forwards = [None, None]
+        self._backward = None
 
-    def _plan(self, layers, record):
-        """The plan of one path, made on its first call and again if ``rows`` changed."""
-        plan = self._plans.get(record)
-        if plan is None or plan.rows is not self.rows:
-            plan = self._plans[record] = _Plan(self, layers, record)
-        return plan
+    def _run(self, theta, record):
+        """The rows' tape (``record``) or final states at theta, on the path's buffers."""
+        theta = check_theta(theta, self.spec)
+        layers = layer_operators(theta, self.spec)
+        if self._forwards[record] is None:
+            self._forwards[record] = variational_plan(self.rows, layers, record=record)
+        posts = run_variational(self.rows, layers, record=record, plan=self._forwards[record])
+        return BatchTape(self.spec, posts, theta, layers[1]) if record else posts
 
-    def _z(self, theta):
-        """The loss-only forward: the (B, k) <Z> at theta, a view of the plan's buffer."""
-        layers = layer_operators(check_theta(theta, self.spec), self.spec)
-        plan = self._plan(layers, False)
-        return plan.measure(run_variational(self.rows, layers, record=False, plan=plan.forward))
+    def _measure(self, row_finals):
+        """Write the (B, k) <Z> of the head's qubits into ``_z``; returns the batch's final states.
+
+        Each <Z_q> is one matvec of the probabilities against its sign row,
+        written into row q of a (k, B) array whose transpose is ``_z``; one
+        GEMM against all k rows rounds differently (2.7e-13 at n = 8).  The
+        probabilities are squared in place.
+        """
+        final = row_finals if self._operator is None else apply_operator(self.encoded, row_finals, self._operator)
+        np.abs(final, out=self._probs)
+        np.square(self._probs, out=self._probs)
+        for step in self._z_steps:
+            np.matmul(*step)
+        return final
+
+    def _expectations(self, theta):
+        """The loss-only forward: the (B, k) <Z> at theta, in the objective's buffer."""
+        self._measure(self._run(theta, False))
+        return self._z
 
     def expectations(self, theta: np.ndarray) -> np.ndarray:
         """(B, k) <Z> of the head's qubits at theta, from the one loss-only forward, as a fresh array."""
-        return self._z(theta).copy()
+        return self._expectations(theta).copy()
 
     def loss(self, theta: np.ndarray) -> float:
         """Mean loss over the batch; the opaque evaluator handed to FD/SPSA."""
-        losses = readout(self._z(theta), self.targets, self.head)[0]
+        losses = readout(self._expectations(theta), self.targets, self.head)[0]
         # np.mean's own sum and division, without its Python-level dispatch
         return float(losses.sum()) / len(losses)
 
@@ -170,62 +197,24 @@ class CircuitObjective:
 
         The outputs are predictions (regression) or y1 (classification).
         """
-        losses, outputs, _ = readout(self._z(theta), self.targets, self.head)
+        losses, outputs, _ = readout(self._expectations(theta), self.targets, self.head)
         return float(losses.mean()), outputs
 
     def loss_and_grad_backprop(self, theta: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
         """(mean loss, per-sample outputs, mean gradient) via one forward and one backward."""
-        theta = check_theta(theta, self.spec)
-        layers = layer_operators(theta, self.spec)
-        plan = self._plan(layers, True)
-        posts = run_variational(self.rows, layers, record=True, plan=plan.forward)
-        tape = BatchTape(self.spec, posts, theta, layers[1])
-        losses, outputs, dL_dz = readout(plan.measure(tape.final), self.targets, self.head)
-        np.multiply(dL_dz @ self.signs, np.conjugate(plan.final, out=plan.cotangent), out=plan.cotangent)
-        if plan.operator is not None:
-            np.matmul(self.encoded.T, plan.cotangent, out=plan.row_cotangent)
-        grad = backward_batch(tape, plan.row_cotangent, plan.backward)
+        # made before the first forward: made after it, perfbench's bp-deep peak RSS read +0.05 MB
+        if self._backward is None:
+            self._cotangent = np.empty_like(self.encoded)
+            self._row_cotangent = self._cotangent if self._operator is None else np.empty_like(self.rows)
+            self._backward = backward_plan(self.spec, len(self.rows))
+        tape = self._run(theta, True)
+        final = self._measure(tape.final)
+        losses, outputs, dL_dz = readout(self._z, self.targets, self.head)
+        np.multiply(dL_dz @ self.signs, np.conjugate(final, out=self._cotangent), out=self._cotangent)
+        if self._operator is not None:
+            np.matmul(self.encoded.T, self._cotangent, out=self._row_cotangent)
+        grad = backward_batch(tape, self._row_cotangent, self._backward)
         return float(losses.mean()), outputs, grad.sum(axis=0) / len(outputs)
-
-
-class _Plan:
-    """The buffers of one path of :class:`CircuitObjective`, and every view and step over them.
-
-    It reads the objective's rows, encoded batch, sign rows and spec, but
-    keeps no reference to the objective: with one, each objective's buffers
-    would wait for the cyclic collector.
-    """
-
-    def __init__(self, objective, layers, record):
-        self.rows, self.encoded = rows, encoded = objective.rows, objective.encoded
-        self.forward = variational_plan(rows, layers, record=record)
-        # the operator is applied first when the layers run on the basis rows
-        self.operator = None if rows is encoded else operator_plan(encoded)
-        self.final = self.forward[0][-1] if self.operator is None else self.operator[2]
-        self.probs = np.empty(self.final.shape)
-        z = np.empty((len(objective.signs), len(encoded)))
-        self.z_steps = [(self.probs, row, out) for row, out in zip(objective.signs, z)]
-        self.z = z.T
-        if record:
-            self.cotangent = np.empty_like(self.final)
-            self.row_cotangent = self.cotangent if self.operator is None else np.empty_like(rows)
-            self.backward = backward_plan(objective.spec, len(rows))
-
-    def measure(self, row_finals):
-        """The (B, k) <Z> of the head's qubits, from the final states of the rows.
-
-        Each <Z_q> is one matvec of the probabilities against its sign row,
-        written into row q of a (k, B) array whose transpose is returned;
-        one GEMM against all k rows rounds differently (2.7e-13 at n = 8).
-        The probabilities are squared in place.
-        """
-        if self.operator is not None:
-            apply_operator(self.encoded, row_finals, self.operator)
-        np.abs(self.final, out=self.probs)
-        np.square(self.probs, out=self.probs)
-        for step in self.z_steps:
-            np.matmul(*step)
-        return self.z
 
 
 def random_objective(

@@ -5,7 +5,6 @@ import pytest
 
 from qcgrad import gates
 from qcgrad.heads import (
-    CLAMP_EPS,
     ClassificationHead,
     RegressionHead,
     classification_batch,
@@ -120,7 +119,25 @@ def test_cross_entropy_examples():
     assert abs(read(uniform, 1, ClassificationHead())[0] - math.log(2)) < 1e-12
     assert abs(read(uniform, 0, ClassificationHead())[0] - math.log(2)) < 1e-12
     loss, y1, _ = read(sure_zero, 1, ClassificationHead(gamma=400.0))
-    assert y1 == 0.0 and 0 < loss < math.inf  # clamped, no log(0) blowup
+    assert y1 == 0.0 and loss == 800.0  # log(1 + e^800), no log(0) blowup
+
+
+@pytest.mark.parametrize("gamma", [20.0, 400.0])
+def test_cross_entropy_gradient_matches_central_differences_when_confidently_wrong(gamma):
+    # each row's y1 lies within 1e-12 of the wrong label (within 1e-11 for the
+    # last at gamma = 20, and exactly on it at gamma = 400): a loss taken as
+    # the log of a clamped y1 is flat there, and its central differences read
+    # 0 where dL/d<Z> reads -/+gamma
+    z = np.array([[-0.75, 0.75], [0.9, -0.8], [-1.0, 1.0], [0.6, -0.7]])
+    labels = np.array([1.0, 0.0, 1.0, 0.0])
+    head = ClassificationHead(gamma=gamma)
+    dL_dz = classification_batch(z, labels, head)[2]
+    h = 1e-6
+    for k in range(2):
+        step = np.zeros_like(z)
+        step[:, k] = h
+        up, down = (classification_batch(z + sign * step, labels, head)[0] for sign in (1, -1))
+        np.testing.assert_allclose((up - down) / (2 * h), dL_dz[:, k], rtol=1e-6, atol=0)
 
 
 def test_cross_entropy_nonnegative():
@@ -190,16 +207,20 @@ def test_batch_heads_match_scalar_ops():
 
 
 def masked_classification(z, labels, gamma):
-    """classification_batch's returns in their earlier boolean-mask form, as a reference."""
+    """classification_batch's returns in an earlier boolean-mask form, as a reference.
+
+    The loss is the cross entropy log(1 + e^s), with s = -t for label 1 and
+    t for label 0, one row at a time through the math module.
+    """
     t = gamma * (z[:, 0] - z[:, 1])
     y1 = np.empty_like(t)
     pos = t >= 0
     y1[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
     e = np.exp(t[~pos])
     y1[~pos] = e / (1.0 + e)
-    y = np.clip(y1, CLAMP_EPS, 1.0 - CLAMP_EPS)
     d = labels.astype(float)
-    losses = -(d * np.log(y) + (1.0 - d) * np.log(1.0 - y))
+    s = (1.0 - 2.0 * d) * t
+    losses = np.array([max(s_i, 0.0) + math.log1p(math.exp(-abs(s_i))) for s_i in s])
     g = gamma * (y1 - d)
     return losses, y1, np.column_stack([g, -g])
 
@@ -214,7 +235,12 @@ def test_classification_batch_equals_the_masked_form_bit_for_bit(gamma):
     labels = np.concatenate([np.tile([0.0, 1.0], len(edges)), np.random.default_rng(13).integers(0, 2, 200)])
     head = ClassificationHead(gamma=gamma)
     assert np.signbit(gamma * (z[2, 0] - z[2, 1])) and not np.signbit(gamma * (z[0, 0] - z[0, 1]))
-    expected = masked_classification(z, labels, gamma)
-    for got, reference in zip(classification_batch(z, labels, head), expected, strict=True):
-        assert got.shape == reference.shape
-        assert np.array_equal(got, reference)
+    losses, *got = classification_batch(z, labels, head)
+    expected_losses, *expected = masked_classification(z, labels, gamma)
+    for value, reference in zip(got, expected, strict=True):
+        assert value.shape == reference.shape
+        assert np.array_equal(value, reference)
+    # the same libm exp and log1p as np.logaddexp, bit for bit with numpy 2.4
+    # on glibc; a vectorised build may round them differently
+    assert losses.shape == expected_losses.shape
+    np.testing.assert_allclose(losses, expected_losses, rtol=1e-15, atol=0)

@@ -1,4 +1,6 @@
 import gc
+import math
+import tracemalloc
 import warnings
 import weakref
 from collections import Counter
@@ -289,16 +291,22 @@ def operator_objective(n, l, classification, count, seed=0):
     return CircuitObjective(dataset, spec, head), theta
 
 
+def objective_on(basis_rows, n, l, classification, count, seed=0):
+    """:func:`operator_objective` with its layers on the basis rows or on the inputs, whatever the rule says."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(trainer, "OPERATOR_APPLY_COST", -math.inf if basis_rows else math.inf)
+        return operator_objective(n, l, classification, count, seed)
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_operator_path_matches_per_sample_path(n):
     for l in range(6):
         for classification in (False, True) if n >= 2 else (False,):
-            objective, theta = operator_objective(n, l, classification, count=130)
-            objective.rows = objective.encoded
+            objective, theta = objective_on(False, n, l, classification, count=130)
             ref_losses = readout(objective.expectations(theta), objective.targets, objective.head)[0]
             _, ref_outputs, ref_grad = objective.loss_and_grad_backprop(theta)
             # shallow circuits run the inputs themselves; check the basis rows anyway
-            objective.rows = np.eye(1 << n, dtype=complex)
+            objective = objective_on(True, n, l, classification, count=130)[0]
             losses = readout(objective.expectations(theta), objective.targets, objective.head)[0]
             loss, outputs, grad = objective.loss_and_grad_backprop(theta)
             assert np.abs(grad - ref_grad).max() <= 1e-14
@@ -339,21 +347,17 @@ def every_result(objective, theta):
     [(4, 5, 200, True), (4, 2, 200, False), (7, 5, 400, True), (7, 3, 40, False)],
 )
 def test_plans_are_reused_bit_for_bit_and_nothing_returned_aliases_them(n, l, count, basis_rows):
-    # one objective keeps a plan per path across calls; a fresh objective
-    # per call plans for that call alone.  After both paths have run, the
-    # rows are reassigned to the other kind, so the plans are made again
+    # one objective keeps its buffers across calls; a fresh objective per
+    # call makes them for that call alone.  Each case runs on the rows the
+    # rule picks, then on the other kind
     for classification in (False, True):
-        objective, theta = operator_objective(n, l, classification, count)
-        assert (objective.rows is not objective.encoded) == basis_rows
-        for reassigned in (False, True):
-            if reassigned:
-                other = objective.encoded if basis_rows else np.eye(1 << n, dtype=complex)
-                objective.rows = other
+        by_rule = operator_objective(n, l, classification, count)[0]
+        assert (by_rule.rows is not by_rule.encoded) == basis_rows
+        for rows_kind in (basis_rows, not basis_rows):
+            objective, theta = objective_on(rows_kind, n, l, classification, count)
             first = kept = None
             for theta_i in (theta, theta[::-1].copy(), theta):
-                fresh = operator_objective(n, l, classification, count)[0]
-                if reassigned:
-                    fresh.rows = fresh.encoded if basis_rows else np.eye(1 << n, dtype=complex)
+                fresh = objective_on(rows_kind, n, l, classification, count)[0]
                 got = every_result(objective, theta_i)
                 for value, expected in zip(got, every_result(fresh, theta_i)):
                     assert np.array_equal(value, expected)
@@ -363,9 +367,31 @@ def test_plans_are_reused_bit_for_bit_and_nothing_returned_aliases_them(n, l, co
                     assert np.array_equal(value, expected)
 
 
+def test_buffers_are_kept_across_calls():
+    # per-sample rows at n = 7, l = 5, B = 200: once each path has run, one
+    # more call peaked at 0.34 MB (loss) and 0.36 MB (backprop step), where
+    # the forward's buffers made again on every call peaked at 1.6 MB
+    # (loss) and the backward's at 3.8 MB (backprop step)
+    objective, theta = operator_objective(7, 5, True, count=200)
+    assert objective.rows is objective.encoded
+    for _ in range(2):
+        objective.loss(theta)
+        objective.loss_and_grad_backprop(theta)
+    limit = 2 * objective.encoded.nbytes
+    for run in (objective.loss, objective.loss_and_grad_backprop):
+        tracemalloc.start()
+        try:
+            run(theta)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit, run.__name__
+
+
 def test_an_objective_is_freed_without_the_cyclic_collector():
-    # its plans hold no reference back to it: with one, each train()'s
-    # buffers waited for the collector and perfbench's peak RSS rose
+    # its buffers are its own attributes, and none of them refers back to
+    # it: with such a reference, each train()'s buffers waited for the
+    # collector and perfbench's peak RSS rose
     for count in (8, 200):  # the inputs, then the basis rows
         objective, theta = operator_objective(4, 5, True, count)
         objective.loss(theta)
@@ -398,11 +424,10 @@ def test_expectations_match_the_state_reference(n):
     # state, on both sides of the basis-row switch (worst 1.1e-15 at n <= 8)
     for l in (0, 3):
         for classification in (False, True) if n >= 2 else (False,):
-            objective, theta = operator_objective(n, l, classification, count=40)
-            final = forward_batch(objective.encoded, theta, objective.spec).final
-            reference = z_reference(final, objective.head.qubits)
-            for rows in (objective.encoded, np.eye(1 << n, dtype=complex)):
-                objective.rows = rows
+            for basis_rows in (False, True):
+                objective, theta = objective_on(basis_rows, n, l, classification, count=40)
+                final = forward_batch(objective.encoded, theta, objective.spec).final
+                reference = z_reference(final, objective.head.qubits)
                 assert np.abs(objective.expectations(theta) - reference).max() <= 1e-14
 
 
@@ -414,8 +439,7 @@ def test_backprop_matches_the_parameter_shift_rule(n):
     for l in (0, 1, 3, 5):
         for classification in (False, True) if n >= 2 else (False,):
             for basis_rows in (False, True):
-                objective, theta = operator_objective(n, l, classification, count=40)
-                objective.rows = np.eye(1 << n, dtype=complex) if basis_rows else objective.encoded
+                objective, theta = objective_on(basis_rows, n, l, classification, count=40)
                 dL_dz = readout(objective.expectations(theta), objective.targets, objective.head)[2]
                 shifted = np.empty_like(theta)
                 for m in range(len(theta)):
