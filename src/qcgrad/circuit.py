@@ -127,11 +127,7 @@ def encode_angles(x: np.ndarray, spec: AnsatzSpec) -> tuple[np.ndarray, np.ndarr
         raise ValueError(f"expected {spec.feature_dim} feature(s), got shape {x.shape}")
     if not np.all(np.abs(x) <= 1.0):  # NaN fails too
         raise ValueError("encoded inputs must be finite and lie in [-1, 1]")
-    if spec.feature_dim == 1:
-        per_qubit = np.repeat(x[..., :1], spec.n_qubits, axis=-1)
-    else:
-        cols = [j % 2 for j in range(spec.n_qubits)]
-        per_qubit = x[..., cols]
+    per_qubit = x[..., [j % spec.feature_dim for j in range(spec.n_qubits)]]
     return np.arcsin(per_qubit), np.arccos(per_qubit**2)
 
 

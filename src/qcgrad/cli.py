@@ -1,10 +1,13 @@
 """Command-line experiment runner.
 
-Subcommands: ``regress``, ``classify`` and ``bench`` train and write CSV
-artifacts plus a ``manifest.json`` holding the full configuration, through
-the runner that :data:`RUNNERS` names for them.  ``gradcheck`` compares
-backprop against finite differences and prints a report.  Every subcommand
-but ``rerun`` takes ``--seed`` and ``--config`` (a key=value file).
+Every command but ``rerun`` is a runner in :data:`RUNNERS`: config in,
+artifacts plus a ``manifest.json`` holding that config out, written to
+``--out-dir`` (default ``runs/<command>``).  ``regress`` and ``classify``
+train and write CSVs, ``bench`` times the gradient methods into
+``bench.csv``, and ``gradcheck`` compares backprop against finite
+differences, writes its report to ``gradcheck.json`` and prints a summary
+line and a ``violation:`` line per failed trial.  Each takes ``--seed`` and
+``--config`` (a key=value file).
 
 :func:`main` parses argv once; when that names a config file, it parses
 again with the file's pairs as flags placed first, so explicit flags win.
@@ -12,7 +15,9 @@ A run's config is the parsed namespace less the names that are not config.
 ``rerun`` turns a saved manifest's config into flags the same way and
 re-enters :func:`main`, reproducing all non-timing outputs byte for byte.
 
-Exit codes: 0 success, 1 usage error, 2 numeric failure.
+Exit codes: 0 success; 1 usage error or rejected setting, before anything
+is written; 2 numeric failure (training diverged, or a gradcheck trial
+exceeded its tolerance, after its report and manifest were written).
 """
 
 from __future__ import annotations
@@ -125,11 +130,12 @@ def run_classify(config: dict, out_dir: Path) -> None:
     _write_manifest(out_dir, "classify", config, ["metrics.csv", "grid.csv", "points.csv"])
 
 
-def run_gradcheck(config: dict) -> dict:
+def run_gradcheck(config: dict, out_dir: Path) -> None:
     """Random-instance backprop-vs-finite-difference comparison.
 
     A coordinate passes when |g_bp - g_fd| <= tolerance * max(1, |g_fd|),
     i.e. ``tolerance`` acts as both the absolute and the relative bound.
+    Trial t draws its instance from the generator seeded ``[seed, t]``.
     """
     n, l = config["qubits"], config["depth"]
     tol = config["tolerance"]
@@ -137,11 +143,11 @@ def run_gradcheck(config: dict) -> dict:
         raise ValueError(f"trials must be >= 1, got {config['trials']}")
     if not 0 <= tol < math.inf:  # NaN fails too
         raise ValueError(f"tolerance must be finite and >= 0, got {tol}")
-    max_abs = 0.0
-    max_scaled = 0.0
+    seeds = [[config["seed"], trial] for trial in range(config["trials"])]
+    max_abs = max_scaled = 0.0
     failures = []
-    for trial in range(config["trials"]):
-        rng = np.random.default_rng([config["seed"], trial])
+    for trial, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
         classification = n >= 2 and trial % 2 == 1
         objective, theta = random_objective(rng, n, l, classification)
         g_bp = objective.loss_and_grad_backprop(theta)[2]
@@ -152,16 +158,11 @@ def run_gradcheck(config: dict) -> dict:
         max_scaled = max(max_scaled, float(scaled.max()))
         bad = np.nonzero(scaled > tol)[0]
         if bad.size:
-            failures.append(
-                {
-                    "trial": trial,
-                    "seed": [config["seed"], trial],
-                    "head": "classification" if classification else "regression",
-                    "worst_coordinate": int(bad[np.argmax(scaled[bad])]),
-                    "max_scaled_deviation": float(scaled.max()),
-                }
-            )
-    return {
+            head = "classification" if classification else "regression"
+            worst = int(bad[np.argmax(scaled[bad])])
+            failures.append({"trial": trial, "seed": seed, "head": head, "worst_coordinate": worst,
+                             "max_scaled_deviation": float(scaled.max())})
+    report = {
         "trials": config["trials"],
         "qubits": n,
         "depth": l,
@@ -171,6 +172,17 @@ def run_gradcheck(config: dict) -> dict:
         "failures": failures,
         "ok": not failures,
     }
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "gradcheck.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    _write_manifest(out_dir, "gradcheck", config, ["gradcheck.json"], extra={"seeds": seeds})
+    print(
+        f"trials: {report['trials']}  max abs deviation: {max_abs:.3e}  "
+        f"max scaled deviation: {max_scaled:.3e}  tolerance: {tol:.1e}"
+    )
+    for failure in failures:
+        print(f"violation: {failure}", file=sys.stderr)
+    if failures:
+        raise ArithmeticError(f"{len(failures)} of {config['trials']} trials exceed tolerance {tol:.1e}")
 
 
 def run_bench(config: dict, out_dir: Path) -> None:
@@ -208,9 +220,13 @@ def run_bench(config: dict, out_dir: Path) -> None:
         )
 
 
-#: The runner of each command that trains and writes artifacts, for its own
-#: subcommand and for ``rerun``.
-RUNNERS = {"regress": run_regress, "classify": run_classify, "bench": run_bench}
+#: Each command's runner and help, for its own subcommand and for ``rerun``.
+RUNNERS = {
+    "regress": (run_regress, "train a 1-D regression circuit"),
+    "classify": (run_classify, "train a 2-D binary classifier circuit"),
+    "gradcheck": (run_gradcheck, "compare backprop against finite differences"),
+    "bench": (run_bench, "time gradient methods across depth/qubit sweeps"),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -237,18 +253,11 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--seed", type=int, default=0)
     shared.add_argument("--config", default=None, help="key=value defaults file; flags win")
-    helps = {
-        "regress": "train a 1-D regression circuit",
-        "classify": "train a 2-D binary classifier circuit",
-        "gradcheck": "compare backprop against finite differences",
-        "bench": "time gradient methods across depth/qubit sweeps",
-    }
     subparsers = {}
-    for name, text in helps.items():
+    for name, (_, text) in RUNNERS.items():
         sp = subparsers[name] = sub.add_parser(name, help=text, parents=[shared])
-        if name in RUNNERS:
-            sp.add_argument("--out-dir", default=f"runs/{name}")
-        sp.set_defaults(func=cmd_run if name in RUNNERS else cmd_gradcheck)
+        sp.add_argument("--out-dir", default=f"runs/{name}")
+        sp.set_defaults(func=cmd_run)
 
     rg = subparsers["regress"]
     rg.add_argument("--target", choices=REGRESSION_KINDS, default="square")
@@ -273,7 +282,6 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     gc.add_argument("--depth", type=int, default=3)
     gc.add_argument("--trials", type=int, default=50)
     gc.add_argument("--tolerance", type=float, default=1e-5)
-    gc.add_argument("--json", action="store_true", help="machine-readable report")
 
     bn = subparsers["bench"]
     bn.add_argument("--methods", type=_csv_methods, default=list(GRADIENT_METHODS))
@@ -289,14 +297,12 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
 
 
 def _flags(pairs) -> list[str]:
-    """(key, value) pairs as ``--key=value`` flags; a list is comma-separated
-    and ``true`` makes the bare switch ``--key``."""
+    """(key, value) pairs as ``--key=value`` flags; a list is comma-separated."""
     flags = []
     for key, value in pairs:
         items = value if isinstance(value, list) else [value]
         text = ",".join(item if isinstance(item, str) else json.dumps(item) for item in items)
-        key = key.replace("_", "-")
-        flags.append(f"--{key}" if text == "true" else f"--{key}={text}")
+        flags.append(f"--{key.replace('_', '-')}={text}")
     return flags
 
 
@@ -322,28 +328,13 @@ def _config_file_pairs(parser: _Parser, path: str) -> list[tuple[str, str]]:
 
 def _config(args) -> dict:
     """The run's config: the parsed namespace less the names that are not config."""
-    skip = ("command", "func", "config", "out_dir", "json")
+    skip = ("command", "func", "config", "out_dir")
     return {key: value for key, value in vars(args).items() if key not in skip}
 
 
 def cmd_run(args) -> int:
-    RUNNERS[args.command](_config(args), Path(args.out_dir))
+    RUNNERS[args.command][0](_config(args), Path(args.out_dir))
     return EXIT_OK
-
-
-def cmd_gradcheck(args) -> int:
-    report = run_gradcheck(_config(args))
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        print(
-            f"trials: {report['trials']}  max abs deviation: {report['max_abs_deviation']:.3e}  "
-            f"max scaled deviation: {report['max_scaled_deviation']:.3e}  "
-            f"tolerance: {report['tolerance']:.1e}"
-        )
-        for failure in report["failures"]:
-            print(f"violation: {failure}", file=sys.stderr)
-    return EXIT_OK if report["ok"] else EXIT_NUMERIC
 
 
 def cmd_rerun(args) -> int:

@@ -28,6 +28,9 @@ class Dataset:
     task: str  # 'regression' | 'classification'
 
     def __post_init__(self):
+        # frozen, so set through object.__setattr__; a float64 array stays the same object
+        object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
+        object.__setattr__(self, "targets", np.asarray(self.targets, dtype=float))
         if self.task not in ("regression", "classification"):
             raise ValueError(f"unknown task {self.task!r}")
         if np.ndim(self.x) != 2:
@@ -38,8 +41,11 @@ class Dataset:
             raise ValueError(f"targets must be 1-D (count,), got shape {np.shape(self.targets)}")
         if len(self.x) != len(self.targets):
             raise ValueError(f"{len(self.x)} inputs but {len(self.targets)} targets")
-        if self.task == "classification" and not np.isin(self.targets, (0, 1)).all():
-            raise ValueError("classification targets must be 0 or 1")
+        if self.task == "classification":
+            if not np.isin(self.targets, (0, 1)).all():
+                raise ValueError("classification targets must be 0 or 1")
+        elif not np.isfinite(self.targets).all():
+            raise ValueError("regression targets must be finite")
 
     def __len__(self) -> int:
         return len(self.x)

@@ -80,6 +80,10 @@ class TrainingDivergedError(ArithmeticError):
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Settings of one :func:`train` run.  ``train`` reads gamma from the head it
+    is given, not from here: ``gamma`` is what ``qcgrad bench`` and perfbench
+    build their :class:`~qcgrad.heads.ClassificationHead` from."""
+
     learning_rate: float = 0.1
     iterations: int = 200
     gamma: float = 1.0
@@ -134,7 +138,7 @@ class CircuitObjective:
         self.signs = np.stack([z_sign_vector(spec.n_qubits, q) for q in head.qubits])
         self.spec = spec
         self.head = head
-        self.targets = np.asarray(dataset.targets, dtype=float)
+        self.targets = dataset.targets
         self.encoded = encode_batch(dataset.x, spec)
         # the layers run on the d basis rows, whose final states are the
         # circuit's operator, where that saves work, else on the batch itself

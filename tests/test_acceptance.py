@@ -318,6 +318,10 @@ def test_criterion_9_manifest_determinism(tmp_path):
              "--samples", "16", "--iters", "3", "--seed", "12"],
             ("metrics.csv", "grid.csv", "points.csv"),
         ),
+        (
+            ["gradcheck", "--qubits", "2", "--depth", "1", "--trials", "3", "--seed", "13"],
+            ("gradcheck.json",),
+        ),
     ]
     identical = True
     for args, files in runs:
@@ -333,5 +337,5 @@ def test_criterion_9_manifest_determinism(tmp_path):
         a.pop("timestamp"), b.pop("timestamp")
         if a != b:
             identical = False
-    report(9, "manifest determinism", identical, "regress and classify reruns byte-identical")
+    report(9, "manifest determinism", identical, "regress, classify and gradcheck reruns byte-identical")
     assert identical

@@ -145,37 +145,54 @@ def test_rerun_manifest_bad_config_value_is_usage_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_gradcheck_passes_and_reports(capsys):
-    code = run_cli(["gradcheck", "--qubits", "2", "--depth", "1", "--trials", "6", "--seed", "0"])
+def test_gradcheck_passes_and_reports(tmp_path, capsys):
+    out = tmp_path / "gc"
+    code = run_cli(["gradcheck", "--qubits", "2", "--depth", "1", "--trials", "6", "--seed", "0",
+                    "--out-dir", str(out)])
     assert code == 0
-    out = capsys.readouterr().out
-    assert "max abs deviation" in out
+    assert "max abs deviation" in capsys.readouterr().out
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["command"] == "gradcheck"
+    assert manifest["artifacts"] == ["gradcheck.json", "manifest.json"]
+    # the per-trial generator seeds, not the training commands' {dataset, init}
+    assert manifest["seeds"] == [[0, trial] for trial in range(6)]
 
 
-def test_gradcheck_zero_tolerance_fails():
+def test_gradcheck_zero_tolerance_fails(tmp_path, capsys):
+    out = tmp_path / "gc"
     code = run_cli(
         ["gradcheck", "--qubits", "2", "--depth", "1", "--trials", "3",
-         "--seed", "0", "--tolerance", "0"]
+         "--seed", "0", "--tolerance", "0", "--out-dir", str(out)]
     )
     assert code == 2
+    err = capsys.readouterr().err
+    assert "violation: {'trial': 0, 'seed': [0, 0]" in err and "numeric failure" in err
+    # a failed check still leaves its report and manifest
+    assert json.loads((out / "gradcheck.json").read_text())["ok"] is False
+    assert json.loads((out / "manifest.json").read_text())["command"] == "gradcheck"
 
 
 @pytest.mark.parametrize(
     "flag,value", [("tolerance", "nan"), ("tolerance", "inf"), ("tolerance", "-1e-5"), ("trials", "0")]
 )
-def test_gradcheck_rejects_bad_settings(flag, value, capsys):
+def test_gradcheck_rejects_bad_settings(flag, value, tmp_path, capsys):
     # `scaled > nan` is never true, and 0 trials check nothing: both would report ok
-    code = run_cli(["gradcheck", "--qubits", "2", "--depth", "0", "--trials", "2", f"--{flag}", value])
+    out = tmp_path / "gc"
+    code = run_cli(["gradcheck", "--qubits", "2", "--depth", "0", "--trials", "2", f"--{flag}", value,
+                    "--out-dir", str(out)])
     assert code == 1
     assert flag in capsys.readouterr().err
+    assert not out.exists()
 
 
-def test_gradcheck_json_report(capsys):
+def test_gradcheck_json_report(tmp_path, capsys):
+    out = tmp_path / "gc"
     code = run_cli(
-        ["gradcheck", "--qubits", "2", "--depth", "0", "--trials", "4", "--seed", "1", "--json"]
+        ["gradcheck", "--qubits", "2", "--depth", "0", "--trials", "4", "--seed", "1",
+         "--out-dir", str(out)]
     )
     assert code == 0
-    report = json.loads(capsys.readouterr().out)
+    report = json.loads((out / "gradcheck.json").read_text())
     assert report["trials"] == 4
     assert report["ok"] is True
     assert report["max_scaled_deviation"] < 1e-5
@@ -265,19 +282,13 @@ def test_empty_config_path_is_usage_error(tmp_path, capsys):
     assert not (tmp_path / "a").exists()
 
 
-def test_config_file_sets_switches(tmp_path, capsys):
-    cfg = tmp_path / "gc.cfg"
-    cfg.write_text("json=true\ntrials=2\n")
-    assert run_cli(["gradcheck", "--config", str(cfg), "--qubits", "2", "--depth", "0"]) == 0
-    assert json.loads(capsys.readouterr().out)["trials"] == 2
-    cfg.write_text("json=false\n")
-    assert run_cli(["gradcheck", "--config", str(cfg)]) == 1
-
-
 def test_config_file_unknown_key_is_usage_error(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("volume=11\n")
     assert run_cli(["regress", "--config", str(cfg)]) == 1
+    # the CLI has no switches, so json=true is an unknown flag like any other
+    cfg.write_text("json=true\n")
+    assert run_cli(["gradcheck", "--config", str(cfg), "--out-dir", str(tmp_path / "x")]) == 1
     # a line without "=" and the reserved keys name their file and line
     for text, where in (
         ("iters=2\nqubits 2\n", ":2: expected key=value, got 'qubits 2'"),
@@ -314,7 +325,7 @@ def test_diverged_training_is_a_numeric_failure(tmp_path, capsys):
     [
         ("regress", ["--seed", "--config", "--out-dir"]),
         ("classify", ["--seed", "--config", "--out-dir"]),
-        ("gradcheck", ["--seed", "--config"]),
+        ("gradcheck", ["--seed", "--config", "--out-dir"]),
         ("bench", ["--seed", "--config", "--out-dir"]),
         ("rerun", ["--out-dir"]),
     ],

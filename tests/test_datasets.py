@@ -143,6 +143,18 @@ def test_dataset_validation():
         with pytest.raises(ValueError, match="must be 0 or 1"):
             Dataset(x=np.zeros((3, 2)), targets=np.array(labels), task="classification")
     Dataset(x=np.zeros((3, 2)), targets=np.array([0.0, 1.0, 1.0]), task="classification")
-    # regression targets stay unchecked: a non-finite one reaches train()
-    Dataset(x=np.zeros((3, 1)), targets=np.array([0.0, np.inf, 2.5]), task="regression")
+    # a non-finite regression target would reach train() and read as divergence
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="regression targets must be finite"):
+            Dataset(x=np.zeros((3, 1)), targets=np.array([0.0, bad, 2.5]), task="regression")
+
+
+def test_dataset_stores_float_arrays():
+    ds = Dataset(x=[[0.1], [0.2]], targets=[0, 1], task="regression")
+    assert ds.feature_dim == 1
+    assert ds.x.dtype == ds.targets.dtype == np.float64
+    # a float64 array is kept as the same object
+    x, targets = np.zeros((2, 2)), np.array([0.0, 1.0])
+    ds = Dataset(x=x, targets=targets, task="classification")
+    assert ds.x is x and ds.targets is targets
 

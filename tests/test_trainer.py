@@ -160,11 +160,13 @@ def test_classification_training_improves_accuracy():
 
 @pytest.mark.parametrize("method", ["backprop", "finite_difference", "spsa"])
 def test_diverged_training_reports_iteration(method):
-    # an infinite target raises a floating-point error inside the iteration;
-    # a NaN one raises none, so under backprop it reaches the check of the
-    # loss and theta (FD and SPSA reject the NaN loss they evaluate)
-    for target in (np.inf, np.nan):
-        bad = Dataset(x=np.array([[0.1], [0.2]]), targets=np.array([target, 0.0]), task="regression")
+    # a finite target too large to square raises a floating-point error inside
+    # the iteration; a NaN one raises none, so under backprop it reaches the
+    # check of the loss and theta (FD and SPSA reject the NaN loss they
+    # evaluate).  Dataset rejects a NaN target, so it is written in afterwards.
+    for target in (1e200, np.nan):
+        bad = Dataset(x=np.array([[0.1], [0.2]]), targets=np.array([0.0, 0.0]), task="regression")
+        bad.targets[0] = target
         with pytest.raises(TrainingDivergedError) as err:
             train(bad, AnsatzSpec(1, 0), RegressionHead(), TrainConfig(iterations=5, gradient_method=method))
         assert err.value.iteration == 0
@@ -279,10 +281,10 @@ def test_non_integer_qubits_rejected(qubit, call, cached):
     call(np.int64(int(qubit)))
 
 
-def operator_objective(n, l, classification, count, seed=0):
+def operator_objective(n, l, classification, count, seed=0, gamma=2.0):
     """(objective, theta) on a moons or sine dataset of ``count`` points."""
     if classification:
-        spec, head = AnsatzSpec(n, l, feature_dim=2), ClassificationHead(gamma=2.0)
+        spec, head = AnsatzSpec(n, l, feature_dim=2), ClassificationHead(gamma=gamma)
         dataset = gen_moons(count=count, noise_sigma=0.05, seed=seed)
     else:
         spec, head = AnsatzSpec(n, l), RegressionHead()
@@ -291,11 +293,11 @@ def operator_objective(n, l, classification, count, seed=0):
     return CircuitObjective(dataset, spec, head), theta
 
 
-def objective_on(basis_rows, n, l, classification, count, seed=0):
+def objective_on(basis_rows, n, l, classification, count, seed=0, gamma=2.0):
     """:func:`operator_objective` with its layers on the basis rows or on the inputs, whatever the rule says."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(trainer, "OPERATOR_APPLY_COST", -math.inf if basis_rows else math.inf)
-        return operator_objective(n, l, classification, count, seed)
+        return operator_objective(n, l, classification, count, seed, gamma)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -418,6 +420,23 @@ def test_gradient_oracle_on_both_sides_of_the_operator_switch(n):
             assert np.all(np.abs(g_bp - g_fd) <= np.maximum(1e-7, 1e-5 * np.abs(g_fd)))
 
 
+@pytest.mark.parametrize("basis_rows", [False, True], ids=["inputs", "basis-rows"])
+def test_gradient_oracle_on_a_saturated_head(basis_rows):
+    # at gamma = 400 rows reach y1 within 1e-12 of the wrong label, where the
+    # cross entropy's gradient is largest; gradcheck's gamma <= 5 never does
+    objective = objective_on(basis_rows, 3, 2, True, count=16, gamma=400.0)[0]
+    labels = objective.targets
+    rng = np.random.default_rng(400)
+    saturated = 0
+    for _ in range(5):
+        theta = rng.uniform(0.0, 2.0 * np.pi, objective.spec.param_count)
+        _, y1, g_bp = objective.loss_and_grad_backprop(theta)
+        saturated += int(np.sum(np.abs(y1 - (1.0 - labels)) < 1e-12))
+        g_fd = finite_difference_grad(objective.loss, theta, 1e-5)
+        assert np.all(np.abs(g_bp - g_fd) <= np.maximum(1e-7, 1e-5 * np.abs(g_fd)))
+    assert saturated >= 1
+
+
 @pytest.mark.parametrize("n", range(1, 9))
 def test_expectations_match_the_state_reference(n):
     # the objective's one measurement against z_expectation of each final
@@ -499,6 +518,17 @@ def test_predict_matches_the_per_sample_rows(count):
     final = forward_batch(encode_batch(xs, spec), theta, spec).final
     expected = readout(z_reference(final, head.qubits), np.zeros(count), head)[1]
     assert np.abs(predict(xs, theta, spec, head) - expected).max() <= 1e-14
+
+
+def test_lists_train_and_predict_as_arrays():
+    xs = [[-0.5], [0.1], [0.4], [0.9]]
+    spec, head, cfg = AnsatzSpec(2, 1), RegressionHead(), TrainConfig(iterations=3)
+    result = train(Dataset(x=xs, targets=[0.2, 0.0, 0.1, 0.8], task="regression"), spec, head, cfg)
+    reference = train(Dataset(x=np.array(xs), targets=np.array([0.2, 0.0, 0.1, 0.8]), task="regression"),
+                      spec, head, cfg)
+    assert np.array_equal(result.loss_history, reference.loss_history)
+    theta = result.final_theta
+    assert np.array_equal(predict(xs, theta, spec, head), predict(np.array(xs), theta, spec, head))
 
 
 @pytest.mark.parametrize("count", [8, 16], ids=["inputs", "basis-rows"])
