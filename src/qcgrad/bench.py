@@ -10,7 +10,9 @@ one loss evaluation per iteration on top of the 2P of the gradient; for SPSA
 it is one on top of 2.  Dataset encoding and parameter initialization happen
 outside the timed region, a 1-iteration ``train`` warms each cell up, and
 every cell is repeated with the median reported.  Cells run strictly
-sequentially.
+sequentially, and only after every cell has been checked against the
+dataset, so a record is always a run: an impossible cell raises before any
+runs, and a numeric failure ends the call as it ends ``train``.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ class BenchmarkRecord:
     depth_l: int
     n_params: int
     seconds_per_100_iterations: float
-    error: str | None = None
 
 
 def _cell_seconds(spec: AnsatzSpec, dataset: Dataset, cfg: TrainConfig, repeats: int) -> float:
@@ -48,40 +49,24 @@ def run_benchmark(
 ) -> list[BenchmarkRecord]:
     """One record per (method, cell), method-major, with ``cells`` in the order given.
 
-    ``cells`` are ``(n_qubits, depth_l)`` pairs.  A method or cell that no
-    run can have raises before any cell runs.  A cell that fails on the
-    dataset (one qubit cannot encode 2-D inputs) or numerically is recorded
-    with ``error`` set and a NaN time instead of aborting the whole run.
+    ``cells`` are ``(n_qubits, depth_l)`` pairs.  A method, or a cell that no
+    circuit on ``dataset`` can have (one qubit cannot encode 2-D inputs),
+    raises before any cell runs; a numeric failure inside a cell propagates
+    as ``train``'s does.
     """
     # TrainConfig rejects an unknown method, and AnsatzSpec a negative,
-    # zero-qubit or non-integer cell
+    # zero-qubit or non-integer cell, or too few qubits for the inputs
     configs = [replace(cfg, gradient_method=method) for method in methods]
-    specs = [AnsatzSpec(n, l) for n, l in cells]
+    specs = [AnsatzSpec(n, l, dataset.feature_dim) for n, l in cells]
     if not configs or not specs:
         raise ValueError("need at least one method and one cell")
     if dataset.task != "classification":
         raise ValueError("benchmarks run on a classification dataset")
     if as_index(repeats, "repeats") < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
-
-    records = []
-    for method_cfg in configs:
-        for spec in specs:
-            try:
-                cell = replace(spec, feature_dim=dataset.feature_dim)
-                seconds = _cell_seconds(cell, dataset, method_cfg, repeats)
-                error = None
-            except (ArithmeticError, ValueError) as exc:
-                seconds = float("nan")
-                error = str(exc)
-            records.append(
-                BenchmarkRecord(
-                    method=method_cfg.gradient_method,
-                    n_qubits=spec.n_qubits,
-                    depth_l=spec.depth_l,
-                    n_params=spec.param_count,
-                    seconds_per_100_iterations=seconds,
-                    error=error,
-                )
-            )
-    return records
+    return [
+        BenchmarkRecord(method_cfg.gradient_method, spec.n_qubits, spec.depth_l, spec.param_count,
+                        _cell_seconds(spec, dataset, method_cfg, repeats))
+        for method_cfg in configs
+        for spec in specs
+    ]

@@ -7,17 +7,22 @@ train and write CSVs, ``bench`` times the gradient methods into
 ``bench.csv``, and ``gradcheck`` compares backprop against finite
 differences, writes its report to ``gradcheck.json`` and prints a summary
 line and a ``violation:`` line per failed trial.  Each takes ``--seed`` and
-``--config`` (a key=value file).
+``--config``, a file of ``key=value`` lines.
 
-:func:`main` parses argv once; when that names a config file, it parses
-again with the file's pairs as flags placed first, so explicit flags win.
-A run's config is the parsed namespace less the names that are not config.
-``rerun`` turns a saved manifest's config into flags the same way and
-re-enters :func:`main`, reproducing all non-timing outputs byte for byte.
+A run's config is the parsed namespace less ``--config`` and ``--out-dir``,
+and its keys (``seed``, ``iters``, ``depth_sweep``, ...) are all that a
+config file or a manifest may set: any other key, a prefix included, is
+rejected by exact name.  :func:`main` parses argv once; when that names a
+config file, it parses again with the file's pairs as flags placed first,
+so explicit flags win.  ``rerun`` turns a saved manifest's config into flags
+the same way and re-enters :func:`main`, reproducing all non-timing outputs
+byte for byte.
 
 Exit codes: 0 success; 1 usage error or rejected setting, before anything
-is written; 2 numeric failure (training diverged, or a gradcheck trial
-exceeded its tolerance, after its report and manifest were written).
+is written (an unknown config key, or a bench cell no circuit can have, such
+as one qubit on 2-D inputs); 2 numeric failure (training diverged, in a
+bench cell too, or a gradcheck trial exceeded its tolerance, after its
+report and manifest were written).
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import astuple
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -194,25 +200,9 @@ def run_bench(config: dict, out_dir: Path) -> None:
     _write_csv(
         out_dir / "bench.csv",
         ["method", "n_qubits", "depth_l", "n_params", "seconds_per_100_iters"],
-        (
-            (r.method, r.n_qubits, r.depth_l, r.n_params, r.seconds_per_100_iterations)
-            for r in records
-        ),
+        map(astuple, records),
     )
-    failed = [
-        {"method": r.method, "n_qubits": r.n_qubits, "depth_l": r.depth_l, "error": r.error}
-        for r in records
-        if r.error
-    ]
-    for cell in failed:
-        print(f"failed cell: {cell}", file=sys.stderr)
-    _write_manifest(
-        out_dir,
-        "bench",
-        config,
-        ["bench.csv"],
-        extra={"failed_cells": failed} if failed else None,
-    )
+    _write_manifest(out_dir, "bench", config, ["bench.csv"])
     for r in records:
         print(
             f"{r.method:18s} n={r.n_qubits} l={r.depth_l:2d} params={r.n_params:3d} "
@@ -252,7 +242,8 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--seed", type=int, default=0)
-    shared.add_argument("--config", default=None, help="key=value defaults file; flags win")
+    shared.add_argument("--config", default=None,
+                        help="key=value defaults file, keys as in the manifest's config; flags win")
     subparsers = {}
     for name, (_, text) in RUNNERS.items():
         sp = subparsers[name] = sub.add_parser(name, help=text, parents=[shared])
@@ -307,7 +298,8 @@ def _flags(pairs) -> list[str]:
 
 
 def _config_file_pairs(parser: _Parser, path: str) -> list[tuple[str, str]]:
-    """The key=value lines of a config file."""
+    """The key=value lines of a config file, each key one of the command's config keys."""
+    keys = _config(parser.parse_args([]))
     try:
         lines = Path(path).read_text().splitlines()
     except OSError as exc:
@@ -320,8 +312,8 @@ def _config_file_pairs(parser: _Parser, path: str) -> list[tuple[str, str]]:
         if "=" not in line:
             parser.error(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key.replace("_", "-") in ("config", "help"):
-            parser.error(f"{path}:{lineno}: unknown config key {key!r}")
+        if key not in keys:
+            parser.error(f"{path}:{lineno}: unknown config key {key!r}; expected one of {', '.join(keys)}")
         pairs.append((key, value))
     return pairs
 
@@ -354,10 +346,12 @@ def cmd_rerun(args) -> int:
     if not isinstance(config, dict):
         print(f"manifest {manifest_path} has no config object", file=sys.stderr)
         return EXIT_USAGE
-    keys = _config(_build_parser()[0].parse_args([command]))
+    keys = _config(_build_parser()[1][command].parse_args([]))
     missing = [key for key in keys if key not in config]
-    if missing:
-        print(f"manifest {manifest_path} config lacks {', '.join(missing)}", file=sys.stderr)
+    unknown = [key for key in config if key not in keys]
+    if missing or unknown:
+        why = f"lacks {', '.join(missing)}" if missing else f"has unknown key {', '.join(map(repr, unknown))}"
+        print(f"manifest {manifest_path} config {why}", file=sys.stderr)
         return EXIT_USAGE
     return main([command, *_flags((key, config[key]) for key in keys), f"--out-dir={out_dir}"])
 

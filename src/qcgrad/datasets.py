@@ -21,16 +21,19 @@ REGRESSION_KINDS = ("linear", "square", "sine")
 
 @dataclass(frozen=True)
 class Dataset:
-    """Columnar dataset: inputs (count, dim) and targets/labels (count,)."""
+    """Columnar dataset: inputs (count, dim) and targets/labels (count,), read-only."""
 
     x: np.ndarray
     targets: np.ndarray
     task: str  # 'regression' | 'classification'
 
     def __post_init__(self):
-        # frozen, so set through object.__setattr__; a float64 array stays the same object
-        object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
-        object.__setattr__(self, "targets", np.asarray(self.targets, dtype=float))
+        # read-only float copies, so neither the caller nor a consumer can change
+        # a validated dataset; frozen, so set through object.__setattr__
+        for name in ("x", "targets"):
+            array = np.array(getattr(self, name), dtype=float)
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
         if self.task not in ("regression", "classification"):
             raise ValueError(f"unknown task {self.task!r}")
         if np.ndim(self.x) != 2:

@@ -109,14 +109,29 @@ def test_rerun_manifest_without_config_is_usage_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_rerun_manifest_missing_config_keys_is_usage_error(tmp_path, capsys):
-    manifest = tmp_path / "manifest.json"
-    manifest.write_text(json.dumps({"command": "regress", "config": {"iters": 2}}))
-    assert run_cli(["rerun", str(manifest), "--out-dir", str(tmp_path / "out")]) == 1
+@pytest.mark.parametrize("case", ["missing", "unknown"])
+def test_rerun_manifest_config_keys_are_checked(case, tmp_path, capsys):
+    out = tmp_path / "first"
+    assert run_cli(
+        ["regress", "--target", "linear", "--samples", "12", "--iters", "2",
+         "--qubits", "2", "--depth", "0", "--seed", "7", "--out-dir", str(out)]
+    ) == 0
+    capsys.readouterr()
+    manifest = json.loads((out / "manifest.json").read_text())
+    if case == "missing":
+        manifest["config"] = {"iters": 2}
+    else:
+        # a key the command does not have would be dropped from the rerun's manifest
+        manifest["config"]["volume"] = 11
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    assert run_cli(["rerun", str(out / "manifest.json"), "--out-dir", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1
-    missing = err.split("lacks", 1)[1]
-    assert "target" in missing and "seed" in missing and "iters" not in missing
+    if case == "missing":
+        missing = err.split("lacks", 1)[1]
+        assert "target" in missing and "seed" in missing and "iters" not in missing
+    else:
+        assert "has unknown key 'volume'" in err
     assert not (tmp_path / "out").exists()
 
 
@@ -215,25 +230,21 @@ def test_bench_csv_row_count(tmp_path, capsys):
     assert manifest["command"] == "bench"
 
 
-def test_bench_records_a_failed_cell_and_exits_0(tmp_path, capsys):
-    # the qubit sweep's (1, 10) cell cannot encode the 2-D moons
+@pytest.mark.parametrize(
+    "depths,qubits,message",
+    [
+        ("-1", "", "depth_l must be >= 0, got -1"),
+        # the qubit sweep's (1, 10) cell cannot encode the 2-D moons
+        ("0", "1", "2-D inputs need at least 2 qubits"),
+    ],
+    ids=["negative-depth", "one-qubit"],
+)
+def test_bench_rejects_an_impossible_cell_before_writing(depths, qubits, message, tmp_path, capsys):
     out = tmp_path / "bench"
-    code = run_cli(["bench", "--methods", "backprop", "--depth-sweep", "0",
-                    "--qubit-sweep", "1", "--out-dir", str(out)])
-    assert code == 0
-    assert "failed cell" in capsys.readouterr().err
-    failed = json.loads((out / "manifest.json").read_text())["failed_cells"]
-    assert [(c["method"], c["n_qubits"], c["depth_l"]) for c in failed] == [("backprop", 1, 10)]
-    assert "2-D inputs need at least 2 qubits" in failed[0]["error"]
-    assert len((out / "bench.csv").read_text().splitlines()) == 1 + 2
-
-
-def test_bench_rejects_an_impossible_cell_before_writing(tmp_path, capsys):
-    out = tmp_path / "bench"
-    code = run_cli(["bench", "--methods", "backprop", "--depth-sweep", "-1",
-                    "--qubit-sweep", "", "--out-dir", str(out)])
+    code = run_cli(["bench", "--methods", "backprop", "--depth-sweep", depths,
+                    "--qubit-sweep", qubits, "--out-dir", str(out)])
     assert code == 1
-    assert "error: depth_l must be >= 0, got -1" in capsys.readouterr().err
+    assert f"error: {message}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -286,14 +297,19 @@ def test_config_file_unknown_key_is_usage_error(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("volume=11\n")
     assert run_cli(["regress", "--config", str(cfg)]) == 1
-    # the CLI has no switches, so json=true is an unknown flag like any other
+    # the CLI has no switches, so json=true is an unknown key like any other
     cfg.write_text("json=true\n")
     assert run_cli(["gradcheck", "--config", str(cfg), "--out-dir", str(tmp_path / "x")]) == 1
-    # a line without "=" and the reserved keys name their file and line
+    # a line without "=" and every key that is not exactly a config key name
+    # their file and line: argparse would read a prefix such as conf or it as
+    # --config or --iters, and out_dir is where a run writes, not its config
     for text, where in (
         ("iters=2\nqubits 2\n", ":2: expected key=value, got 'qubits 2'"),
         ("config=other.cfg\n", ":1: unknown config key 'config'"),
         ("\nhelp=true\n", ":2: unknown config key 'help'"),
+        ("conf=other.cfg\n", ":1: unknown config key 'conf'"),
+        ("samples=10\nit=2\n", ":2: unknown config key 'it'"),
+        ("out_dir=elsewhere\n", ":1: unknown config key 'out_dir'"),
     ):
         cfg.write_text(text)
         capsys.readouterr()

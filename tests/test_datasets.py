@@ -153,8 +153,13 @@ def test_dataset_stores_float_arrays():
     ds = Dataset(x=[[0.1], [0.2]], targets=[0, 1], task="regression")
     assert ds.feature_dim == 1
     assert ds.x.dtype == ds.targets.dtype == np.float64
-    # a float64 array is kept as the same object
+    # a validated dataset is a read-only copy: a later write to the caller's
+    # arrays does not reach it, and a write to its own arrays raises
     x, targets = np.zeros((2, 2)), np.array([0.0, 1.0])
     ds = Dataset(x=x, targets=targets, task="classification")
-    assert ds.x is x and ds.targets is targets
+    x[0, 0], targets[0] = 0.5, 1.0
+    assert ds.x[0, 0] == 0.0 and ds.targets[0] == 0.0
+    for array in (ds.x, ds.targets):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = np.nan
 

@@ -163,9 +163,11 @@ def test_diverged_training_reports_iteration(method):
     # a finite target too large to square raises a floating-point error inside
     # the iteration; a NaN one raises none, so under backprop it reaches the
     # check of the loss and theta (FD and SPSA reject the NaN loss they
-    # evaluate).  Dataset rejects a NaN target, so it is written in afterwards.
+    # evaluate).  Dataset rejects a NaN target and keeps its arrays read-only,
+    # so the target is written into its own copy, made writeable, afterwards.
     for target in (1e200, np.nan):
         bad = Dataset(x=np.array([[0.1], [0.2]]), targets=np.array([0.0, 0.0]), task="regression")
+        bad.targets.flags.writeable = True
         bad.targets[0] = target
         with pytest.raises(TrainingDivergedError) as err:
             train(bad, AnsatzSpec(1, 0), RegressionHead(), TrainConfig(iterations=5, gradient_method=method))
