@@ -60,15 +60,18 @@ a factor 2**(n/2) each; the 2**-n this leaves per product and per round trip
 is folded into the Y signs and into ``D_y``, exactly, as a power of two.
 
 Both transforms are planned with :func:`hadamard_plan`, as the matmul
-steps of their blocks on the walk's fixed buffers, and every other view is
-made up front too, in a :func:`backward_plan`, which ``CircuitObjective``
-makes once and every other caller once per call.  A layer is then only its
-numpy calls:
-``t``, ``v * t``, H, ``ã * s̃``, the sign matmul, ``D_y ã``, H and the
-next diagonal, with one more matmul per transform for each Walsh-Hadamard
-block beyond the first (n > :data:`HADAMARD_BLOCK`).  At n = 4 on the 16
-basis rows a layer costs about 13 µs, where rebuilding the block views in
-every transform cost 20 (p10, numpy 2.4 with OpenBLAS, 2 vCPUs).
+steps of their blocks on the walk's fixed buffers, and every other call of
+the walk is bound to its operands up front too, tape row k, gradient row k,
+Y phase k and diagonal k - 1 included, in a :func:`backward_plan`.
+``CircuitObjective`` makes it once, on the arrays its tapes are recorded
+into, and every other caller once per call.  The walk is then one loop over
+the bound calls, per layer ``t``, ``v * t``, H, ``ã * s̃``, the sign matmul,
+``D_y ã``, H and the next diagonal, with one more matmul per transform for
+each Walsh-Hadamard block beyond the first (n > :data:`HADAMARD_BLOCK`).
+At n = 4 on the 16 basis rows a backward pass at l = 20 takes about 138 µs,
+6.6 µs per layer, where indexing each layer's operands on every call took
+about 159 µs (median of 31 rounds of 200 calls, numpy 2.4 with OpenBLAS,
+2 vCPUs).
 
 These conventions are validated end to end against central finite
 differences (the binding oracle; see tests).
@@ -166,25 +169,48 @@ def _gradient_signs(n_qubits: int) -> np.ndarray:
     return signs
 
 
-def backward_plan(spec: AnsatzSpec, count: int) -> tuple:
-    """The buffers, views and Walsh-Hadamard plans of :func:`backward_batch`
-    on ``count`` rows of ``spec``'s circuit."""
+def backward_plan(spec: AnsatzSpec, posts, diags: np.ndarray) -> tuple:
+    """``(v, y_phases, calls, grad)``: the buffers and bound calls of :func:`backward_batch`.
+
+    ``posts`` and ``diags`` are the arrays a tape of ``spec``'s circuit is
+    recorded into, its rows ``[Y_0, ..., Y_l, final]`` and its diagonals;
+    the plan serves every tape recorded into them.  ``calls`` is the whole
+    walk after its first cotangent as ``(ufunc, a, b, out)`` tuples, with the
+    operands of each layer k bound once: tape row k, gradient row k, Y phase
+    k and diagonal k - 1.  ``y_phases`` is filled from the tape's theta on
+    each call, and ``grad`` holds the (R, l+1, n, 2) result.
+    """
     n, l, dim = spec.n_qubits, spec.depth_l, 1 << spec.n_qubits
+    count = len(posts[0])
     # one allocation for every buffer of the walk (see hadamard_plan):
     # rows [v, t] = [S a, S* s] of the current layer, so that one H gives
     # [ã, s̃]; the [ã * s̃, v * t] products; H's other buffer; S* as a full
     # (B, dim) factor, since numpy multiplies a broadcast short row about 2x slower
     work = np.empty((7, count, dim), dtype=complex)
     vt, products, h_work, s_conj = work[:2], work[2:4], work[4:6], work[6]
+    v, t = vt
     # both transforms are planned once: [v, t] -> [ã, s̃], and D_y ã in the
     # products, which are free by then, back to the new v
     vt_plan, vt_tilde = hadamard_plan(vt.reshape(2 * count, dim), h_work.reshape(2 * count, dim))
+    a_tilde, s_tilde = vt_tilde.reshape(2, count, dim)
     u_plan, h_u = hadamard_plan(products[0], products[1])
     s_conj[:] = np.conj(s_phases(n))
+    y_phases = np.empty((l + 1, dim), dtype=complex)
     grad = np.empty((count, l + 1, n, 2))
     # row k of the transpose is layer k's (2, count, n) [Y, Z] gradients
-    return (*vt, vt_plan, *vt_tilde.reshape(2, count, dim), *products, products.view(float), u_plan, h_u,
-            s_conj, grad.transpose(1, 3, 0, 2), grad)
+    grad_rows = grad.transpose(1, 3, 0, 2)
+    signs, product_floats = _gradient_signs(n), products.view(float)
+    # the calls every layer makes alike: v * t, H [v, t] = [ã, s̃], ã * s̃, and H (D_y ã)
+    vt_calls = [(np.multiply, v, t, products[1])] + [(np.matmul, *step) for step in vt_plan]
+    vt_calls.append((np.multiply, a_tilde, s_tilde, products[0]))
+    u_calls = [(np.matmul, *step) for step in u_plan]
+    calls = []
+    for k in range(l, -1, -1):
+        # t = S* Y_k, then the gradients from [ã * s̃, v * t]
+        calls += [(np.multiply, posts[k], s_conj, t), *vt_calls, (np.matmul, product_floats, signs, grad_rows[k])]
+        if k:  # the next v, diag_{k-1} * H (D_y ã); the first layer's would go unread
+            calls += [(np.multiply, a_tilde, y_phases[k], products[0]), *u_calls, (np.multiply, h_u, diags[k - 1], v)]
+    return v, y_phases, calls, grad
 
 
 def backward_batch(tape: BatchTape, cotangent: np.ndarray, plan: tuple | None = None) -> np.ndarray:
@@ -197,8 +223,8 @@ def backward_batch(tape: BatchTape, cotangent: np.ndarray, plan: tuple | None = 
     the basis rows (see the module docstring).  The result is real with the
     parameter layout of :mod:`qcgrad.circuit`.
 
-    ``plan``, from :func:`backward_plan` for the tape's circuit and row
-    count, is the one its caller keeps for every call: the result is then a
+    ``plan``, from :func:`backward_plan` on the arrays the tape is recorded
+    into, is the one its caller keeps for every call: the result is then a
     view of its buffer, overwritten by the next call.  Without one, the
     call plans for itself.
     """
@@ -207,25 +233,12 @@ def backward_batch(tape: BatchTape, cotangent: np.ndarray, plan: tuple | None = 
         raise ValueError(
             f"cotangent shape {cotangent.shape} does not match batch shape {tape.final.shape}"
         )
-    n, l, b = tape.spec.n_qubits, tape.spec.depth_l, len(cotangent)
-    v, t, vt_plan, a_tilde, s_tilde, ab_product, vt_product, product_floats, u_plan, h_u, s_conj, grad_rows, grad = (
-        backward_plan(tape.spec, b) if plan is None else plan
-    )
-    signs = _gradient_signs(n)
+    n, l = tape.spec.n_qubits, tape.spec.depth_l
+    v, y_phases, calls, grad = backward_plan(tape.spec, tape.posts, tape.diags) if plan is None else plan
+    rotation_phases(tape.theta.reshape(l + 1, n, 2)[:, :, 0], n, out=y_phases)
     # H has +/-1 entries, so H D H carries 2**n too many
-    y_phases = rotation_phases(tape.theta.reshape(l + 1, n, 2)[:, :, 0], n) * 0.5**n
-    diags = tape.diags
-    np.multiply(cotangent, diags[l] * s_phases(n), out=v)
-    for k in range(l, -1, -1):
-        np.multiply(tape.posts[k], s_conj, out=t)
-        np.multiply(v, t, out=vt_product)
-        for step in vt_plan:
-            np.matmul(*step)
-        np.multiply(a_tilde, s_tilde, out=ab_product)
-        np.matmul(product_floats, signs, out=grad_rows[k])
-        if k:
-            np.multiply(a_tilde, y_phases[k], out=ab_product)
-            for step in u_plan:
-                np.matmul(*step)
-            np.multiply(h_u, diags[k - 1], out=v)
-    return grad.reshape(b, -1)
+    y_phases *= 0.5**n
+    np.multiply(cotangent, tape.diags[l] * s_phases(n), out=v)
+    for ufunc, a, b, out in calls:
+        ufunc(a, b, out)
+    return grad.reshape(len(cotangent), -1)

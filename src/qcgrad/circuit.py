@@ -34,11 +34,13 @@ instead.
 
 Each forward turns a checked theta into layers once, in its caller:
 :func:`forward_batch` and ``CircuitObjective`` (in :mod:`qcgrad.trainer`)
-call :func:`layer_operators`, which builds every layer's operators in one go.
-:func:`run_variational` only runs the layers it is handed, in one loop, over
-the buffers and float views of a :func:`variational_plan`, which
-``CircuitObjective`` makes once per path and every other caller once per
-call.
+call :func:`layer_operators`, which builds every layer's operators in one go,
+into fresh arrays or into the :func:`operator_buffers` that
+``CircuitObjective`` keeps for each path.  A :func:`variational_plan` binds
+each layer's operands once, block k of each Y stack and diagonal k with the
+float views they read and write, and :func:`run_variational` is one loop
+over these bound calls.  ``CircuitObjective`` makes a plan once per path, on
+that path's operator buffers, and every other caller once per call.
 
 Every simulation runs on a batch of shape ``(B, 2**n)``; a single input is
 the batch ``x[None, :]``.  The batch may also be the 2**n basis rows, whose
@@ -142,13 +144,13 @@ def encode_batch(xs: np.ndarray, spec: AnsatzSpec) -> np.ndarray:
     return kron(qubits[..., None]).reshape(len(xs), -1)
 
 
-def rotation_phases(angles: np.ndarray, n_qubits: int) -> np.ndarray:
-    """``exp(-i/2 * Zsigns @ angles)`` of (..., n) angles, one per qubit.
+def rotation_phases(angles: np.ndarray, n_qubits: int, out: np.ndarray | None = None) -> np.ndarray:
+    """``exp(-i/2 * Zsigns @ angles)`` of (..., n) angles, one per qubit, into ``out`` if given.
 
     This is the diagonal of one rz per qubit, and of one ry per qubit in the
     Y eigenbasis (see :mod:`qcgrad.autodiff`).
     """
-    return np.exp(-0.5j * (angles @ z_sign_matrix(n_qubits).T))
+    return np.exp(-0.5j * (angles @ z_sign_matrix(n_qubits).T), out=out)
 
 
 #: Most qubits one dense rotation matrix spans.  A dense matrix over m
@@ -196,7 +198,27 @@ def _y_block_indices(n_qubits: int, low: int) -> tuple[np.ndarray, np.ndarray]:
     return fold, entry
 
 
-def layer_operators(theta: np.ndarray, spec: AnsatzSpec) -> tuple[list[np.ndarray], np.ndarray]:
+def operator_buffers(spec: AnsatzSpec) -> tuple[list[np.ndarray], np.ndarray]:
+    """Arrays of the shapes and strides :func:`layer_operators` returns, for its ``out``.
+
+    Each Y stack starts on a 64-byte cache line.  Where it started 16 to 48
+    bytes past one, as malloc may place it, a loss-only forward at l = 10
+    took 12-16% longer at n = 7 and 8, 4-6% at n = 6 and 2% at n = 5, and
+    the same at n = 4 (B = 200, 2 vCPUs, numpy 2.4 with OpenBLAS).
+    """
+    n, l = spec.n_qubits, spec.depth_l
+    blocks = []
+    for m in (1 << min(KRON_BLOCK, n - low) for low in range(0, n, KRON_BLOCK)):
+        size = (l + 1) * m * m
+        raw = np.empty(size + 7)  # aligned to at least one float
+        start = -raw.ctypes.data % 64 // 8
+        blocks.append(raw[start : start + size].reshape(l + 1, m, m).swapaxes(-1, -2))
+    return blocks, np.empty((l + 1, 1 << n), dtype=complex)
+
+
+def layer_operators(
+    theta: np.ndarray, spec: AnsatzSpec, out: tuple[list[np.ndarray], np.ndarray] | None = None
+) -> tuple[list[np.ndarray], np.ndarray]:
     """(Y blocks, Z-and-entangler diagonals) of all l+1 rotation layers at once.
 
     The (l+1, 2**n) diagonals are every Z sub-layer's phases times, except
@@ -204,7 +226,10 @@ def layer_operators(theta: np.ndarray, spec: AnsatzSpec) -> tuple[list[np.ndarra
     product of a layer's ry matrices into blocks of at most ``KRON_BLOCK``
     qubits; each block is an (l+1, dim, dim) stack, indexed by layer, of
     column-major views: OpenBLAS ran these (dim, dim) @ (dim, 2) products
-    about 1.7x faster so.
+    about 1.7x faster so.  They are written into ``out``, arrays from
+    :func:`operator_buffers` that a caller keeps and its plans have bound
+    (see :func:`variational_plan`), else into fresh ones; either way the
+    arrays are returned.
 
     How the blocks are built.  Entry (r, c) of the product of ry^T =
     [[cos, sin], [-sin, cos]] over m qubits multiplies one factor per qubit,
@@ -223,32 +248,36 @@ def layer_operators(theta: np.ndarray, spec: AnsatzSpec) -> tuple[list[np.ndarra
     this fold took 3.2 ms.
     """
     n, l = spec.n_qubits, spec.depth_l
+    blocks, diags = out = operator_buffers(spec) if out is None else out
     angles = theta.reshape(l + 1, n, 2)
     half = 0.5 * angles[:, :, 0]
     trig = np.concatenate([np.cos(half), np.sin(half)], axis=1)
-    blocks = []
-    for low in range(0, n, KRON_BLOCK):
+    for low, stack in zip(range(0, n, KRON_BLOCK), blocks):
         fold, entry = _y_block_indices(n, low)
         table = np.empty((l + 1, 2, fold.shape[1]))
         # a left fold over the factors, in kron's order
         np.multiply.reduce(trig.take(fold, axis=1), axis=1, out=table[:, 0])
         np.negative(table[:, 0], out=table[:, 1])
-        blocks.append(table.reshape(l + 1, -1).take(entry, axis=1).swapaxes(-1, -2))
-    diags = rotation_phases(angles[:, :, 1], n)
+        # the indices are in range; the default mode="raise" copies through a temporary
+        table.reshape(l + 1, -1).take(entry, axis=1, out=stack.swapaxes(-1, -2), mode="clip")
+    rotation_phases(angles[:, :, 1], n, out=diags)
     diags[:-1] *= ring_signs(n)
-    return blocks, diags
+    return out
 
 
 def variational_plan(
     encoded: np.ndarray, layers: tuple[list[np.ndarray], np.ndarray], *, record: bool
 ) -> tuple[np.ndarray, list[tuple]]:
-    """``(posts, steps)``: the buffers and matmul steps of :func:`run_variational` on ``encoded``.
+    """``(posts, calls)``: the buffers and the bound calls of :func:`run_variational` on ``encoded``.
 
     ``posts`` holds the tape rows ``[Y_0, ..., Y_l, final]`` when ``record``
-    is true, else one Y row and the final row.  ``steps[k]`` is layer k's
-    ``(source, out)`` float views, one pair per Y block, and the row that
-    its diagonal multiplies into the final row.  A plan serves every call on
-    the same ``encoded`` array with layers of the same shapes.
+    is true, else one Y row and the final row.  ``calls`` is every numpy
+    call of the forward as a ``(ufunc, a, b, out)`` tuple, in order: per layer
+    k, one matmul per Y block, of block k of its stack and the float views
+    it reads and writes, then the product of the Y row and diagonal k into
+    the final row.  The operands are views of ``layers``, bound once, so a
+    plan serves every call on the same ``encoded`` array whose layers are
+    written into the same arrays (``layer_operators(..., out=layers)``).
     """
     amps = np.ascontiguousarray(encoded, dtype=complex)
     blocks, diags = layers
@@ -270,18 +299,18 @@ def variational_plan(
     # the first block reads the encoded states, then each diag * Y_k
     m = blocks[0].shape[1]
     source, final = real_block_view(amps, m), real_block_view(posts[-1], m)
-    steps = []
-    for k in range(len(diags)):
-        row, matmuls = min(k, rows - 2), []
-        for i, (at_rows, at_work) in enumerate(views):
+    calls = []
+    for k, diag in enumerate(diags):
+        row = min(k, rows - 2)
+        for i, (stack, (at_rows, at_work)) in enumerate(zip(blocks, views)):
             to_row = (len(views) - i) % 2
             if i:  # what the block before wrote
                 source = at_work if to_row else at_rows[row]
-            matmuls.append((source, at_rows[row] if to_row else at_work))
-        steps.append((matmuls, posts[row]))
+            calls.append((np.matmul, stack[k], source, at_rows[row] if to_row else at_work))
+        calls.append((np.multiply, posts[row], diag, posts[-1]))
         # the final row holds each diag * Y_k until the next Y sub-layer reads it
         source = final
-    return posts, steps
+    return posts, calls
 
 
 def run_variational(
@@ -294,21 +323,17 @@ def run_variational(
     path behind every tape and every loss-only evaluation; each caller builds
     the layers from a checked theta first.
 
-    ``plan``, from :func:`variational_plan` with the same ``encoded`` and
-    ``record``, is the one its caller keeps for every call: the rows
-    returned are then its buffers, overwritten by the next call.  Without
-    one, the call plans for itself.  At n = 4 a forward is a few
+    ``plan``, from :func:`variational_plan` with the same ``encoded``,
+    ``layers`` and ``record``, is the one its caller keeps for every call:
+    the rows returned are then its buffers, overwritten by the next call.
+    Without one, the call plans for itself.  At n = 4 a forward is a few
     microseconds of arithmetic and mostly per-call numpy overhead, which
     making the views again on every call adds to.
     """
-    posts, steps = variational_plan(encoded, layers, record=record) if plan is None else plan
-    blocks, diags = layers
-    final = posts[-1]
-    for k, (matmuls, row) in enumerate(steps):
-        for stack, (source, out) in zip(blocks, matmuls):
-            np.matmul(stack[k], source, out=out)
-        np.multiply(row, diags[k], out=final)
-    return list(posts) if record else final
+    posts, calls = variational_plan(encoded, layers, record=record) if plan is None else plan
+    for ufunc, a, b, out in calls:
+        ufunc(a, b, out)
+    return list(posts) if record else posts[-1]
 
 
 def forward_batch(encoded: np.ndarray, theta: np.ndarray, spec: AnsatzSpec) -> BatchTape:

@@ -70,6 +70,9 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 
 
 def _write_manifest(out_dir: Path, command: str, config: dict, artifacts: list[str], extra: dict | None = None) -> None:
+    # seeds.dataset is the seed handed to the dataset generator.  The
+    # classify and bench datasets are noise-free, and gen_moons and
+    # gen_circles read their seed only for noise, so there it selects nothing
     manifest = {
         "command": command,
         "config": config,

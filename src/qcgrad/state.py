@@ -166,8 +166,15 @@ class QuantumState:
 
 def as_index(value, name: str) -> int:
     """``value`` as an int, through ``operator.index``: numpy integers pass,
-    and a float raises TypeError naming ``name`` rather than being truncated."""
+    and a float raises TypeError naming ``name`` rather than being truncated.
+
+    A bool raises the same TypeError: ``operator.index`` rejects numpy's
+    ``np.True_`` but takes Python's ``True`` as 1, so a flag passed where a
+    count belongs would otherwise run as one.
+    """
     try:
+        if isinstance(value, bool):
+            raise TypeError
         return operator.index(value)
     except TypeError:
         raise TypeError(f"{name} must be an integer, got {value!r}") from None

@@ -12,18 +12,23 @@ batch, so it meets every check); ``loss_and_grad_backprop`` measures the same
 way and spreads dL/d<Z> over the same +/-1 sign rows into dL/dp.
 
 Buffers.  The objective keeps every array its evaluations write, with
-every float view and matmul step over them: the measurement's (the operator
+every float view and bound call over them: the measurement's (the operator
 of :func:`qcgrad.state.operator_plan`, the probabilities and <Z>), shared by
 both paths and made with the objective, whose ``rows`` are fixed then; each
-path's forward (:func:`qcgrad.circuit.variational_plan`), made on the path's
-first call; and the cotangents and backward
-(:func:`qcgrad.autodiff.backward_plan`), made on the first backprop step.
-At n = 4, B = 200 a loss-only forward is mostly numpy's per-call overhead,
-and making these on every call cost about a fifth of it; at n = 7, l = 5
-freeing them after every backprop step cost 1,470 minor page faults per
-step.  So one objective is not re-entrant: each call overwrites the buffers
-of the one before.  Nothing it returns aliases a buffer: the outputs and the
-gradient are fresh arrays, and ``expectations`` returns a copy.
+path's layer operators (:func:`qcgrad.circuit.operator_buffers`) and the
+forward bound to them (:func:`qcgrad.circuit.variational_plan`), made on the
+path's first call; and the cotangents and the backward
+(:func:`qcgrad.autodiff.backward_plan`), bound to the recording path's tape
+rows and diagonals, made on the first backprop step before its forward.
+At n = 4, B = 200 a loss-only forward is mostly numpy's per-call overhead:
+making the views on every call cost about a fifth of it, and fresh operators
+indexed layer by layer on every call cost 3-9% of a loss-only forward and
+6-10% of a backprop step at l = 5-20 (2 vCPUs, numpy 2.4 with OpenBLAS); at
+n = 7, l = 5 freeing the buffers after every backprop step cost 1,470 minor
+page faults per step.  So one objective is not re-entrant: each call
+overwrites the buffers of the one before.  Nothing it returns aliases a
+buffer: the outputs and the gradient are fresh arrays, and ``expectations``
+returns a copy.
 
 Basis rows.  With d = 2**n the circuit is ``final = psi @ P`` in row
 convention, and P is the circuit run on the d basis rows.  The objective runs
@@ -56,7 +61,8 @@ import numpy as np
 from .autodiff import backward_batch, backward_plan
 from .baselines import finite_difference_grad, spsa_grad
 from .circuit import (
-    AnsatzSpec, BatchTape, check_theta, encode_batch, layer_operators, run_variational, variational_plan,
+    AnsatzSpec, BatchTape, check_theta, encode_batch, layer_operators, operator_buffers, run_variational,
+    variational_plan,
 )
 from .datasets import Dataset
 from .heads import ClassificationHead, RegressionHead, readout
@@ -157,13 +163,19 @@ class CircuitObjective:
         self._forwards = [None, None]
         self._backward = None
 
+    def _forward(self, record):
+        """The path's ``(layers, plan)``: its operator buffers and the forward plan bound to them."""
+        if self._forwards[record] is None:
+            layers = operator_buffers(self.spec)
+            self._forwards[record] = layers, variational_plan(self.rows, layers, record=record)
+        return self._forwards[record]
+
     def _run(self, theta, record):
         """The rows' tape (``record``) or final states at theta, on the path's buffers."""
         theta = check_theta(theta, self.spec)
-        layers = layer_operators(theta, self.spec)
-        if self._forwards[record] is None:
-            self._forwards[record] = variational_plan(self.rows, layers, record=record)
-        posts = run_variational(self.rows, layers, record=record, plan=self._forwards[record])
+        layers, plan = self._forward(record)
+        layer_operators(theta, self.spec, out=layers)
+        posts = run_variational(self.rows, layers, record=record, plan=plan)
         return BatchTape(self.spec, posts, theta, layers[1]) if record else posts
 
     def _measure(self, row_finals):
@@ -210,11 +222,16 @@ class CircuitObjective:
         if self._backward is None:
             self._cotangent = np.empty_like(self.encoded)
             self._row_cotangent = self._cotangent if self._operator is None else np.empty_like(self.rows)
-            self._backward = backward_plan(self.spec, len(self.rows))
+            layers, (posts, _) = self._forward(True)
+            self._backward = backward_plan(self.spec, posts, layers[1])
         tape = self._run(theta, True)
         final = self._measure(tape.final)
         losses, outputs, dL_dz = readout(self._z, self.targets, self.head)
-        np.multiply(dL_dz @ self.signs, np.conjugate(final, out=self._cotangent), out=self._cotangent)
+        # dL_dp * conj(final), dL_dp cast in the cotangent buffer: a real factor
+        # is cast through a (B, 2**n) temporary at the step's peak memory.
+        # Nothing reads final again, so it is conjugated in place
+        self._cotangent[...] = dL_dz @ self.signs
+        np.multiply(self._cotangent, np.conjugate(final, out=final), out=self._cotangent)
         if self._operator is not None:
             np.matmul(self.encoded.T, self._cotangent, out=self._row_cotangent)
         grad = backward_batch(tape, self._row_cotangent, self._backward)

@@ -15,10 +15,22 @@ Regenerate only for a change that means to change the numbers, and record
 the new data and its reason in CHANGES.md::
 
     PYTHONPATH=src python tests/data/reference_histories.py
+
+To check that a change keeps every run bit for bit, compare what ::
+
+    PYTHONPATH=src python tests/data/reference_histories.py --digest
+
+prints on both trees: one sha256 over the float64 bytes of every run's loss
+and metric histories and ``final_theta``, in :data:`RUNS` order.  It writes
+nothing.
 """
 
+import argparse
+import hashlib
 import json
 from pathlib import Path
+
+import numpy as np
 
 from qcgrad import (
     AnsatzSpec,
@@ -62,5 +74,19 @@ def run(name: str) -> dict[str, list[float]]:
     }
 
 
+def digest() -> str:
+    """sha256 hex digest over the float64 bytes of every run's histories and final parameters."""
+    sha = hashlib.sha256()
+    for name in RUNS:
+        for values in run(name).values():
+            sha.update(np.asarray(values, dtype=np.float64).tobytes())
+    return sha.hexdigest()
+
+
 if __name__ == "__main__":
-    PATH.write_text(json.dumps({name: run(name) for name in RUNS}, indent=1) + "\n")
+    parser = argparse.ArgumentParser(description="Write reference_histories.json, or print its runs' digest.")
+    parser.add_argument("--digest", action="store_true", help="print the sha256 of the runs and write nothing")
+    if parser.parse_args().digest:
+        print(digest())
+    else:
+        PATH.write_text(json.dumps({name: run(name) for name in RUNS}, indent=1) + "\n")

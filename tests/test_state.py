@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qcgrad import gates
+from qcgrad import AnsatzSpec, TrainConfig, gates, gen_function_dataset, gen_moons, run_benchmark
 from qcgrad.state import (
     QuantumState,
     apply_cz,
@@ -51,6 +51,29 @@ def test_basis_state_rejects_bad_index():
     with pytest.raises(TypeError, match="n_qubits must be an integer, got 2.0"):
         basis_state(2.0, 1)
     assert basis_state(np.int64(2), np.int64(3)).amplitudes[3] == 1.0
+
+
+#: name -> a call that passes ``value`` through ``as_index`` as that name
+INDEX_ARGUMENTS = {
+    "n_qubits": lambda value: AnsatzSpec(n_qubits=value, depth_l=1),
+    "depth_l": lambda value: AnsatzSpec(n_qubits=2, depth_l=value),
+    "feature_dim": lambda value: AnsatzSpec(n_qubits=2, depth_l=1, feature_dim=value),
+    "iterations": lambda value: TrainConfig(iterations=value),
+    "init_seed": lambda value: TrainConfig(init_seed=value),
+    "count": lambda value: gen_function_dataset("sine", count=value),
+    "repeats": lambda value: run_benchmark(
+        ["backprop"], [(2, 0)], gen_moons(count=4), TrainConfig(iterations=1), repeats=value
+    ),
+    "qubit index": lambda value: z_expectation(basis_state(2, 0), value),
+}
+
+
+@pytest.mark.parametrize("value", [True, False, np.True_])
+@pytest.mark.parametrize("name", list(INDEX_ARGUMENTS))
+def test_a_bool_is_not_an_index(name, value):
+    # operator.index takes Python's True as 1, and a flag must not run as a count
+    with pytest.raises(TypeError, match=f"{name} must be an integer, got {value!r}"):
+        INDEX_ARGUMENTS[name](value)
 
 
 def test_quantum_state_shape_validation():

@@ -348,7 +348,8 @@ def every_result(objective, theta):
 @pytest.mark.parametrize(
     "n, l, count, basis_rows",
     # n = 7 has two Kronecker blocks in the forward and two Walsh-Hadamard blocks in the backward
-    [(4, 5, 200, True), (4, 2, 200, False), (7, 5, 400, True), (7, 3, 40, False)],
+    # (4, 20, 200) is perfbench's bp-deep cell
+    [(4, 5, 200, True), (4, 20, 200, True), (4, 2, 200, False), (7, 5, 400, True), (7, 3, 40, False)],
 )
 def test_plans_are_reused_bit_for_bit_and_nothing_returned_aliases_them(n, l, count, basis_rows):
     # one objective keeps its buffers across calls; a fresh objective per
