@@ -68,9 +68,9 @@ into, and every other caller once per call.  The walk is then one loop over
 the bound calls, per layer ``t``, ``v * t``, H, ``ã * s̃``, the sign matmul,
 ``D_y ã``, H and the next diagonal, with one more matmul per transform for
 each Walsh-Hadamard block beyond the first (n > :data:`HADAMARD_BLOCK`).
-At n = 4 on the 16 basis rows a backward pass at l = 20 takes about 138 µs,
-6.6 µs per layer, where indexing each layer's operands on every call took
-about 159 µs (median of 31 rounds of 200 calls, numpy 2.4 with OpenBLAS,
+At n = 4 on the 16 basis rows a backward pass at l = 20 takes about 143 µs,
+6.8 µs per layer, where indexing each layer's operands on every call took
+about 158 µs (median of 31 rounds of 200 calls, numpy 2.4 with OpenBLAS,
 2 vCPUs).
 
 These conventions are validated end to end against central finite
@@ -169,16 +169,17 @@ def _gradient_signs(n_qubits: int) -> np.ndarray:
     return signs
 
 
-def backward_plan(spec: AnsatzSpec, posts, diags: np.ndarray) -> tuple:
-    """``(v, y_phases, calls, grad)``: the buffers and bound calls of :func:`backward_batch`.
+def backward_plan(spec: AnsatzSpec, posts: list[np.ndarray], diags: np.ndarray) -> tuple:
+    """``(posts, diags, v, y_phases, calls, grad)``: the buffers and bound calls of :func:`backward_batch`.
 
     ``posts`` and ``diags`` are the arrays a tape of ``spec``'s circuit is
-    recorded into, its rows ``[Y_0, ..., Y_l, final]`` and its diagonals;
-    the plan serves every tape recorded into them.  ``calls`` is the whole
-    walk after its first cotangent as ``(ufunc, a, b, out)`` tuples, with the
-    operands of each layer k bound once: tape row k, gradient row k, Y phase
-    k and diagonal k - 1.  ``y_phases`` is filled from the tape's theta on
-    each call, and ``grad`` holds the (R, l+1, n, 2) result.
+    recorded into, the list of its rows ``[Y_0, ..., Y_l, final]`` and its
+    diagonals; the plan serves every tape recorded into them.  ``calls`` is
+    the whole walk after its first cotangent as ``(ufunc, a, b, out)``
+    tuples, with the operands of each layer k bound once: tape row k,
+    gradient row k, Y phase k and diagonal k - 1.  ``y_phases`` is filled
+    from the tape's theta on each call, and ``grad`` holds the (R, l+1, n, 2)
+    result.
     """
     n, l, dim = spec.n_qubits, spec.depth_l, 1 << spec.n_qubits
     count = len(posts[0])
@@ -210,7 +211,7 @@ def backward_plan(spec: AnsatzSpec, posts, diags: np.ndarray) -> tuple:
         calls += [(np.multiply, posts[k], s_conj, t), *vt_calls, (np.matmul, product_floats, signs, grad_rows[k])]
         if k:  # the next v, diag_{k-1} * H (D_y ã); the first layer's would go unread
             calls += [(np.multiply, a_tilde, y_phases[k], products[0]), *u_calls, (np.multiply, h_u, diags[k - 1], v)]
-    return v, y_phases, calls, grad
+    return posts, diags, v, y_phases, calls, grad
 
 
 def backward_batch(tape: BatchTape, cotangent: np.ndarray, plan: tuple | None = None) -> np.ndarray:
@@ -225,8 +226,10 @@ def backward_batch(tape: BatchTape, cotangent: np.ndarray, plan: tuple | None = 
 
     ``plan``, from :func:`backward_plan` on the arrays the tape is recorded
     into, is the one its caller keeps for every call: the result is then a
-    view of its buffer, overwritten by the next call.  Without one, the
-    call plans for itself.
+    view of its buffer, overwritten by the next call.  Its calls read those
+    arrays, not the tape's, so a tape recorded into other arrays raises
+    ValueError; of the tape, only theta is read.  Without a plan, the call
+    plans for itself.
     """
     cotangent = np.asarray(cotangent, dtype=complex)
     if cotangent.shape != tape.final.shape:
@@ -234,11 +237,15 @@ def backward_batch(tape: BatchTape, cotangent: np.ndarray, plan: tuple | None = 
             f"cotangent shape {cotangent.shape} does not match batch shape {tape.final.shape}"
         )
     n, l = tape.spec.n_qubits, tape.spec.depth_l
-    v, y_phases, calls, grad = backward_plan(tape.spec, tape.posts, tape.diags) if plan is None else plan
+    posts, diags, v, y_phases, calls, grad = (
+        backward_plan(tape.spec, tape.posts, tape.diags) if plan is None else plan
+    )
+    if tape.posts[-1] is not posts[-1] or tape.diags is not diags:
+        raise ValueError("the plan is bound to another tape's arrays")
     rotation_phases(tape.theta.reshape(l + 1, n, 2)[:, :, 0], n, out=y_phases)
     # H has +/-1 entries, so H D H carries 2**n too many
     y_phases *= 0.5**n
-    np.multiply(cotangent, tape.diags[l] * s_phases(n), out=v)
+    np.multiply(cotangent, diags[l] * s_phases(n), out=v)
     for ufunc, a, b, out in calls:
         ufunc(a, b, out)
     return grad.reshape(len(cotangent), -1)

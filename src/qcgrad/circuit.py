@@ -36,11 +36,11 @@ Each forward turns a checked theta into layers once, in its caller:
 :func:`forward_batch` and ``CircuitObjective`` (in :mod:`qcgrad.trainer`)
 call :func:`layer_operators`, which builds every layer's operators in one go,
 into fresh arrays or into the :func:`operator_buffers` that
-``CircuitObjective`` keeps for each path.  A :func:`variational_plan` binds
-each layer's operands once, block k of each Y stack and diagonal k with the
-float views they read and write, and :func:`run_variational` is one loop
-over these bound calls.  ``CircuitObjective`` makes a plan once per path, on
-that path's operator buffers, and every other caller once per call.
+``CircuitObjective`` keeps.  A :func:`variational_plan` binds each layer's
+operands once, block k of each Y stack and diagonal k with the float views
+they read and write, and :func:`run_variational` is one loop over these
+bound calls.  ``CircuitObjective`` makes a plan once per path, both on its
+one set of operator buffers, and every other caller once per call.
 
 Every simulation runs on a batch of shape ``(B, 2**n)``; a single input is
 the batch ``x[None, :]``.  The batch may also be the 2**n basis rows, whose
@@ -57,6 +57,7 @@ n = 3-6 and B = 2-200 differed from their B=1 runs.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -199,21 +200,10 @@ def _y_block_indices(n_qubits: int, low: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def operator_buffers(spec: AnsatzSpec) -> tuple[list[np.ndarray], np.ndarray]:
-    """Arrays of the shapes and strides :func:`layer_operators` returns, for its ``out``.
-
-    Each Y stack starts on a 64-byte cache line.  Where it started 16 to 48
-    bytes past one, as malloc may place it, a loss-only forward at l = 10
-    took 12-16% longer at n = 7 and 8, 4-6% at n = 6 and 2% at n = 5, and
-    the same at n = 4 (B = 200, 2 vCPUs, numpy 2.4 with OpenBLAS).
-    """
+    """Arrays of the shapes and strides :func:`layer_operators` returns, for its ``out``."""
     n, l = spec.n_qubits, spec.depth_l
-    blocks = []
-    for m in (1 << min(KRON_BLOCK, n - low) for low in range(0, n, KRON_BLOCK)):
-        size = (l + 1) * m * m
-        raw = np.empty(size + 7)  # aligned to at least one float
-        start = -raw.ctypes.data % 64 // 8
-        blocks.append(raw[start : start + size].reshape(l + 1, m, m).swapaxes(-1, -2))
-    return blocks, np.empty((l + 1, 1 << n), dtype=complex)
+    sizes = (1 << min(KRON_BLOCK, n - low) for low in range(0, n, KRON_BLOCK))
+    return [np.empty((l + 1, m, m)).swapaxes(-1, -2) for m in sizes], np.empty((l + 1, 1 << n), dtype=complex)
 
 
 def layer_operators(
@@ -267,10 +257,10 @@ def layer_operators(
 
 def variational_plan(
     encoded: np.ndarray, layers: tuple[list[np.ndarray], np.ndarray], *, record: bool
-) -> tuple[np.ndarray, list[tuple]]:
-    """``(posts, calls)``: the buffers and the bound calls of :func:`run_variational` on ``encoded``.
+) -> tuple[list[np.ndarray], list[tuple], tuple[list[np.ndarray], np.ndarray]]:
+    """``(posts, calls, layers)``: the rows and the bound calls of :func:`run_variational` on ``encoded``.
 
-    ``posts`` holds the tape rows ``[Y_0, ..., Y_l, final]`` when ``record``
+    ``posts`` are the tape rows ``[Y_0, ..., Y_l, final]`` when ``record``
     is true, else one Y row and the final row.  ``calls`` is every numpy
     call of the forward as a ``(ufunc, a, b, out)`` tuple, in order: per layer
     k, one matmul per Y block, of block k of its stack and the float views
@@ -285,7 +275,8 @@ def variational_plan(
     # freed after every call let the C heap shrink and fault its pages back
     # in on the next (1,470 minor faults per backprop step at n = 7, l = 5)
     rows = len(diags) + 1 if record else 2
-    posts = np.empty((rows,) + amps.shape, dtype=complex)
+    buffer = np.empty((rows,) + amps.shape, dtype=complex)
+    posts = list(buffer)
     # a Y sub-layer split into Kronecker blocks writes to the row and to this
     # buffer in turn, so that its last block writes to the row (a fresh
     # buffer per block made a loss-only forward at n = 7, B = 200, l = 3 take
@@ -294,7 +285,7 @@ def variational_plan(
     views, lo = [], 1
     for stack in blocks:
         m = stack.shape[1]
-        views.append((real_block_view(posts, m, lo), real_block_view(work, m, lo)))
+        views.append((real_block_view(buffer, m, lo), real_block_view(work, m, lo)))
         lo *= m
     # the first block reads the encoded states, then each diag * Y_k
     m = blocks[0].shape[1]
@@ -310,7 +301,7 @@ def variational_plan(
         calls.append((np.multiply, posts[row], diag, posts[-1]))
         # the final row holds each diag * Y_k until the next Y sub-layer reads it
         source = final
-    return posts, calls
+    return posts, calls, layers
 
 
 def run_variational(
@@ -326,11 +317,15 @@ def run_variational(
     ``plan``, from :func:`variational_plan` with the same ``encoded``,
     ``layers`` and ``record``, is the one its caller keeps for every call:
     the rows returned are then its buffers, overwritten by the next call.
-    Without one, the call plans for itself.  At n = 4 a forward is a few
-    microseconds of arithmetic and mostly per-call numpy overhead, which
-    making the views again on every call adds to.
+    Its calls read the arrays it was made on, so ``layers`` must hold those
+    same arrays, and a ValueError is raised otherwise.  Without a plan, the
+    call plans for itself.  At n = 4 a forward is a few microseconds of
+    arithmetic and mostly per-call numpy overhead, which making the views
+    again on every call adds to.
     """
-    posts, calls = variational_plan(encoded, layers, record=record) if plan is None else plan
+    posts, calls, (blocks, diags) = variational_plan(encoded, layers, record=record) if plan is None else plan
+    if layers[1] is not diags or not all(map(operator.is_, layers[0], blocks)):
+        raise ValueError("the plan is bound to other layer arrays")
     for ufunc, a, b, out in calls:
         ufunc(a, b, out)
     return list(posts) if record else posts[-1]

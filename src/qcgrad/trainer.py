@@ -14,16 +14,17 @@ way and spreads dL/d<Z> over the same +/-1 sign rows into dL/dp.
 Buffers.  The objective keeps every array its evaluations write, with
 every float view and bound call over them: the measurement's (the operator
 of :func:`qcgrad.state.operator_plan`, the probabilities and <Z>), shared by
-both paths and made with the objective, whose ``rows`` are fixed then; each
-path's layer operators (:func:`qcgrad.circuit.operator_buffers`) and the
-forward bound to them (:func:`qcgrad.circuit.variational_plan`), made on the
-path's first call; and the cotangents and the backward
+both paths and made with the objective, whose ``rows`` are fixed then; the
+layer operators (:func:`qcgrad.circuit.operator_buffers`), which both paths
+write from theta before they run, and each path's forward bound to them
+(:func:`qcgrad.circuit.variational_plan`), made on the path's first call;
+and the cotangents and the backward
 (:func:`qcgrad.autodiff.backward_plan`), bound to the recording path's tape
 rows and diagonals, made on the first backprop step before its forward.
 At n = 4, B = 200 a loss-only forward is mostly numpy's per-call overhead:
 making the views on every call cost about a fifth of it, and fresh operators
-indexed layer by layer on every call cost 3-9% of a loss-only forward and
-6-10% of a backprop step at l = 5-20 (2 vCPUs, numpy 2.4 with OpenBLAS); at
+indexed layer by layer on each call cost 4-12% of a loss-only forward and
+7-13% of a backprop step at l = 5-20 (2 vCPUs, numpy 2.4 with OpenBLAS); at
 n = 7, l = 5 freeing the buffers after every backprop step cost 1,470 minor
 page faults per step.  So one objective is not re-entrant: each call
 overwrites the buffers of the one before.  Nothing it returns aliases a
@@ -158,23 +159,26 @@ class CircuitObjective:
         z = np.empty((len(self.signs), count))
         self._z_steps = [(self._probs, row, out) for row, out in zip(self.signs, z)]
         self._z = z.T
-        # each path's forward, loss-only then recording, and the backprop
-        # step's buffers, made on first use
+        # the layer operators, which both paths write before they run; each
+        # path's forward, loss-only then recording; and the backprop step's
+        # buffers: all made on first use
+        self._layers = None
         self._forwards = [None, None]
         self._backward = None
 
     def _forward(self, record):
-        """The path's ``(layers, plan)``: its operator buffers and the forward plan bound to them."""
+        """The path's forward plan, bound to the objective's operator buffers."""
         if self._forwards[record] is None:
-            layers = operator_buffers(self.spec)
-            self._forwards[record] = layers, variational_plan(self.rows, layers, record=record)
+            if self._layers is None:
+                self._layers = operator_buffers(self.spec)
+            self._forwards[record] = variational_plan(self.rows, self._layers, record=record)
         return self._forwards[record]
 
     def _run(self, theta, record):
         """The rows' tape (``record``) or final states at theta, on the path's buffers."""
         theta = check_theta(theta, self.spec)
-        layers, plan = self._forward(record)
-        layer_operators(theta, self.spec, out=layers)
+        plan = self._forward(record)
+        layers = layer_operators(theta, self.spec, out=self._layers)
         posts = run_variational(self.rows, layers, record=record, plan=plan)
         return BatchTape(self.spec, posts, theta, layers[1]) if record else posts
 
@@ -222,15 +226,17 @@ class CircuitObjective:
         if self._backward is None:
             self._cotangent = np.empty_like(self.encoded)
             self._row_cotangent = self._cotangent if self._operator is None else np.empty_like(self.rows)
-            layers, (posts, _) = self._forward(True)
-            self._backward = backward_plan(self.spec, posts, layers[1])
+            posts, _, (_, diags) = self._forward(True)
+            self._backward = backward_plan(self.spec, posts, diags)
         tape = self._run(theta, True)
         final = self._measure(tape.final)
         losses, outputs, dL_dz = readout(self._z, self.targets, self.head)
-        # dL_dp * conj(final), dL_dp cast in the cotangent buffer: a real factor
-        # is cast through a (B, 2**n) temporary at the step's peak memory.
-        # Nothing reads final again, so it is conjugated in place
-        self._cotangent[...] = dL_dz @ self.signs
+        # dL_dp * conj(final), dL_dp made in the free probabilities and cast
+        # in the cotangent buffer: a real factor is cast through a (B, 2**n)
+        # temporary at the step's peak memory.  Nothing reads final again, so
+        # it is conjugated in place
+        np.matmul(dL_dz, self.signs, out=self._probs)
+        self._cotangent[...] = self._probs
         np.multiply(self._cotangent, np.conjugate(final, out=final), out=self._cotangent)
         if self._operator is not None:
             np.matmul(self.encoded.T, self._cotangent, out=self._row_cotangent)

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 from conftest import single_tape, z_reference
 
-from qcgrad.autodiff import HADAMARD_BLOCK, backward_batch, hadamard_plan
+from qcgrad.autodiff import HADAMARD_BLOCK, backward_batch, backward_plan, hadamard_plan
 from qcgrad.baselines import finite_difference_grad
-from qcgrad.circuit import AnsatzSpec, encode_batch, forward_batch
+from qcgrad.circuit import (
+    AnsatzSpec, BatchTape, encode_batch, forward_batch, layer_operators, run_variational, variational_plan,
+)
 from qcgrad.heads import ClassificationHead, readout
 from qcgrad.state import z_sign_vector
 from qcgrad.trainer import random_objective
@@ -20,6 +22,25 @@ def test_seed_cotangent_length_mismatch():
         backward_batch(tape, np.zeros((1, 4)))
     with pytest.raises(ValueError):
         backward_batch(tape, np.zeros(2))  # one cotangent row per batch row
+
+
+def test_plans_run_only_on_the_arrays_they_were_made_on():
+    # a plan's calls read the arrays it was bound to, so layers or a tape
+    # recorded elsewhere are refused rather than silently ignored
+    rng = np.random.default_rng(8)
+    spec = AnsatzSpec(3, 2)
+    theta = rng.uniform(0, 2 * np.pi, spec.param_count)
+    encoded = encode_batch(rng.uniform(-1, 1, (4, 1)), spec)
+    layers = layer_operators(theta, spec)
+    forward = variational_plan(encoded, layers, record=True)
+    tape = BatchTape(spec, run_variational(encoded, layers, record=True, plan=forward), theta, layers[1])
+    with pytest.raises(ValueError, match="bound to other layer arrays"):
+        run_variational(encoded, layer_operators(theta, spec), record=True, plan=forward)
+    backward = backward_plan(spec, forward[0], layers[1])
+    cotangent = rng.normal(size=tape.final.shape) * np.conj(tape.final)
+    assert np.array_equal(backward_batch(tape, cotangent, backward), backward_batch(tape, cotangent))
+    with pytest.raises(ValueError, match="bound to another tape's arrays"):
+        backward_batch(forward_batch(encoded, theta, spec), cotangent, backward)
 
 
 def test_single_ry_analytic_gradient():

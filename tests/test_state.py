@@ -53,27 +53,30 @@ def test_basis_state_rejects_bad_index():
     assert basis_state(np.int64(2), np.int64(3)).amplitudes[3] == 1.0
 
 
-#: name -> a call that passes ``value`` through ``as_index`` as that name
+#: test id -> (name, a call that passes ``value`` through ``as_index`` as that name)
 INDEX_ARGUMENTS = {
-    "n_qubits": lambda value: AnsatzSpec(n_qubits=value, depth_l=1),
-    "depth_l": lambda value: AnsatzSpec(n_qubits=2, depth_l=value),
-    "feature_dim": lambda value: AnsatzSpec(n_qubits=2, depth_l=1, feature_dim=value),
-    "iterations": lambda value: TrainConfig(iterations=value),
-    "init_seed": lambda value: TrainConfig(init_seed=value),
-    "count": lambda value: gen_function_dataset("sine", count=value),
-    "repeats": lambda value: run_benchmark(
+    "n_qubits": ("n_qubits", lambda value: AnsatzSpec(n_qubits=value, depth_l=1)),
+    "depth_l": ("depth_l", lambda value: AnsatzSpec(n_qubits=2, depth_l=value)),
+    "feature_dim": ("feature_dim", lambda value: AnsatzSpec(n_qubits=2, depth_l=1, feature_dim=value)),
+    "iterations": ("iterations", lambda value: TrainConfig(iterations=value)),
+    "init_seed": ("init_seed", lambda value: TrainConfig(init_seed=value)),
+    "count": ("count", lambda value: gen_function_dataset("sine", count=value)),
+    "repeats": ("repeats", lambda value: run_benchmark(
         ["backprop"], [(2, 0)], gen_moons(count=4), TrainConfig(iterations=1), repeats=value
-    ),
-    "qubit index": lambda value: z_expectation(basis_state(2, 0), value),
+    )),
+    "qubit index": ("qubit index", lambda value: z_expectation(basis_state(2, 0), value)),
+    "basis index": ("basis index", lambda value: basis_state(2, value)),
+    "basis_state n_qubits": ("n_qubits", lambda value: basis_state(value, 0)),
 }
 
 
 @pytest.mark.parametrize("value", [True, False, np.True_])
-@pytest.mark.parametrize("name", list(INDEX_ARGUMENTS))
-def test_a_bool_is_not_an_index(name, value):
+@pytest.mark.parametrize("case", list(INDEX_ARGUMENTS))
+def test_a_bool_is_not_an_index(case, value):
     # operator.index takes Python's True as 1, and a flag must not run as a count
+    name, call = INDEX_ARGUMENTS[case]
     with pytest.raises(TypeError, match=f"{name} must be an integer, got {value!r}"):
-        INDEX_ARGUMENTS[name](value)
+        call(value)
 
 
 def test_quantum_state_shape_validation():
