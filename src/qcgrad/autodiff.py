@@ -194,7 +194,8 @@ def backward_plan(spec: AnsatzSpec, posts: list[np.ndarray], diags: np.ndarray) 
     # products, which are free by then, back to the new v
     vt_plan, vt_tilde = hadamard_plan(vt.reshape(2 * count, dim), h_work.reshape(2 * count, dim))
     a_tilde, s_tilde = vt_tilde.reshape(2, count, dim)
-    u_plan, h_u = hadamard_plan(products[0], products[1])
+    ab_product, vt_product = products
+    u_plan, h_u = hadamard_plan(ab_product, vt_product)
     s_conj[:] = np.conj(s_phases(n))
     y_phases = np.empty((l + 1, dim), dtype=complex)
     grad = np.empty((count, l + 1, n, 2))
@@ -202,15 +203,15 @@ def backward_plan(spec: AnsatzSpec, posts: list[np.ndarray], diags: np.ndarray) 
     grad_rows = grad.transpose(1, 3, 0, 2)
     signs, product_floats = _gradient_signs(n), products.view(float)
     # the calls every layer makes alike: v * t, H [v, t] = [ã, s̃], ã * s̃, and H (D_y ã)
-    vt_calls = [(np.multiply, v, t, products[1])] + [(np.matmul, *step) for step in vt_plan]
-    vt_calls.append((np.multiply, a_tilde, s_tilde, products[0]))
+    vt_calls = [(np.multiply, v, t, vt_product)] + [(np.matmul, *step) for step in vt_plan]
+    vt_calls.append((np.multiply, a_tilde, s_tilde, ab_product))
     u_calls = [(np.matmul, *step) for step in u_plan]
     calls = []
     for k in range(l, -1, -1):
         # t = S* Y_k, then the gradients from [ã * s̃, v * t]
         calls += [(np.multiply, posts[k], s_conj, t), *vt_calls, (np.matmul, product_floats, signs, grad_rows[k])]
         if k:  # the next v, diag_{k-1} * H (D_y ã); the first layer's would go unread
-            calls += [(np.multiply, a_tilde, y_phases[k], products[0]), *u_calls, (np.multiply, h_u, diags[k - 1], v)]
+            calls += [(np.multiply, a_tilde, y_phases[k], ab_product), *u_calls, (np.multiply, h_u, diags[k - 1], v)]
     return posts, diags, v, y_phases, calls, grad
 
 
