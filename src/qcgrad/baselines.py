@@ -26,10 +26,11 @@ def spsa_perturbation_size(k: int) -> float:
     return SPSA_C / (k + 1) ** SPSA_GAMMA
 
 
-def _check_value(value: float, where: str) -> float:
+def _check_value(value: float, where: str, *args) -> float:
+    # ``where`` is formatted with ``args`` only on failure: FD checks 2P values per gradient
     value = float(value)
     if not math.isfinite(value):
-        raise ArithmeticError(f"loss evaluated to a non-finite value at {where}")
+        raise ArithmeticError(f"loss evaluated to a non-finite value at {where.format(*args)}")
     return value
 
 
@@ -56,9 +57,9 @@ def finite_difference_grad(f: LossFunction, theta: np.ndarray, h: float) -> np.n
     probe = theta.copy()
     for m in range(theta.size):
         probe[m] = plus[m]
-        f_plus = _check_value(f(probe), f"coordinate {m}, +h")
+        f_plus = _check_value(f(probe), "coordinate {}, +h", m)
         probe[m] = minus[m]
-        f_minus = _check_value(f(probe), f"coordinate {m}, -h")
+        f_minus = _check_value(f(probe), "coordinate {}, -h", m)
         probe[m] = theta[m]
         grad[m] = (f_plus - f_minus) / (2.0 * h)
     return grad
@@ -78,7 +79,7 @@ def spsa_grad(f: LossFunction, theta: np.ndarray, k: int, seed: int) -> np.ndarr
     ck = spsa_perturbation_size(k)
     plus, minus = theta + ck * delta, theta - ck * delta
     _check_moved(theta, plus, minus, f"c_k = {ck}")
-    f_plus = _check_value(f(plus), f"iteration {k}, +c_k")
-    f_minus = _check_value(f(minus), f"iteration {k}, -c_k")
+    f_plus = _check_value(f(plus), "iteration {}, +c_k", k)
+    f_minus = _check_value(f(minus), "iteration {}, -c_k", k)
     # 1/delta == delta componentwise for +/-1 entries
     return ((f_plus - f_minus) / (2.0 * ck)) * delta

@@ -34,13 +34,13 @@ instead.
 
 Each forward turns a checked theta into layers once, in its caller:
 :func:`forward_batch` and ``CircuitObjective`` (in :mod:`qcgrad.trainer`)
-call :func:`layer_operators`, which builds every layer's operators in one go,
-into fresh arrays or into the :func:`operator_buffers` that
-``CircuitObjective`` keeps.  A :func:`variational_plan` binds each layer's
-operands once, block k of each Y stack and diagonal k with the float views
-they read and write, and :func:`run_variational` is one loop over these
-bound calls.  ``CircuitObjective`` makes a plan once per path, both on its
-one set of operator buffers, and every other caller once per call.
+call :func:`layer_operators`, which builds every layer's operators in one go
+through the bound calls of a :func:`layer_plan`.  A :func:`variational_plan`
+binds each layer's operands once, block k of each Y stack and diagonal k
+with the float views they read and write, and :func:`run_variational` is one
+loop over these bound calls.  ``CircuitObjective`` keeps one layer plan and
+one forward plan per path, bound to that layer plan's arrays, and every
+other caller plans once per call.
 
 Every simulation runs on a batch of shape ``(B, 2**n)``; a single input is
 the batch ``x[None, :]``.  The batch may also be the 2**n basis rows, whose
@@ -59,7 +59,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -145,13 +145,17 @@ def encode_batch(xs: np.ndarray, spec: AnsatzSpec) -> np.ndarray:
     return kron(qubits[..., None]).reshape(len(xs), -1)
 
 
-def rotation_phases(angles: np.ndarray, n_qubits: int, out: np.ndarray | None = None) -> np.ndarray:
+def rotation_phases(
+    angles: np.ndarray, n_qubits: int, out: np.ndarray | None = None, work: np.ndarray | None = None
+) -> np.ndarray:
     """``exp(-i/2 * Zsigns @ angles)`` of (..., n) angles, one per qubit, into ``out`` if given.
 
     This is the diagonal of one rz per qubit, and of one ry per qubit in the
-    Y eigenbasis (see :mod:`qcgrad.autodiff`).
+    Y eigenbasis (see :mod:`qcgrad.autodiff`).  ``work``, if given, is a real
+    array of the result's shape that takes the sums of signed angles.
     """
-    return np.exp(-0.5j * (angles @ z_sign_matrix(n_qubits).T), out=out)
+    sums = np.matmul(angles, z_sign_matrix(n_qubits).T, out=work)
+    return np.exp(np.multiply(-0.5j, sums, out=out), out=out)
 
 
 #: Most qubits one dense rotation matrix spans.  A dense matrix over m
@@ -199,15 +203,44 @@ def _y_block_indices(n_qubits: int, low: int) -> tuple[np.ndarray, np.ndarray]:
     return fold, entry
 
 
-def operator_buffers(spec: AnsatzSpec) -> tuple[list[np.ndarray], np.ndarray]:
-    """Arrays of the shapes and strides :func:`layer_operators` returns, for its ``out``."""
+def layer_plan(spec: AnsatzSpec) -> tuple[np.ndarray, list[partial], tuple[list[np.ndarray], np.ndarray]]:
+    """``(theta, calls, layers)``: the angles' buffer, and the bound calls that write ``layers`` from it.
+
+    Every temporary of :func:`layer_operators` is a buffer of the plan's.
+    """
     n, l = spec.n_qubits, spec.depth_l
-    sizes = (1 << min(KRON_BLOCK, n - low) for low in range(0, n, KRON_BLOCK))
-    return [np.empty((l + 1, m, m)).swapaxes(-1, -2) for m in sizes], np.empty((l + 1, 1 << n), dtype=complex)
+    theta = np.empty(spec.param_count)
+    angles = theta.reshape(l + 1, n, 2)
+    half, trig = np.empty((l + 1, n)), np.empty((l + 1, 2 * n))
+    calls = [
+        partial(np.multiply, 0.5, angles[:, :, 0], half),
+        partial(np.cos, half, trig[:, :n]),
+        partial(np.sin, half, trig[:, n:]),
+    ]
+    blocks = []
+    for low in range(0, n, KRON_BLOCK):
+        fold, entry = _y_block_indices(n, low)
+        factors, table = np.empty((l + 1,) + fold.shape), np.empty((l + 1, 2, fold.shape[1]))
+        stack = np.empty((l + 1,) + entry.shape)
+        blocks.append(stack.swapaxes(-1, -2))
+        # the indices are in range; the default mode="raise" copies through a temporary
+        calls += [
+            partial(trig.take, fold, 1, factors, "clip"),
+            # a left fold over the factors, in kron's order
+            partial(np.multiply.reduce, factors, axis=1, out=table[:, 0]),
+            partial(np.negative, table[:, 0], table[:, 1]),
+            partial(table.reshape(l + 1, -1).take, entry, 1, stack, "clip"),
+        ]
+    diags = np.empty((l + 1, 1 << n), dtype=complex)
+    calls += [
+        partial(rotation_phases, angles[:, :, 1], n, diags, np.empty(diags.shape)),
+        partial(np.multiply, diags[:-1], ring_signs(n), diags[:-1]),
+    ]
+    return theta, calls, (blocks, diags)
 
 
 def layer_operators(
-    theta: np.ndarray, spec: AnsatzSpec, out: tuple[list[np.ndarray], np.ndarray] | None = None
+    theta: np.ndarray, spec: AnsatzSpec, plan: tuple | None = None
 ) -> tuple[list[np.ndarray], np.ndarray]:
     """(Y blocks, Z-and-entangler diagonals) of all l+1 rotation layers at once.
 
@@ -216,10 +249,13 @@ def layer_operators(
     product of a layer's ry matrices into blocks of at most ``KRON_BLOCK``
     qubits; each block is an (l+1, dim, dim) stack, indexed by layer, of
     column-major views: OpenBLAS ran these (dim, dim) @ (dim, 2) products
-    about 1.7x faster so.  They are written into ``out``, arrays from
-    :func:`operator_buffers` that a caller keeps and its plans have bound
-    (see :func:`variational_plan`), else into fresh ones; either way the
-    arrays are returned.
+    about 1.7x faster so.  They are written by the bound calls of ``plan``,
+    from :func:`layer_plan`, which its caller keeps for every call, and the
+    plan's layers are returned; without a plan, the call plans for itself.
+    Its 12 numpy calls at n <= 6 (16 at n = 7, 8) took 15 us at n = 4,
+    l = 5 and 28 us at l = 20 with a kept plan, against 19 and 32 us through
+    temporaries made on every call, and 24 and 37 us planning for itself
+    (2 vCPUs, numpy 2.4).
 
     How the blocks are built.  Entry (r, c) of the product of ry^T =
     [[cos, sin], [-sin, cos]] over m qubits multiplies one factor per qubit,
@@ -237,22 +273,11 @@ def layer_operators(
     and on the 10,201 inputs of a 101x101 grid ``kron`` took 2.2 ms where
     this fold took 3.2 ms.
     """
-    n, l = spec.n_qubits, spec.depth_l
-    blocks, diags = out = operator_buffers(spec) if out is None else out
-    angles = theta.reshape(l + 1, n, 2)
-    half = 0.5 * angles[:, :, 0]
-    trig = np.concatenate([np.cos(half), np.sin(half)], axis=1)
-    for low, stack in zip(range(0, n, KRON_BLOCK), blocks):
-        fold, entry = _y_block_indices(n, low)
-        table = np.empty((l + 1, 2, fold.shape[1]))
-        # a left fold over the factors, in kron's order
-        np.multiply.reduce(trig.take(fold, axis=1), axis=1, out=table[:, 0])
-        np.negative(table[:, 0], out=table[:, 1])
-        # the indices are in range; the default mode="raise" copies through a temporary
-        table.reshape(l + 1, -1).take(entry, axis=1, out=stack.swapaxes(-1, -2), mode="clip")
-    rotation_phases(angles[:, :, 1], n, out=diags)
-    diags[:-1] *= ring_signs(n)
-    return out
+    buffer, calls, layers = layer_plan(spec) if plan is None else plan
+    np.copyto(buffer, theta)
+    for call in calls:
+        call()
+    return layers
 
 
 def variational_plan(
@@ -267,7 +292,7 @@ def variational_plan(
     it reads and writes, then the product of the Y row and diagonal k into
     the final row.  The operands are views of ``layers``, bound once, so a
     plan serves every call on the same ``encoded`` array whose layers are
-    written into the same arrays (``layer_operators(..., out=layers)``).
+    written into the same arrays (by the same :func:`layer_plan`).
     """
     amps = np.ascontiguousarray(encoded, dtype=complex)
     blocks, diags = layers

@@ -8,25 +8,32 @@ history bit for bit.  The head owns its task, qubits and metric; the
 objective owns the measurement.  Its one loss-only forward maps theta to
 the (B, k) <Z> of the head's qubits for ``loss``, ``evaluate``,
 :meth:`~CircuitObjective.expectations` and :func:`predict` (a zero-target
-batch, so it meets every check); ``loss_and_grad_backprop`` measures the same
-way and spreads dL/d<Z> over the same +/-1 sign rows into dL/dp.
+batch, so it meets every check).  ``loss``, the evaluator that finite
+differences and SPSA call, reads only the per-sample losses from the head
+(:func:`qcgrad.heads.readout_loss`); the others read its losses, outputs and
+dL/d<Z> (:func:`qcgrad.heads.readout`), and ``loss_and_grad_backprop``
+measures the same way and spreads dL/d<Z> over the same +/-1 sign rows into
+dL/dp.
 
 Buffers.  The objective keeps every array its evaluations write, with
 every float view and bound call over them: the measurement's (the operator
 of :func:`qcgrad.state.operator_plan`, the probabilities and <Z>), shared by
-both paths and made with the objective, whose ``rows`` are fixed then; the
-layer operators (:func:`qcgrad.circuit.operator_buffers`), which both paths
-write from theta before they run, and each path's forward bound to them
+both paths and made with the objective, whose ``rows`` are fixed then, and
+``loss`` writes its losses into the probabilities, free once <Z> is read; the
+layer operators' plan (:func:`qcgrad.circuit.layer_plan`: theta, operators
+and every temporary), which both paths run from theta before they run, and
+each path's forward bound to its operators
 (:func:`qcgrad.circuit.variational_plan`), made on the path's first call;
 and the cotangents and the backward
 (:func:`qcgrad.autodiff.backward_plan`), bound to the recording path's tape
 rows and diagonals, made on the first backprop step before its forward.
 At n = 4, B = 200 a loss-only forward is mostly numpy's per-call overhead:
-making the views on every call cost about a fifth of it, and fresh operators
+making the views on every call cost about a fifth of it, fresh operators
 indexed layer by layer on each call cost 4-12% of a loss-only forward and
-7-13% of a backprop step at l = 5-20 (2 vCPUs, numpy 2.4 with OpenBLAS); at
-n = 7, l = 5 freeing the buffers after every backprop step cost 1,470 minor
-page faults per step.  So one objective is not re-entrant: each call
+7-13% of a backprop step at l = 5-20, and the layer operators' temporaries
+made on every call 4 of the 82 us of a ``loss`` call at l = 5 (2 vCPUs,
+numpy 2.4 with OpenBLAS); at n = 7, l = 5 freeing the buffers after every
+backprop step cost 1,470 minor page faults per step.  So one objective is not re-entrant: each call
 overwrites the buffers of the one before.  Nothing it returns aliases a
 buffer: the outputs and the gradient are fresh arrays, and ``expectations``
 returns a copy.
@@ -62,11 +69,10 @@ import numpy as np
 from .autodiff import backward_batch, backward_plan
 from .baselines import finite_difference_grad, spsa_grad
 from .circuit import (
-    AnsatzSpec, BatchTape, check_theta, encode_batch, layer_operators, operator_buffers, run_variational,
-    variational_plan,
+    AnsatzSpec, BatchTape, check_theta, encode_batch, layer_operators, layer_plan, run_variational, variational_plan,
 )
 from .datasets import Dataset
-from .heads import ClassificationHead, RegressionHead, readout
+from .heads import ClassificationHead, RegressionHead, readout, readout_loss
 from .state import apply_operator, as_index, operator_plan, z_sign_vector
 
 GRADIENT_METHODS = ("backprop", "finite_difference", "spsa")
@@ -156,29 +162,31 @@ class CircuitObjective:
         # applied first when the layers run on the basis rows
         self._operator = operator_plan(self.encoded) if basis_rows else None
         self._probs = np.empty(self.encoded.shape)
+        # the loss-only head writes into the probabilities, free once <Z> is measured
+        self._losses = self._probs.reshape(-1)[:count]
         z = np.empty((len(self.signs), count))
         self._z_steps = [(self._probs, row, out) for row, out in zip(self.signs, z)]
         self._z = z.T
-        # the layer operators, which both paths write before they run; each
-        # path's forward, loss-only then recording; and the backprop step's
-        # buffers: all made on first use
-        self._layers = None
+        # the layer operators' plan, which both paths run before they run
+        # their own; each path's forward, loss-only then recording; and the
+        # backprop step's buffers: all made on first use
+        self._layer_plan = None
         self._forwards = [None, None]
         self._backward = None
 
     def _forward(self, record):
-        """The path's forward plan, bound to the objective's operator buffers."""
+        """The path's forward plan, bound to the operators of the objective's layer plan."""
         if self._forwards[record] is None:
-            if self._layers is None:
-                self._layers = operator_buffers(self.spec)
-            self._forwards[record] = variational_plan(self.rows, self._layers, record=record)
+            if self._layer_plan is None:
+                self._layer_plan = layer_plan(self.spec)
+            self._forwards[record] = variational_plan(self.rows, self._layer_plan[2], record=record)
         return self._forwards[record]
 
     def _run(self, theta, record):
         """The rows' tape (``record``) or final states at theta, on the path's buffers."""
         theta = check_theta(theta, self.spec)
         plan = self._forward(record)
-        layers = layer_operators(theta, self.spec, out=self._layers)
+        layers = layer_operators(theta, self.spec, plan=self._layer_plan)
         posts = run_variational(self.rows, layers, record=record, plan=plan)
         return BatchTape(self.spec, posts, theta, layers[1]) if record else posts
 
@@ -207,8 +215,13 @@ class CircuitObjective:
         return self._expectations(theta).copy()
 
     def loss(self, theta: np.ndarray) -> float:
-        """Mean loss over the batch; the opaque evaluator handed to FD/SPSA."""
-        losses = readout(self._expectations(theta), self.targets, self.head)[0]
+        """Mean loss over the batch; the opaque evaluator handed to FD/SPSA.
+
+        Only the losses are computed, and nothing is kept for the next call:
+        82 us at n = 4, l = 5, B = 200, where the full head and the layers'
+        temporaries made on every call took 97 us (2 vCPUs, numpy 2.4).
+        """
+        losses = readout_loss(self._expectations(theta), self.targets, self.head, self._losses)
         # np.mean's own sum and division, without its Python-level dispatch
         return float(losses.sum()) / len(losses)
 
@@ -218,7 +231,7 @@ class CircuitObjective:
         The outputs are predictions (regression) or y1 (classification).
         """
         losses, outputs, _ = readout(self._expectations(theta), self.targets, self.head)
-        return float(losses.mean()), outputs
+        return float(losses.sum()) / len(losses), outputs
 
     def loss_and_grad_backprop(self, theta: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
         """(mean loss, per-sample outputs, mean gradient) via one forward and one backward."""
@@ -241,7 +254,7 @@ class CircuitObjective:
         if self._operator is not None:
             np.matmul(self.encoded.T, self._cotangent, out=self._row_cotangent)
         grad = backward_batch(tape, self._row_cotangent, self._backward)
-        return float(losses.mean()), outputs, grad.sum(axis=0) / len(outputs)
+        return float(losses.sum()) / len(losses), outputs, grad.sum(axis=0) / len(outputs)
 
 
 def random_objective(

@@ -51,6 +51,28 @@ def test_fd_validation():
     assert f.calls == 0
 
 
+def test_non_finite_losses_name_where_they_were_evaluated():
+    # FD's coordinate and sign, and SPSA's iteration and sign, of the first
+    # non-finite value, in these exact words
+    def message(call):
+        with pytest.raises(ArithmeticError) as error:
+            call()
+        return str(error.value)
+
+    def nan_at(coordinate, step):
+        return lambda th: float("nan") if th[coordinate] == step else 0.0
+
+    for coordinate, step, label in ((0, 1e-4, "+h"), (2, 1e-4, "+h"), (2, -1e-4, "-h")):
+        fd = lambda: finite_difference_grad(nan_at(coordinate, step), np.zeros(4), 1e-4)
+        assert message(fd) == f"loss evaluated to a non-finite value at coordinate {coordinate}, {label}"
+    for k, bad_call, label in ((7, 1, "+c_k"), (3, 2, "-c_k")):
+        f = CountingLoss(lambda th: 0.0)
+        f.fn = lambda th: float("inf") if f.calls == bad_call else 0.0
+        assert message(lambda: spsa_grad(f, np.zeros(3), k, 0)) == (
+            f"loss evaluated to a non-finite value at iteration {k}, {label}"
+        )
+
+
 def test_fd_evaluation_count():
     for size in (1, 5, 12):
         f = CountingLoss(lambda th: float(th @ th))

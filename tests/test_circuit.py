@@ -10,7 +10,7 @@ from qcgrad.circuit import (
     encode_batch,
     forward_batch,
     layer_operators,
-    operator_buffers,
+    layer_plan,
     ring_signs,
     run_variational,
 )
@@ -199,15 +199,16 @@ def test_fused_final_state_matches_gate_by_gate_replay():
 def test_layer_blocks_equal_the_kron_of_the_ry_matrices(n):
     # layer_operators spreads each block's 2**m magnitudes over its entries;
     # every entry, sign bit and stride must be what kron builds from the
-    # stacked ry^T matrices, in fresh arrays and in kept ones written over.
-    # n = 7 and 8 split a layer into two blocks
+    # stacked ry^T matrices, in fresh arrays and in kept ones that a kept
+    # plan writes over.  n = 7 and 8 split a layer into two blocks
     rng = np.random.default_rng(30 + n)
     for l in (0, 3):
         spec = AnsatzSpec(n, l)
-        kept = operator_buffers(spec)
+        plan = layer_plan(spec)
+        kept = plan[2]
         for theta in (np.zeros(spec.param_count), rng.uniform(0, 2 * np.pi, spec.param_count)):
             fresh = layer_operators(theta, spec)
-            assert layer_operators(theta, spec, out=kept) is kept
+            assert layer_operators(theta, spec, plan=plan) is kept
             for got, expected in zip([*kept[0], kept[1]], [*fresh[0], fresh[1]]):
                 got, expected = got.view(float), expected.view(float)  # the diagonals' parts too
                 assert got.strides == expected.strides

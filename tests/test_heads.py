@@ -8,8 +8,11 @@ from qcgrad.heads import (
     ClassificationHead,
     RegressionHead,
     classification_batch,
+    classification_loss,
     readout,
+    readout_loss,
     regression_batch,
+    regression_loss,
     softmax_gamma,
 )
 from qcgrad.state import QuantumState, apply_single_qubit, basis_state, z_expectation
@@ -204,6 +207,41 @@ def test_batch_heads_match_scalar_ops():
         assert abs(y1s[i] - y1) < 1e-12
         assert abs(losses[i] + d * math.log(y1) + (1 - d) * math.log(y2)) < 1e-12
         assert np.allclose(dL_dz[i], [3.0 * (y1 - d), -3.0 * (y1 - d)], atol=1e-12)
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("gamma", [1.0, 400.0])
+def test_loss_only_classification_head_equals_the_batch_head_bit_for_bit(gamma):
+    # t = 0, small and saturated |t| (800 at gamma = 400), both signs, for
+    # each label, with <Z> laid out as the objective's (k, B) transpose
+    z1 = np.array([0.0, 0.3, 1e-3, -0.5, 0.999, 1.0, -1.0])
+    z2 = np.array([0.0, 0.3, -2e-3, 0.25, -0.999, -1.0, 1.0])
+    z = np.array([z1, z2]).T
+    head = ClassificationHead(gamma=gamma)
+    for label in (0.0, 1.0):
+        labels = np.full(len(z1), label)
+        expected = classification_batch(z, labels, head)[0]
+        out = np.full(len(z1), np.nan)
+        assert classification_loss(z, labels, head, out) is out
+        assert same_bits(out, expected)
+        out[:] = np.nan
+        assert readout_loss(z, labels, head, out) is out and same_bits(out, expected)
+
+
+@pytest.mark.parametrize("scale", [2.0, -2.0])
+def test_loss_only_regression_head_equals_the_batch_head_bit_for_bit(scale):
+    z = np.array([[1.0], [-1.0], [0.0], [0.3], [-0.7], [1e-9]])
+    targets = np.array([2.0, 2.0, -2.0, 0.1, 1.9, -1e-9])
+    head = RegressionHead(output_scale=scale)
+    expected = regression_batch(z, targets, head)[0]
+    out = np.full(len(targets), np.nan)
+    assert regression_loss(z, targets, head, out) is out
+    assert same_bits(out, expected)
+    out[:] = np.nan
+    assert readout_loss(z, targets, head, out) is out and same_bits(out, expected)
 
 
 def masked_classification(z, labels, gamma):

@@ -433,8 +433,10 @@ def test_gradient_oracle_on_a_saturated_head(basis_rows):
     saturated = 0
     for _ in range(5):
         theta = rng.uniform(0.0, 2.0 * np.pi, objective.spec.param_count)
-        _, y1, g_bp = objective.loss_and_grad_backprop(theta)
+        loss, y1, g_bp = objective.loss_and_grad_backprop(theta)
         saturated += int(np.sum(np.abs(y1 - (1.0 - labels)) < 1e-12))
+        # the loss-only head against the batch head, where the loss is largest
+        assert objective.loss(theta) == objective.evaluate(theta)[0] == loss
         g_fd = finite_difference_grad(objective.loss, theta, 1e-5)
         assert np.all(np.abs(g_bp - g_fd) <= np.maximum(1e-7, 1e-5 * np.abs(g_fd)))
     assert saturated >= 1
@@ -473,27 +475,28 @@ def test_backprop_matches_the_parameter_shift_rule(n):
 
 
 def test_every_readout_calls_the_head_functions_by_name(monkeypatch):
-    # perfbench times the heads by rebinding these module-level names
+    # perfbench times the heads by rebinding these module-level names; the
+    # loss alone reads only the loss-only head, every other path the batch head
     calls = Counter()
-    for name in ("regression_batch", "classification_batch"):
+    for name in ("regression_batch", "classification_batch", "regression_loss", "classification_loss"):
         def counted(*args, _original=getattr(heads, name), _name=name):
             calls[_name] += 1
             return _original(*args)
 
         monkeypatch.setattr(heads, name, counted)
-    for classification, name in ((False, "regression_batch"), (True, "classification_batch")):
+    for classification, kind in ((False, "regression"), (True, "classification")):
         objective, theta = operator_objective(3, 2, classification, count=20)
         xs = np.zeros((5, objective.spec.feature_dim))
-        for run in (
-            objective.loss,
-            objective.evaluate,
-            objective.loss_and_grad_backprop,
-            lambda th: predict(xs, th, objective.spec, objective.head),
+        for run, batch_calls, loss_calls in (
+            (objective.loss, 0, 1),
+            (objective.evaluate, 1, 0),
+            (objective.loss_and_grad_backprop, 1, 0),
+            (lambda th: predict(xs, th, objective.spec, objective.head), 1, 0),
         ):
-            before = calls[name]
+            before = calls.copy()
             run(theta)
-            assert calls[name] == before + 1
-    assert set(calls) == {"regression_batch", "classification_batch"}
+            assert calls - before == Counter({f"{kind}_batch": batch_calls, f"{kind}_loss": loss_calls})
+    assert set(calls) == {"regression_batch", "classification_batch", "regression_loss", "classification_loss"}
 
 
 def test_shallow_circuits_and_small_batches_run_the_inputs():
