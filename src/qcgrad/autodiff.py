@@ -62,12 +62,14 @@ is folded into the Y signs and into ``D_y``, exactly, as a power of two.
 Both transforms are planned with :func:`hadamard_plan`, as the matmul
 steps of their blocks on the walk's fixed buffers, and every other call of
 the walk is bound to its operands up front too, tape row k, gradient row k,
-Y phase k and diagonal k - 1 included, in a :func:`backward_plan`.
-``CircuitObjective`` makes it once, on the arrays its tapes are recorded
-into, and every other caller once per call.  The walk is then one loop over
-the bound calls, per layer ``t``, ``v * t``, H, ``ã * s̃``, the sign matmul,
-``D_y ã``, H and the next diagonal, with one more matmul per transform for
-each Walsh-Hadamard block beyond the first (n > :data:`HADAMARD_BLOCK`).
+Y phase k and diagonal k - 1 included, in a :func:`backward_plan` made on
+one tape, whose arrays, theta too, it reads on every call.
+``CircuitObjective`` makes it once, on its one tape of its recording
+forward plan's buffers, and every other caller once per call.  The walk is
+then one loop over the bound calls, per layer ``t``, ``v * t``, H,
+``ã * s̃``, the sign matmul, ``D_y ã``, H and the next diagonal, with one
+more matmul per transform for each Walsh-Hadamard block beyond the first
+(n > :data:`HADAMARD_BLOCK`).
 At n = 4 on the 16 basis rows a backward pass at l = 20 takes about 143 µs,
 6.8 µs per layer, where indexing each layer's operands on every call took
 about 158 µs (median of 31 rounds of 200 calls, numpy 2.4 with OpenBLAS,
@@ -79,11 +81,11 @@ differences (the binding oracle; see tests).
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
-from .circuit import AnsatzSpec, BatchTape, rotation_phases
+from .circuit import BatchTape, rotation_phases
 from .state import kron, real_block_view, z_sign_matrix
 
 
@@ -113,11 +115,11 @@ def hadamard_blocks(n_qubits: int) -> tuple[np.ndarray, ...]:
     return tuple(blocks)
 
 
-def hadamard_plan(amps: np.ndarray, work: np.ndarray) -> tuple[list[tuple], np.ndarray]:
+def hadamard_plan(amps: np.ndarray, work: np.ndarray) -> tuple[list[partial], np.ndarray]:
     """Plan ``H^{(x)n}`` with +/-1 entries (applying it twice multiplies by 2**n).
 
     ``amps`` and ``work`` are C-contiguous ``(R, 2**n)`` complex arrays.
-    Returns ``(steps, result)``: ``np.matmul(*step)`` for each step in turn
+    Returns ``(steps, result)``: calling each bound matmul step in turn
     transforms whatever ``amps`` holds at that time and leaves it in
     ``result``, so a plan made once serves every transform of a call.  The
     lowest block is one flat GEMM over all rows, so a row's last bits may
@@ -135,12 +137,12 @@ def hadamard_plan(amps: np.ndarray, work: np.ndarray) -> tuple[list[tuple], np.n
     """
     first, *rest = hadamard_blocks(amps.shape[1].bit_length() - 1)
     flat = (-1, len(first))
-    steps = [(amps.view(float).reshape(flat), first, work.view(float).reshape(flat))]
+    steps = [partial(np.matmul, amps.view(float).reshape(flat), first, work.view(float).reshape(flat))]
     lo = len(first) // 2
     for block in rest:
         amps, work = work, amps
         m = len(block)
-        steps.append((block, real_block_view(amps, m, lo), real_block_view(work, m, lo)))
+        steps.append(partial(np.matmul, block, real_block_view(amps, m, lo), real_block_view(work, m, lo)))
         lo *= m
     return steps, work
 
@@ -169,18 +171,19 @@ def _gradient_signs(n_qubits: int) -> np.ndarray:
     return signs
 
 
-def backward_plan(spec: AnsatzSpec, posts: list[np.ndarray], diags: np.ndarray) -> tuple:
-    """``(posts, diags, v, y_phases, calls, grad)``: the buffers and bound calls of :func:`backward_batch`.
+def backward_plan(tape: BatchTape) -> tuple:
+    """``(tape, setup, seed, v, calls, grad)``: the buffers and bound calls of :func:`backward_batch` on ``tape``.
 
-    ``posts`` and ``diags`` are the arrays a tape of ``spec``'s circuit is
-    recorded into, the list of its rows ``[Y_0, ..., Y_l, final]`` and its
-    diagonals; the plan serves every tape recorded into them.  ``calls`` is
-    the whole walk after its first cotangent as ``(ufunc, a, b, out)``
-    tuples, with the operands of each layer k bound once: tape row k,
-    gradient row k, Y phase k and diagonal k - 1.  ``y_phases`` is filled
-    from the tape's theta on each call, and ``grad`` holds the (R, l+1, n, 2)
-    result.
+    Every call reads the tape's own arrays, its rows ``[Y_0, ..., Y_l,
+    final]``, theta and diagonals, so the plan serves every run recorded
+    into them, as the objective's one tape is (see :mod:`qcgrad.trainer`).
+    ``setup`` writes the Y phases from theta and the seed diagonal ``seed``
+    from the last diagonal; the cotangent times ``seed`` is the first ``v``.
+    ``calls`` is the whole walk after it, with the operands of each layer k
+    bound once: tape row k, gradient row k, Y phase k and diagonal k - 1.
+    ``grad`` holds the (R, l+1, n, 2) result.
     """
+    spec, posts, diags = tape.spec, tape.posts, tape.diags
     n, l, dim = spec.n_qubits, spec.depth_l, 1 << spec.n_qubits
     count = len(posts[0])
     # one allocation for every buffer of the walk (see hadamard_plan):
@@ -197,22 +200,27 @@ def backward_plan(spec: AnsatzSpec, posts: list[np.ndarray], diags: np.ndarray) 
     ab_product, vt_product = products
     u_plan, h_u = hadamard_plan(ab_product, vt_product)
     s_conj[:] = np.conj(s_phases(n))
-    y_phases = np.empty((l + 1, dim), dtype=complex)
+    y_phases, seed = np.empty((l + 1, dim), dtype=complex), np.empty(dim, dtype=complex)
+    setup = [
+        partial(rotation_phases, tape.theta.reshape(l + 1, n, 2)[:, :, 0], n, y_phases, np.empty(y_phases.shape)),
+        # H has +/-1 entries, so H D H carries 2**n too many
+        partial(np.multiply, y_phases, 0.5**n, y_phases),
+        partial(np.multiply, diags[l], s_phases(n), seed),
+    ]
     grad = np.empty((count, l + 1, n, 2))
     # row k of the transpose is layer k's (2, count, n) [Y, Z] gradients
     grad_rows = grad.transpose(1, 3, 0, 2)
-    signs, product_floats = _gradient_signs(n), products.view(float)
+    signs, floats = _gradient_signs(n), products.view(float)
     # the calls every layer makes alike: v * t, H [v, t] = [ã, s̃], ã * s̃, and H (D_y ã)
-    vt_calls = [(np.multiply, v, t, vt_product)] + [(np.matmul, *step) for step in vt_plan]
-    vt_calls.append((np.multiply, a_tilde, s_tilde, ab_product))
-    u_calls = [(np.matmul, *step) for step in u_plan]
+    vt_calls = [partial(np.multiply, v, t, vt_product), *vt_plan, partial(np.multiply, a_tilde, s_tilde, ab_product)]
     calls = []
     for k in range(l, -1, -1):
         # t = S* Y_k, then the gradients from [ã * s̃, v * t]
-        calls += [(np.multiply, posts[k], s_conj, t), *vt_calls, (np.matmul, product_floats, signs, grad_rows[k])]
+        calls += [partial(np.multiply, posts[k], s_conj, t), *vt_calls, partial(np.matmul, floats, signs, grad_rows[k])]
         if k:  # the next v, diag_{k-1} * H (D_y ã); the first layer's would go unread
-            calls += [(np.multiply, a_tilde, y_phases[k], ab_product), *u_calls, (np.multiply, h_u, diags[k - 1], v)]
-    return posts, diags, v, y_phases, calls, grad
+            calls += [partial(np.multiply, a_tilde, y_phases[k], ab_product), *u_plan]
+            calls.append(partial(np.multiply, h_u, diags[k - 1], v))
+    return tape, setup, seed, v, calls, grad
 
 
 def backward_batch(tape: BatchTape, cotangent: np.ndarray, plan: tuple | None = None) -> np.ndarray:
@@ -225,28 +233,22 @@ def backward_batch(tape: BatchTape, cotangent: np.ndarray, plan: tuple | None = 
     the basis rows (see the module docstring).  The result is real with the
     parameter layout of :mod:`qcgrad.circuit`.
 
-    ``plan``, from :func:`backward_plan` on the arrays the tape is recorded
-    into, is the one its caller keeps for every call: the result is then a
-    view of its buffer, overwritten by the next call.  Its calls read those
-    arrays, not the tape's, so a tape recorded into other arrays raises
-    ValueError; of the tape, only theta is read.  Without a plan, the call
-    plans for itself.
+    ``plan``, from :func:`backward_plan` on this same tape, is the one its
+    caller keeps for every call: the result is then a view of its buffer,
+    overwritten by the next call, and a plan made on another tape raises
+    ValueError.  Without a plan, the call plans for itself.
     """
     cotangent = np.asarray(cotangent, dtype=complex)
     if cotangent.shape != tape.final.shape:
         raise ValueError(
             f"cotangent shape {cotangent.shape} does not match batch shape {tape.final.shape}"
         )
-    n, l = tape.spec.n_qubits, tape.spec.depth_l
-    posts, diags, v, y_phases, calls, grad = (
-        backward_plan(tape.spec, tape.posts, tape.diags) if plan is None else plan
-    )
-    if tape.posts[-1] is not posts[-1] or tape.diags is not diags:
-        raise ValueError("the plan is bound to another tape's arrays")
-    rotation_phases(tape.theta.reshape(l + 1, n, 2)[:, :, 0], n, out=y_phases)
-    # H has +/-1 entries, so H D H carries 2**n too many
-    y_phases *= 0.5**n
-    np.multiply(cotangent, diags[l] * s_phases(n), out=v)
-    for ufunc, a, b, out in calls:
-        ufunc(a, b, out)
+    planned, setup, seed, v, calls, grad = backward_plan(tape) if plan is None else plan
+    if planned is not tape:
+        raise ValueError("the plan was made on another tape")
+    for call in setup:
+        call()
+    np.multiply(cotangent, seed, out=v)
+    for call in calls:
+        call()
     return grad.reshape(len(cotangent), -1)

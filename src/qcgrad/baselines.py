@@ -15,6 +15,8 @@ from typing import Callable
 
 import numpy as np
 
+from .state import as_real
+
 LossFunction = Callable[[np.ndarray], float]
 
 #: Spall's practical perturbation constants, the c_k of :func:`spsa_perturbation_size`.
@@ -50,7 +52,7 @@ def finite_difference_grad(f: LossFunction, theta: np.ndarray, h: float) -> np.n
     """
     if not 0 < h < math.inf:  # NaN fails too
         raise ValueError(f"step size must be finite and > 0, got {h}")
-    theta = np.asarray(theta, dtype=float)
+    theta = as_real(theta, "theta")
     plus, minus = theta + h, theta - h
     _check_moved(theta, plus, minus, f"h = {h}")
     grad = np.empty_like(theta)
@@ -73,7 +75,7 @@ def spsa_grad(f: LossFunction, theta: np.ndarray, k: int, seed: int) -> np.ndarr
     """
     if k < 0:
         raise ValueError(f"iteration index must be >= 0, got {k}")
-    theta = np.asarray(theta, dtype=float)
+    theta = as_real(theta, "theta")
     rng = np.random.default_rng([seed, k])
     delta = rng.integers(0, 2, size=theta.size) * 2.0 - 1.0
     ck = spsa_perturbation_size(k)

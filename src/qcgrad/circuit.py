@@ -32,15 +32,15 @@ outside [-1, 1], and NaN, are rejected rather than clamped — clamping would
 silently corrupt the encoding, so dataset generators guarantee the range
 instead.
 
-Each forward turns a checked theta into layers once, in its caller:
-:func:`forward_batch` and ``CircuitObjective`` (in :mod:`qcgrad.trainer`)
-call :func:`layer_operators`, which builds every layer's operators in one go
-through the bound calls of a :func:`layer_plan`.  A :func:`variational_plan`
+Each forward plan owns every array its calls read.  A
+:func:`variational_plan` makes its own :func:`layer_plan`, whose bound calls
+build every layer's operators in one go from the plan's theta buffer, and
 binds each layer's operands once, block k of each Y stack and diagonal k
-with the float views they read and write, and :func:`run_variational` is one
-loop over these bound calls.  ``CircuitObjective`` keeps one layer plan and
-one forward plan per path, bound to that layer plan's arrays, and every
-other caller plans once per call.
+with the float views they read and write.  :func:`run_variational` copies a
+checked theta into that buffer and is one loop over the bound calls, the
+layer build's then the forward's.  ``CircuitObjective`` (in
+:mod:`qcgrad.trainer`) keeps one forward plan per path, and every other
+caller plans once per call.
 
 Every simulation runs on a batch of shape ``(B, 2**n)``; a single input is
 the batch ``x[None, :]``.  The batch may also be the 2**n basis rows, whose
@@ -57,13 +57,12 @@ n = 3-6 and B = 2-200 differed from their B=1 runs.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
 import numpy as np
 
-from .state import as_index, cz_signs, kron, real_block_view, z_sign_matrix
+from .state import as_index, as_real, cz_signs, kron, real_block_view, z_sign_matrix
 
 
 @dataclass(frozen=True)
@@ -98,7 +97,9 @@ class BatchTape:
 
     ``posts`` are the (B, 2**n) states after every Y sub-layer and at the
     end; ``diags`` are the (l+1, 2**n) Z-and-entangler diagonals of
-    :func:`layer_operators`, which the backward pass reads again.
+    :func:`layer_plan`, which the backward pass reads again.  All three
+    are the buffers of the recording :func:`variational_plan` that ran, so a
+    tape made on a kept plan holds whatever that plan's last run wrote.
     """
 
     spec: AnsatzSpec
@@ -112,7 +113,7 @@ class BatchTape:
 
 
 def check_theta(theta: np.ndarray, spec: AnsatzSpec) -> np.ndarray:
-    theta = np.asarray(theta, dtype=float)
+    theta = as_real(theta, "theta")
     if theta.shape != (spec.param_count,):
         raise ValueError(
             f"expected {spec.param_count} parameters for n={spec.n_qubits}, "
@@ -125,7 +126,7 @@ def check_theta(theta: np.ndarray, spec: AnsatzSpec) -> np.ndarray:
 
 def encode_angles(x: np.ndarray, spec: AnsatzSpec) -> tuple[np.ndarray, np.ndarray]:
     """Per-qubit (Y, Z) encoding angles, each (B, n), of a (B, d) batch of inputs."""
-    x = np.asarray(x, dtype=float)
+    x = as_real(x, "x")
     if x.shape[-1] != spec.feature_dim:
         raise ValueError(f"expected {spec.feature_dim} feature(s), got shape {x.shape}")
     if not np.all(np.abs(x) <= 1.0):  # NaN fails too
@@ -136,7 +137,7 @@ def encode_angles(x: np.ndarray, spec: AnsatzSpec) -> tuple[np.ndarray, np.ndarr
 
 def encode_batch(xs: np.ndarray, spec: AnsatzSpec) -> np.ndarray:
     """Encode a (B, d) batch of inputs into (B, 2**n) amplitudes."""
-    xs = np.asarray(xs, dtype=float)
+    xs = as_real(xs, "xs")
     if xs.ndim != 2:
         raise ValueError(f"encode_batch takes a (B, d) array, got shape {xs.shape}")
     theta_y, theta_z = encode_angles(xs, spec)
@@ -145,14 +146,12 @@ def encode_batch(xs: np.ndarray, spec: AnsatzSpec) -> np.ndarray:
     return kron(qubits[..., None]).reshape(len(xs), -1)
 
 
-def rotation_phases(
-    angles: np.ndarray, n_qubits: int, out: np.ndarray | None = None, work: np.ndarray | None = None
-) -> np.ndarray:
-    """``exp(-i/2 * Zsigns @ angles)`` of (..., n) angles, one per qubit, into ``out`` if given.
+def rotation_phases(angles: np.ndarray, n_qubits: int, out: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """``exp(-i/2 * Zsigns @ angles)`` of (..., n) angles, one per qubit, into ``out``.
 
     This is the diagonal of one rz per qubit, and of one ry per qubit in the
-    Y eigenbasis (see :mod:`qcgrad.autodiff`).  ``work``, if given, is a real
-    array of the result's shape that takes the sums of signed angles.
+    Y eigenbasis (see :mod:`qcgrad.autodiff`).  ``work`` is a real array of
+    the result's shape that takes the sums of signed angles.
     """
     sums = np.matmul(angles, z_sign_matrix(n_qubits).T, out=work)
     return np.exp(np.multiply(-0.5j, sums, out=out), out=out)
@@ -206,7 +205,34 @@ def _y_block_indices(n_qubits: int, low: int) -> tuple[np.ndarray, np.ndarray]:
 def layer_plan(spec: AnsatzSpec) -> tuple[np.ndarray, list[partial], tuple[list[np.ndarray], np.ndarray]]:
     """``(theta, calls, layers)``: the angles' buffer, and the bound calls that write ``layers`` from it.
 
-    Every temporary of :func:`layer_operators` is a buffer of the plan's.
+    ``layers`` are the (Y blocks, Z-and-entangler diagonals) of all l+1
+    rotation layers, built at once, and every temporary is a buffer of the
+    plan's.  The (l+1, 2**n) diagonals are every Z sub-layer's phases times,
+    except after the last, the ring's signs.  The Y blocks split the
+    Kronecker product of a layer's ry matrices into blocks of at most
+    ``KRON_BLOCK`` qubits; each block is an (l+1, dim, dim) stack, indexed
+    by layer, of column-major views: OpenBLAS ran these (dim, dim) @ (dim, 2)
+    products about 1.7x faster so.  Every forward runs the calls of the plan
+    its :func:`variational_plan` keeps.  Their 12 numpy calls at n <= 6 (16
+    at n = 7, 8) took 15 us at n = 4, l = 5 and 28 us at l = 20 on a kept
+    plan, against 19 and 32 us through temporaries made on every call, and
+    24 and 37 us planning every call (2 vCPUs, numpy 2.4).
+
+    How the blocks are built.  Entry (r, c) of the product of ry^T =
+    [[cos, sin], [-sin, cos]] over m qubits multiplies one factor per qubit,
+    each +/-cos or +/-sin of its half angle, so its magnitude depends only
+    on ``r ^ c``: there are 2**m magnitudes per layer, not 4**m entries.
+    The magnitudes are multiplied out in :func:`qcgrad.state.kron`'s factor
+    order, highest qubit first, and one ``take`` spreads them, with their
+    signs, over the entries (:func:`_y_block_indices`).  Negation is exact
+    and commutes with rounding, so every entry, and its sign bit, equals the
+    one ``kron`` builds from the full matrices.  ``kron`` runs its broadcast
+    steps over axes of length 2: with it the build took 47 us at n = 4,
+    l = 5, 85 us at l = 20 and 603 us at n = 6, l = 10, against 23, 35 and
+    137 us so (2 vCPUs, numpy 2.4).  :func:`encode_batch` keeps ``kron``:
+    an input's product state is a row of magnitudes with nothing to spread,
+    and on the 10,201 inputs of a 101x101 grid ``kron`` took 2.2 ms where
+    this fold took 3.2 ms.
     """
     n, l = spec.n_qubits, spec.depth_l
     theta = np.empty(spec.param_count)
@@ -239,63 +265,22 @@ def layer_plan(spec: AnsatzSpec) -> tuple[np.ndarray, list[partial], tuple[list[
     return theta, calls, (blocks, diags)
 
 
-def layer_operators(
-    theta: np.ndarray, spec: AnsatzSpec, plan: tuple | None = None
-) -> tuple[list[np.ndarray], np.ndarray]:
-    """(Y blocks, Z-and-entangler diagonals) of all l+1 rotation layers at once.
-
-    The (l+1, 2**n) diagonals are every Z sub-layer's phases times, except
-    after the last, the ring's signs.  The Y blocks split the Kronecker
-    product of a layer's ry matrices into blocks of at most ``KRON_BLOCK``
-    qubits; each block is an (l+1, dim, dim) stack, indexed by layer, of
-    column-major views: OpenBLAS ran these (dim, dim) @ (dim, 2) products
-    about 1.7x faster so.  They are written by the bound calls of ``plan``,
-    from :func:`layer_plan`, which its caller keeps for every call, and the
-    plan's layers are returned; without a plan, the call plans for itself.
-    Its 12 numpy calls at n <= 6 (16 at n = 7, 8) took 15 us at n = 4,
-    l = 5 and 28 us at l = 20 with a kept plan, against 19 and 32 us through
-    temporaries made on every call, and 24 and 37 us planning for itself
-    (2 vCPUs, numpy 2.4).
-
-    How the blocks are built.  Entry (r, c) of the product of ry^T =
-    [[cos, sin], [-sin, cos]] over m qubits multiplies one factor per qubit,
-    each +/-cos or +/-sin of its half angle, so its magnitude depends only
-    on ``r ^ c``: there are 2**m magnitudes per layer, not 4**m entries.
-    The magnitudes are multiplied out in :func:`qcgrad.state.kron`'s factor
-    order, highest qubit first, and one ``take`` spreads them, with their
-    signs, over the entries (:func:`_y_block_indices`).  Negation is exact
-    and commutes with rounding, so every entry, and its sign bit, equals the
-    one ``kron`` builds from the full matrices.  ``kron`` runs its broadcast
-    steps over axes of length 2: with it this function took 47 us at n = 4,
-    l = 5, 85 us at l = 20 and 603 us at n = 6, l = 10, against 23, 35 and
-    137 us so (2 vCPUs, numpy 2.4).  :func:`encode_batch` keeps ``kron``:
-    an input's product state is a row of magnitudes with nothing to spread,
-    and on the 10,201 inputs of a 101x101 grid ``kron`` took 2.2 ms where
-    this fold took 3.2 ms.
-    """
-    buffer, calls, layers = layer_plan(spec) if plan is None else plan
-    np.copyto(buffer, theta)
-    for call in calls:
-        call()
-    return layers
-
-
 def variational_plan(
-    encoded: np.ndarray, layers: tuple[list[np.ndarray], np.ndarray], *, record: bool
-) -> tuple[list[np.ndarray], list[tuple], tuple[list[np.ndarray], np.ndarray]]:
-    """``(posts, calls, layers)``: the rows and the bound calls of :func:`run_variational` on ``encoded``.
+    encoded: np.ndarray, spec: AnsatzSpec, *, record: bool
+) -> tuple[np.ndarray, list[np.ndarray], np.ndarray, list[partial]]:
+    """``(theta, posts, diags, calls)``: the buffers and the bound calls of :func:`run_variational` on ``encoded``.
 
-    ``posts`` are the tape rows ``[Y_0, ..., Y_l, final]`` when ``record``
-    is true, else one Y row and the final row.  ``calls`` is every numpy
-    call of the forward as a ``(ufunc, a, b, out)`` tuple, in order: per layer
-    k, one matmul per Y block, of block k of its stack and the float views
-    it reads and writes, then the product of the Y row and diagonal k into
-    the final row.  The operands are views of ``layers``, bound once, so a
-    plan serves every call on the same ``encoded`` array whose layers are
-    written into the same arrays (by the same :func:`layer_plan`).
+    The plan makes its own :func:`layer_plan`: ``theta`` is its angles'
+    buffer and ``diags`` its Z-and-entangler diagonals.  ``posts`` are the
+    tape rows ``[Y_0, ..., Y_l, final]`` when ``record`` is true, else one Y
+    row and the final row.  ``calls`` is every numpy call of the forward,
+    bound once, in order: the layer plan's, then per layer k one matmul per
+    Y block, of block k of its stack and the float views it reads and
+    writes, then the product of the Y row and diagonal k into the final row.
+    A plan serves every call on the same ``encoded`` array.
     """
+    theta, calls, (blocks, diags) = layer_plan(spec)
     amps = np.ascontiguousarray(encoded, dtype=complex)
-    blocks, diags = layers
     # the rows are one allocation, and the objective keeps its plan: rows
     # freed after every call let the C heap shrink and fault its pages back
     # in on the next (1,470 minor faults per backprop step at n = 7, l = 5)
@@ -315,49 +300,46 @@ def variational_plan(
     # the first block reads the encoded states, then each diag * Y_k
     m = blocks[0].shape[1]
     source, final = real_block_view(amps, m), real_block_view(posts[-1], m)
-    calls = []
     for k, diag in enumerate(diags):
         row = min(k, rows - 2)
         for i, (stack, (at_rows, at_work)) in enumerate(zip(blocks, views)):
             to_row = (len(views) - i) % 2
             if i:  # what the block before wrote
                 source = at_work if to_row else at_rows[row]
-            calls.append((np.matmul, stack[k], source, at_rows[row] if to_row else at_work))
-        calls.append((np.multiply, posts[row], diag, posts[-1]))
+            calls.append(partial(np.matmul, stack[k], source, at_rows[row] if to_row else at_work))
+        calls.append(partial(np.multiply, posts[row], diag, posts[-1]))
         # the final row holds each diag * Y_k until the next Y sub-layer reads it
         source = final
-    return posts, calls, layers
+    return theta, posts, diags, calls
 
 
 def run_variational(
-    encoded: np.ndarray, layers: tuple[list[np.ndarray], np.ndarray], *, record: bool, plan: tuple | None = None
+    encoded: np.ndarray, theta: np.ndarray, spec: AnsatzSpec, *, record: bool, plan: tuple | None = None
 ) -> list[np.ndarray] | np.ndarray:
-    """Apply the :func:`layer_operators` ``layers`` to encoded amplitudes of shape (B, dim).
+    """Run the circuit ``spec`` at ``theta`` on encoded amplitudes of shape (B, dim).
 
     Returns the tape rows ``[Y_0, ..., Y_l, final]`` as a list when
     ``record`` is true, else just the final array.  This is the single code
-    path behind every tape and every loss-only evaluation; each caller builds
-    the layers from a checked theta first.
+    path behind every tape and every loss-only evaluation: theta is checked
+    and copied into the plan's buffer, and the plan's calls build the layer
+    operators from it, then run them.
 
     ``plan``, from :func:`variational_plan` with the same ``encoded``,
-    ``layers`` and ``record``, is the one its caller keeps for every call:
-    the rows returned are then its buffers, overwritten by the next call.
-    Its calls read the arrays it was made on, so ``layers`` must hold those
-    same arrays, and a ValueError is raised otherwise.  Without a plan, the
-    call plans for itself.  At n = 4 a forward is a few microseconds of
-    arithmetic and mostly per-call numpy overhead, which making the views
-    again on every call adds to.
+    ``spec`` and ``record``, is the one its caller keeps for every call: the
+    rows returned are then its buffers, overwritten by the next call.
+    Without a plan, the call plans for itself.  At n = 4 a forward is a few
+    microseconds of arithmetic and mostly per-call numpy overhead, which
+    making the views again on every call adds to.
     """
-    posts, calls, (blocks, diags) = variational_plan(encoded, layers, record=record) if plan is None else plan
-    if layers[1] is not diags or not all(map(operator.is_, layers[0], blocks)):
-        raise ValueError("the plan is bound to other layer arrays")
-    for ufunc, a, b, out in calls:
-        ufunc(a, b, out)
+    theta = check_theta(theta, spec)
+    buffer, posts, _, calls = variational_plan(encoded, spec, record=record) if plan is None else plan
+    np.copyto(buffer, theta)
+    for call in calls:
+        call()
     return list(posts) if record else posts[-1]
 
 
 def forward_batch(encoded: np.ndarray, theta: np.ndarray, spec: AnsatzSpec) -> BatchTape:
     """Run the variational layers on encoded amplitudes, recording the tape."""
-    theta = check_theta(theta, spec)
-    layers = layer_operators(theta, spec)
-    return BatchTape(spec, run_variational(encoded, layers, record=True), theta, layers[1])
+    buffer, _, diags, _ = plan = variational_plan(encoded, spec, record=True)
+    return BatchTape(spec, run_variational(encoded, theta, spec, record=True, plan=plan), buffer, diags)

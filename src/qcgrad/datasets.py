@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .state import as_index
+from .state import as_index, as_real
 
 REGRESSION_KINDS = ("linear", "square", "sine")
 
@@ -31,7 +31,7 @@ class Dataset:
         # read-only float copies, so neither the caller nor a consumer can change
         # a validated dataset; frozen, so set through object.__setattr__
         for name in ("x", "targets"):
-            array = np.array(getattr(self, name), dtype=float)
+            array = np.array(as_real(getattr(self, name), name))
             array.flags.writeable = False
             object.__setattr__(self, name, array)
         if self.task not in ("regression", "classification"):

@@ -32,6 +32,9 @@ from typing import ClassVar
 
 import numpy as np
 
+from .state import as_index, as_real
+
+
 def r_squared(predictions: np.ndarray, targets: np.ndarray) -> float:
     """Coefficient of determination, 1 - SS_res / SS_tot."""
     predictions = np.asarray(predictions, dtype=float)
@@ -67,7 +70,9 @@ class RegressionHead:
     metric_report: ClassVar[str] = "final R^2: {:.6f}"
 
     def __post_init__(self):
-        if not 0 < abs(self.output_scale) < math.inf:  # NaN fails too
+        if as_index(self.measured_qubit, "measured_qubit index") < 0:
+            raise ValueError(f"measured_qubit index {self.measured_qubit} out of range: must be >= 0")
+        if not 0 < abs(as_real(self.output_scale, "output_scale")) < math.inf:  # NaN fails too
             raise ValueError(f"output_scale must be finite and nonzero, got {self.output_scale}")
 
     @property
@@ -92,9 +97,12 @@ class ClassificationHead:
     metric_report: ClassVar[str] = "final accuracy: {:.4f}"
 
     def __post_init__(self):
+        for name in ("qubit_1", "qubit_2"):
+            if as_index(getattr(self, name), f"{name} index") < 0:
+                raise ValueError(f"{name} index {getattr(self, name)} out of range: must be >= 0")
         if self.qubit_1 == self.qubit_2:
             raise ValueError(f"classification qubits must differ, both are {self.qubit_1}")
-        if not 0 < self.gamma < math.inf:  # NaN fails too
+        if not 0 < as_real(self.gamma, "gamma") < math.inf:  # NaN fails too
             raise ValueError(f"gamma must be finite and > 0, got {self.gamma}")
 
     @property

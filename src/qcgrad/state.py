@@ -180,6 +180,19 @@ def as_index(value, name: str) -> int:
         raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
 
+def as_real(value, name: str) -> np.ndarray:
+    """``value`` as a float array; a dtype other than bool, integer or float raises TypeError naming ``name``.
+
+    A cast would drop a complex array's imaginary part with only a warning,
+    and parse strings.  A bool on its own raises the TypeError too, as in
+    :func:`as_index`: a flag passed where a setting belongs would run as 1.0.
+    """
+    array = np.asarray(value)
+    if array.dtype.kind not in "biuf" or isinstance(value, (bool, np.bool_)):
+        raise TypeError(f"{name} must be real numbers, got {type(value).__name__} of dtype {array.dtype}")
+    return array.astype(float, copy=False)
+
+
 def _check_qubit(n_qubits: int, qubit: int, name: str = "qubit") -> int:
     qubit = as_index(qubit, f"{name} index")
     if not 0 <= qubit < n_qubits:

@@ -19,14 +19,13 @@ Buffers.  The objective keeps every array its evaluations write, with
 every float view and bound call over them: the measurement's (the operator
 of :func:`qcgrad.state.operator_plan`, the probabilities and <Z>), shared by
 both paths and made with the objective, whose ``rows`` are fixed then, and
-``loss`` writes its losses into the probabilities, free once <Z> is read; the
-layer operators' plan (:func:`qcgrad.circuit.layer_plan`: theta, operators
-and every temporary), which both paths run from theta before they run, and
-each path's forward bound to its operators
-(:func:`qcgrad.circuit.variational_plan`), made on the path's first call;
-and the cotangents and the backward
-(:func:`qcgrad.autodiff.backward_plan`), bound to the recording path's tape
-rows and diagonals, made on the first backprop step before its forward.
+``loss`` writes its losses into the probabilities, free once <Z> is read;
+each path's forward plan (:func:`qcgrad.circuit.variational_plan`), which
+owns its theta, layer operators, every temporary of their build and its
+rows, the loss-only one made on the path's first call; and for the backprop
+step, made on its first call, the cotangents, the recording plan, one
+:class:`~qcgrad.circuit.BatchTape` of that plan's theta, rows and diagonals,
+and the backward (:func:`qcgrad.autodiff.backward_plan`) bound to that tape.
 At n = 4, B = 200 a loss-only forward is mostly numpy's per-call overhead:
 making the views on every call cost about a fifth of it, fresh operators
 indexed layer by layer on each call cost 4-12% of a loss-only forward and
@@ -68,12 +67,10 @@ import numpy as np
 
 from .autodiff import backward_batch, backward_plan
 from .baselines import finite_difference_grad, spsa_grad
-from .circuit import (
-    AnsatzSpec, BatchTape, check_theta, encode_batch, layer_operators, layer_plan, run_variational, variational_plan,
-)
+from .circuit import AnsatzSpec, BatchTape, encode_batch, run_variational, variational_plan
 from .datasets import Dataset
 from .heads import ClassificationHead, RegressionHead, readout, readout_loss
-from .state import apply_operator, as_index, operator_plan, z_sign_vector
+from .state import apply_operator, as_index, as_real, operator_plan, z_sign_vector
 
 GRADIENT_METHODS = ("backprop", "finite_difference", "spsa")
 
@@ -108,7 +105,7 @@ class TrainConfig:
         # written so that NaN fails each check too
         for name in ("learning_rate", "gamma", "fd_step"):
             value = getattr(self, name)
-            if not 0 < value < math.inf:
+            if not 0 < as_real(value, name) < math.inf:
                 raise ValueError(f"{name} must be finite and > 0, got {value}")
         if as_index(self.iterations, "iterations") < 1:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
@@ -167,28 +164,9 @@ class CircuitObjective:
         z = np.empty((len(self.signs), count))
         self._z_steps = [(self._probs, row, out) for row, out in zip(self.signs, z)]
         self._z = z.T
-        # the layer operators' plan, which both paths run before they run
-        # their own; each path's forward, loss-only then recording; and the
-        # backprop step's buffers: all made on first use
-        self._layer_plan = None
-        self._forwards = [None, None]
+        # the loss-only forward's plan, and the backprop step's: made on first use
+        self._loss_plan = None
         self._backward = None
-
-    def _forward(self, record):
-        """The path's forward plan, bound to the operators of the objective's layer plan."""
-        if self._forwards[record] is None:
-            if self._layer_plan is None:
-                self._layer_plan = layer_plan(self.spec)
-            self._forwards[record] = variational_plan(self.rows, self._layer_plan[2], record=record)
-        return self._forwards[record]
-
-    def _run(self, theta, record):
-        """The rows' tape (``record``) or final states at theta, on the path's buffers."""
-        theta = check_theta(theta, self.spec)
-        plan = self._forward(record)
-        layers = layer_operators(theta, self.spec, plan=self._layer_plan)
-        posts = run_variational(self.rows, layers, record=record, plan=plan)
-        return BatchTape(self.spec, posts, theta, layers[1]) if record else posts
 
     def _measure(self, row_finals):
         """Write the (B, k) <Z> of the head's qubits into ``_z``; returns the batch's final states.
@@ -207,7 +185,9 @@ class CircuitObjective:
 
     def _expectations(self, theta):
         """The loss-only forward: the (B, k) <Z> at theta, in the objective's buffer."""
-        self._measure(self._run(theta, False))
+        if self._loss_plan is None:
+            self._loss_plan = variational_plan(self.rows, self.spec, record=False)
+        self._measure(run_variational(self.rows, theta, self.spec, record=False, plan=self._loss_plan))
         return self._z
 
     def expectations(self, theta: np.ndarray) -> np.ndarray:
@@ -239,10 +219,11 @@ class CircuitObjective:
         if self._backward is None:
             self._cotangent = np.empty_like(self.encoded)
             self._row_cotangent = self._cotangent if self._operator is None else np.empty_like(self.rows)
-            posts, _, (_, diags) = self._forward(True)
-            self._backward = backward_plan(self.spec, posts, diags)
-        tape = self._run(theta, True)
-        final = self._measure(tape.final)
+            self._record_plan = buffer, posts, diags, _ = variational_plan(self.rows, self.spec, record=True)
+            self._tape = BatchTape(self.spec, posts, buffer, diags)
+            self._backward = backward_plan(self._tape)
+        posts = run_variational(self.rows, theta, self.spec, record=True, plan=self._record_plan)
+        final = self._measure(posts[-1])
         losses, outputs, dL_dz = readout(self._z, self.targets, self.head)
         # dL_dp * conj(final), dL_dp made in the free probabilities and cast
         # in the cotangent buffer: a real factor is cast through a (B, 2**n)
@@ -253,7 +234,7 @@ class CircuitObjective:
         np.multiply(self._cotangent, np.conjugate(final, out=final), out=self._cotangent)
         if self._operator is not None:
             np.matmul(self.encoded.T, self._cotangent, out=self._row_cotangent)
-        grad = backward_batch(tape, self._row_cotangent, self._backward)
+        grad = backward_batch(self._tape, self._row_cotangent, self._backward)
         return float(losses.sum()) / len(losses), outputs, grad.sum(axis=0) / len(outputs)
 
 

@@ -7,9 +7,7 @@ from conftest import single_tape, z_reference
 
 from qcgrad.autodiff import HADAMARD_BLOCK, backward_batch, backward_plan, hadamard_plan
 from qcgrad.baselines import finite_difference_grad
-from qcgrad.circuit import (
-    AnsatzSpec, BatchTape, encode_batch, forward_batch, layer_operators, run_variational, variational_plan,
-)
+from qcgrad.circuit import AnsatzSpec, BatchTape, encode_batch, forward_batch, run_variational, variational_plan
 from qcgrad.heads import ClassificationHead, readout
 from qcgrad.state import z_sign_vector
 from qcgrad.trainer import random_objective
@@ -25,22 +23,22 @@ def test_seed_cotangent_length_mismatch():
 
 
 def test_plans_run_only_on_the_arrays_they_were_made_on():
-    # a plan's calls read the arrays it was bound to, so layers or a tape
-    # recorded elsewhere are refused rather than silently ignored
+    # a backward plan's calls read the arrays of the tape it was made on, its
+    # theta included, so it follows every run of a kept recording plan, and
+    # another tape is refused rather than silently ignored
     rng = np.random.default_rng(8)
     spec = AnsatzSpec(3, 2)
-    theta = rng.uniform(0, 2 * np.pi, spec.param_count)
     encoded = encode_batch(rng.uniform(-1, 1, (4, 1)), spec)
-    layers = layer_operators(theta, spec)
-    forward = variational_plan(encoded, layers, record=True)
-    tape = BatchTape(spec, run_variational(encoded, layers, record=True, plan=forward), theta, layers[1])
-    with pytest.raises(ValueError, match="bound to other layer arrays"):
-        run_variational(encoded, layer_operators(theta, spec), record=True, plan=forward)
-    backward = backward_plan(spec, forward[0], layers[1])
-    cotangent = rng.normal(size=tape.final.shape) * np.conj(tape.final)
-    assert np.array_equal(backward_batch(tape, cotangent, backward), backward_batch(tape, cotangent))
-    with pytest.raises(ValueError, match="bound to another tape's arrays"):
-        backward_batch(forward_batch(encoded, theta, spec), cotangent, backward)
+    forward = theta_buffer, posts, diags, _ = variational_plan(encoded, spec, record=True)
+    tape = BatchTape(spec, posts, theta_buffer, diags)
+    backward = backward_plan(tape)
+    for theta in rng.uniform(0, 2 * np.pi, (2, spec.param_count)):
+        run_variational(encoded, theta, spec, record=True, plan=forward)
+        cotangent = rng.normal(size=tape.final.shape) * np.conj(tape.final)
+        fresh = forward_batch(encoded, theta, spec)
+        assert np.array_equal(backward_batch(tape, cotangent, backward), backward_batch(fresh, cotangent))
+    with pytest.raises(ValueError, match="made on another tape"):
+        backward_batch(fresh, cotangent, backward)
 
 
 def test_single_ry_analytic_gradient():
@@ -187,10 +185,10 @@ def test_hadamard_plan_matches_dense_walsh_hadamard():
         assert len(steps) == -(-n // HADAMARD_BLOCK)
         assert result is (work if len(steps) % 2 else amps)
         for step in steps:
-            np.matmul(*step)
+            step()
         assert np.array_equal(result, rows @ walsh)
         # the plan transforms whatever amps holds when it runs
         amps[:] = result
         for step in steps:
-            np.matmul(*step)
+            step()
         assert np.array_equal(result, rows * (1 << n))

@@ -9,7 +9,6 @@ from qcgrad.circuit import (
     encode_angles,
     encode_batch,
     forward_batch,
-    layer_operators,
     layer_plan,
     ring_signs,
     run_variational,
@@ -26,6 +25,15 @@ from qcgrad.state import (
 
 def final_state(x, theta, spec):
     return QuantumState(spec.n_qubits, single_tape(x, theta, spec).final[0])
+
+
+def build_layers(plan, theta):
+    """The layers a :func:`layer_plan` writes at theta."""
+    buffer, calls, layers = plan
+    np.copyto(buffer, theta)
+    for call in calls:
+        call()
+    return layers
 
 
 def replay_encoding(x, spec):
@@ -197,7 +205,7 @@ def test_fused_final_state_matches_gate_by_gate_replay():
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_layer_blocks_equal_the_kron_of_the_ry_matrices(n):
-    # layer_operators spreads each block's 2**m magnitudes over its entries;
+    # a layer plan spreads each block's 2**m magnitudes over its entries;
     # every entry, sign bit and stride must be what kron builds from the
     # stacked ry^T matrices, in fresh arrays and in kept ones that a kept
     # plan writes over.  n = 7 and 8 split a layer into two blocks
@@ -207,8 +215,8 @@ def test_layer_blocks_equal_the_kron_of_the_ry_matrices(n):
         plan = layer_plan(spec)
         kept = plan[2]
         for theta in (np.zeros(spec.param_count), rng.uniform(0, 2 * np.pi, spec.param_count)):
-            fresh = layer_operators(theta, spec)
-            assert layer_operators(theta, spec, plan=plan) is kept
+            fresh = build_layers(layer_plan(spec), theta)
+            assert build_layers(plan, theta) is kept
             for got, expected in zip([*kept[0], kept[1]], [*fresh[0], fresh[1]]):
                 got, expected = got.view(float), expected.view(float)  # the diagonals' parts too
                 assert got.strides == expected.strides
@@ -220,7 +228,7 @@ def test_layer_blocks_equal_the_kron_of_the_ry_matrices(n):
                 kron(np.ascontiguousarray(ry_t[:, q : q + KRON_BLOCK])).swapaxes(-1, -2)
                 for q in range(0, n, KRON_BLOCK)
             ]
-            blocks, _ = layer_operators(theta, spec)
+            blocks, _ = build_layers(layer_plan(spec), theta)
             assert len(blocks) == len(expected) == (1 if n <= KRON_BLOCK else 2)
             for block, reference in zip(blocks, expected):
                 # the strides of each layer's matrix, which its matmuls see
@@ -237,11 +245,11 @@ def test_recording_and_loss_only_forwards_agree(n):
     rng = np.random.default_rng(40 + n)
     for l in (0, 3):
         spec = AnsatzSpec(n, l)
-        layers = layer_operators(rng.uniform(0, 2 * np.pi, spec.param_count), spec)
+        theta = rng.uniform(0, 2 * np.pi, spec.param_count)
         for rows in (encode_batch(rng.uniform(-1, 1, (5, 1)), spec), np.eye(1 << n, dtype=complex)):
-            tape = run_variational(rows, layers, record=True)
+            tape = run_variational(rows, theta, spec, record=True)
             assert len(tape) == l + 2
-            assert np.array_equal(run_variational(rows, layers, record=False), tape[-1])
+            assert np.array_equal(run_variational(rows, theta, spec, record=False), tape[-1])
 
 
 def test_batch_rows_equal_single_runs_at_five_and_six_qubits():

@@ -14,7 +14,7 @@ import qcgrad.heads as heads
 import qcgrad.trainer as trainer
 
 from qcgrad import gates
-from qcgrad.baselines import finite_difference_grad
+from qcgrad.baselines import finite_difference_grad, spsa_grad
 from qcgrad.circuit import AnsatzSpec, encode_batch, forward_batch
 from qcgrad.datasets import Dataset, gen_circles, gen_function_dataset, gen_moons
 from qcgrad.heads import ClassificationHead, RegressionHead, accuracy, r_squared, readout
@@ -32,6 +32,7 @@ from qcgrad.trainer import (
     TrainConfig,
     TrainingDivergedError,
     predict,
+    random_objective,
     train,
 )
 
@@ -250,8 +251,9 @@ def test_out_of_range_head_qubits_rejected_wherever_they_become_signs(classifica
     spec = AnsatzSpec(n, 1, feature_dim=xs.shape[1])
     theta = np.zeros(spec.param_count)
     for qubit in (n, n + 2, -1):
-        head = ClassificationHead(qubit_2=qubit) if classification else RegressionHead(measured_qubit=qubit)
+        # a negative qubit is refused by the head itself, the others by predict
         with pytest.raises(ValueError, match="out of range"):
+            head = ClassificationHead(qubit_2=qubit) if classification else RegressionHead(measured_qubit=qubit)
             predict(xs, theta, spec, head)
         with pytest.raises(ValueError, match="out of range"):
             z_sign_vector(n, qubit)
@@ -281,6 +283,43 @@ def test_non_integer_qubits_rejected(qubit, call, cached):
     with pytest.raises(TypeError, match="index must be an integer"):
         call(qubit)
     call(np.int64(int(qubit)))
+
+
+def regression_loss(theta):
+    """The loss of a random 2-qubit, l = 1 regression objective (8 parameters) at theta."""
+    return random_objective(np.random.default_rng(0), 2, 1, classification=False)[0].loss(theta)
+
+
+# (error, what its message names, call): a complex array used to lose its
+# imaginary part with only a warning and a string array was parsed; a bool
+# setting ran as 1.0; a float or negative head qubit built a head
+MISTYPED_INPUTS = {
+    "complex-theta": (TypeError, "theta", lambda: regression_loss(np.zeros(8) + 1j)),
+    "string-theta": (TypeError, "theta", lambda: regression_loss(["0.5"] * 8)),
+    "complex-dataset": (
+        TypeError, "x", lambda: Dataset(x=np.array([[0.5 + 0.3j]]), targets=np.zeros(1), task="regression")
+    ),
+    "complex-predict": (
+        TypeError, "x", lambda: predict([[0.2 + 0.9j]], np.zeros(8), AnsatzSpec(2, 1), RegressionHead())
+    ),
+    "complex-encoding": (TypeError, "xs", lambda: encode_batch(np.array([[0.5j]]), AnsatzSpec(1, 0))),
+    "complex-fd": (TypeError, "theta", lambda: finite_difference_grad(np.sum, np.zeros(2) + 1j, 1e-4)),
+    "complex-spsa": (TypeError, "theta", lambda: spsa_grad(np.sum, np.zeros(2) + 1j, 0, 0)),
+    "bool-learning-rate": (TypeError, "learning_rate", lambda: TrainConfig(learning_rate=True)),
+    "bool-fd-step": (TypeError, "fd_step", lambda: TrainConfig(fd_step=True)),
+    "bool-gamma": (TypeError, "gamma", lambda: ClassificationHead(gamma=np.True_)),
+    "bool-output-scale": (TypeError, "output_scale", lambda: RegressionHead(output_scale=True)),
+    "float-qubit": (TypeError, "measured_qubit", lambda: RegressionHead(measured_qubit=1.5)),
+    "negative-qubit": (ValueError, "measured_qubit", lambda: RegressionHead(measured_qubit=-1)),
+    "float-first-qubit": (TypeError, "qubit_1", lambda: ClassificationHead(qubit_1=0.0, qubit_2=1)),
+    "float-equal-qubit": (TypeError, "qubit_2", lambda: ClassificationHead(qubit_1=np.int64(0), qubit_2=0.0)),
+}
+
+
+@pytest.mark.parametrize("error, name, call", MISTYPED_INPUTS.values(), ids=MISTYPED_INPUTS)
+def test_mistyped_inputs_are_refused_by_name(error, name, call):
+    with pytest.raises(error, match=rf"\b{name}\b"):
+        call()
 
 
 def operator_objective(n, l, classification, count, seed=0, gamma=2.0):
