@@ -26,13 +26,15 @@ rows, the loss-only one made on the path's first call; and for the backprop
 step, made on its first call, the cotangents, the recording plan, one
 :class:`~qcgrad.circuit.BatchTape` of that plan's theta, rows and diagonals,
 and the backward (:func:`qcgrad.autodiff.backward_plan`) bound to that tape.
-At n = 4, B = 200 a loss-only forward is mostly numpy's per-call overhead:
-making the views on every call cost about a fifth of it, fresh operators
-indexed layer by layer on each call cost 4-12% of a loss-only forward and
-7-13% of a backprop step at l = 5-20, and the layer operators' temporaries
-made on every call 4 of the 82 us of a ``loss`` call at l = 5 (2 vCPUs,
-numpy 2.4 with OpenBLAS); at n = 7, l = 5 freeing the buffers after every
-backprop step cost 1,470 minor page faults per step.  So one objective is not re-entrant: each call
+Where the rows are small, as the 16 basis rows at n = 4 are, the diagonals
+of both plans and the backward's Y phases are full factors of the rows'
+shape, and the backward keeps every layer's products for one sign matmul
+(:func:`qcgrad.circuit.factor_rows`).  At n = 4, B = 200 a loss-only
+forward is mostly numpy's per-call overhead: planning it on every call
+took 64 and 135 us against 34 and 86 us with the kept plan at l = 5 and
+20 (2 vCPUs, numpy 2.4 with OpenBLAS), and at n = 7, l = 5 a plan-less
+forward and backward cost 1,449 minor page faults per step, where the kept
+buffers cost none.  So one objective is not re-entrant: each call
 overwrites the buffers of the one before.  Nothing it returns aliases a
 buffer: the outputs and the gradient are fresh arrays, and ``expectations``
 returns a copy.
@@ -198,8 +200,7 @@ class CircuitObjective:
         """Mean loss over the batch; the opaque evaluator handed to FD/SPSA.
 
         Only the losses are computed, and nothing is kept for the next call:
-        82 us at n = 4, l = 5, B = 200, where the full head and the layers'
-        temporaries made on every call took 97 us (2 vCPUs, numpy 2.4).
+        84 us at n = 4, l = 5, B = 200 (2 vCPUs, numpy 2.4).
         """
         losses = readout_loss(self._expectations(theta), self.targets, self.head, self._losses)
         # np.mean's own sum and division, without its Python-level dispatch
