@@ -69,15 +69,14 @@ forward plan's buffers, and every other caller once per call.  The walk is
 then one loop over the bound calls, per layer ``t``, ``v * t``, H,
 ``ã * s̃``, ``D_y ã``, H and the next diagonal, with one more matmul per
 transform for each Walsh-Hadamard block beyond the first
-(n > :data:`HADAMARD_BLOCK`).  The sign matmul that turns the products
-into gradients runs per layer where the diagonals are broadcast rows, and
-once after the walk, over every layer's products, where they are full
-factors (:func:`qcgrad.circuit.factor_rows`): the Y phases, the seed and
-the tape's diagonals then have the rows' shape.  At n = 4 on the 16 basis
-rows, with full factors, a backward pass at l = 20 takes about 144 µs,
-6.9 µs per layer, against 186 µs with broadcast rows and a sign matmul per
-layer (median of 31 rounds of 200 calls, numpy 2.4 with OpenBLAS,
-2 vCPUs).
+(n > :data:`HADAMARD_BLOCK`).  Every layer keeps its products, and one
+sign matmul after the walk turns them all into gradients; the Y phases,
+the seed and the tape's diagonals are full factors of the rows' shape, as
+numpy multiplies by a broadcast short row about 2x slower (see
+:func:`qcgrad.circuit.layer_plan`).  At n = 4 on the 16 basis rows a
+backward pass at l = 20 takes about 144 µs, 6.9 µs per layer, against
+186 µs with broadcast rows and a sign matmul per layer (median of 31
+rounds of 200 calls, numpy 2.4 with OpenBLAS, 2 vCPUs).
 
 These conventions are validated end to end against central finite
 differences (the binding oracle; see tests).
@@ -89,7 +88,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .circuit import BatchTape, factor_rows, rotation_phases
+from .circuit import BatchTape, rotation_phases
 from .state import kron, real_block_view, z_sign_matrix
 
 
@@ -181,62 +180,50 @@ def backward_plan(tape: BatchTape) -> tuple:
     Every call reads the tape's own arrays, its rows ``[Y_0, ..., Y_l,
     final]``, theta and diagonals, so the plan serves every run recorded
     into them, as the objective's one tape is (see :mod:`qcgrad.trainer`).
-    ``setup`` writes the Y phases from theta and the (rows, 2**n) seed
-    diagonal ``seed`` from the last diagonal, as the tape's diagonals are
-    stacked (:func:`qcgrad.circuit.factor_rows`); the cotangent times
-    ``seed`` is the first ``v``.  ``calls`` is the whole walk after it, with
-    the operands of each layer k bound once: tape row k, Y phase k,
-    diagonal k - 1 and the slots of its [ã * s̃, v * t] products.  With full
-    factors every layer has its own slots, an (l+1, 2, R, 2**n) stack that
-    one sign matmul reads into ``grad`` after the walk, and ``setup`` copies
-    Y phase k, as a full factor, into the ã * s̃ slot of layer k - 1, which
-    the walk writes after layer k has read the phase; with broadcast rows
-    all layers share one pair, read into gradient row k by a matmul per
-    layer.  ``grad`` holds the (R, l+1, n, 2) result.
+    ``setup`` writes the Y phases from theta and the seed diagonal ``seed``
+    from the last diagonal, both full (R, 2**n) factors as the tape's
+    diagonals are; the cotangent times ``seed`` is the first ``v``.
+    ``calls`` is the whole walk after it, with the operands of each layer k
+    bound once: tape row k, Y phase k, diagonal k - 1 and the slots of its
+    [ã * s̃, v * t] products in an (l+1, 2, R, 2**n) stack, which the last
+    call, one sign matmul, reads into ``grad``, the (R, l+1, n, 2) result.
     """
     spec, posts, diags = tape.spec, tape.posts, tape.diags
     n, l, dim = spec.n_qubits, spec.depth_l, 1 << spec.n_qubits
     count = len(posts[0])
-    rows = factor_rows(count, dim)
-    # the [ã * s̃, v * t] products of every layer when the factors are full,
-    # so that one sign matmul after the walk reads them all; else one layer's
-    held = l + 1 if rows > 1 else 1
     # one allocation for every buffer of the walk (see hadamard_plan):
     # rows [v, t] = [S a, S* s] of the current layer, so that one H gives
-    # [ã, s̃]; the products; H's other buffer; S* as a full (B, dim) factor,
-    # since numpy multiplies a broadcast short row about 2x slower
-    work = np.empty((5 + 2 * held, count, dim), dtype=complex)
-    vt, products, h_work, s_conj = work[:2], work[2:-3].reshape(held, 2, count, dim), work[-3:-1], work[-1]
+    # [ã, s̃]; every layer's products; H's other buffer; S* as a full
+    # (B, dim) factor, since numpy multiplies a broadcast short row about 2x slower
+    work = np.empty((7 + 2 * l, count, dim), dtype=complex)
+    vt, products, h_work, s_conj = work[:2], work[2:-3].reshape(l + 1, 2, count, dim), work[-3:-1], work[-1]
     v, t = vt
     # both transforms are planned once: [v, t] -> [ã, s̃], and D_y ã back to
-    # the new v through one layer's products, which its sign matmul has read
-    # by then, or, when every layer's are held, through the pair that
-    # [ã, s̃] is not in
+    # the new v through the pair that [ã, s̃] is not in, since H leaves its
+    # result in its other buffer when its blocks are odd in number
     vt_plan, vt_tilde = hadamard_plan(vt.reshape(2 * count, dim), h_work.reshape(2 * count, dim))
     a_tilde, s_tilde = vt_tilde.reshape(2, count, dim)
-    pair = products[0] if held == 1 else h_work if np.shares_memory(vt_tilde, vt) else vt
+    pair = vt if len(hadamard_blocks(n)) % 2 else h_work
     u_plan, h_u = hadamard_plan(*pair)
     s_conj[:] = np.conj(s_phases(n))
-    y_phases, seed = np.empty((l + 1, dim), dtype=complex), np.empty((rows, dim), dtype=complex)
+    y_phases, seed = np.empty((l + 1, dim), dtype=complex), np.empty((count, dim), dtype=complex)
+    # Y phase k, read by layer k >= 1 only, is y_stack[k - 1], the ã * s̃
+    # slot of layer k - 1: the walk runs from layer l down to 0, so it reads
+    # the phase before it writes the slot
+    y_stack = products[:-1, 0]
     setup = [
         partial(rotation_phases, tape.theta.reshape(l + 1, n, 2)[:, :, 0], n, y_phases, np.empty(y_phases.shape)),
         # H has +/-1 entries, so H D H carries 2**n too many
         partial(np.multiply, y_phases, 0.5**n, y_phases),
         partial(np.multiply, diags[l], s_phases(n), seed),
+        partial(np.copyto, y_stack, y_phases[1:, None]),
     ]
-    # Y phase k, read by layer k >= 1 only, is y_stack[k - 1]
-    if rows == 1:
-        y_stack = y_phases[1:, None]
-    else:  # full factors, each in the ã * s̃ slot of the layer below, which the walk writes after reading it
-        y_stack = products[:-1, 0]
-        setup.append(partial(np.copyto, y_stack, y_phases[1:, None]))
     grad = np.empty((count, l + 1, n, 2))
     # row k of the transpose is layer k's (2, count, n) [Y, Z] gradients
     grad_rows = grad.transpose(1, 3, 0, 2)
-    signs, floats = _gradient_signs(n), products.view(float)
     calls = []
     for k in range(l, -1, -1):
-        ab_product, vt_product = products[k % held]
+        ab_product, vt_product = products[k]
         # t = S* Y_k, v * t, H [v, t] = [ã, s̃] and ã * s̃
         calls += [
             partial(np.multiply, posts[k], s_conj, t),
@@ -244,11 +231,11 @@ def backward_plan(tape: BatchTape) -> tuple:
             *vt_plan,
             partial(np.multiply, a_tilde, s_tilde, ab_product),
         ]
-        if k % held == 0:  # the gradients from the products held so far
-            calls.append(partial(np.matmul, floats, signs, grad_rows[k : k + held]))
         if k:  # the next v, diag_{k-1} * H (D_y ã); the first layer's would go unread
             calls += [partial(np.multiply, a_tilde, y_stack[k - 1], pair[0]), *u_plan]
             calls.append(partial(np.multiply, h_u, diags[k - 1], v))
+    # the gradients from every layer's products
+    calls.append(partial(np.matmul, products.view(float), _gradient_signs(n), grad_rows))
     return tape, setup, seed, v, calls, grad
 
 

@@ -96,9 +96,9 @@ class BatchTape:
     """One forward pass: the states, the angles and the diagonals it ran.
 
     ``posts`` are the (B, 2**n) states after every Y sub-layer and at the
-    end; ``diags`` are the (l+1, rows, 2**n) Z-and-entangler diagonals of
-    :func:`layer_plan`, full factors of the rows or broadcast rows as
-    :func:`factor_rows` says, which the backward pass reads again.  All three
+    end; ``diags`` are the (l+1, B, 2**n) Z-and-entangler diagonals of
+    :func:`layer_plan`, full factors of the rows, which the backward pass
+    reads again.  All three
     are the buffers of the recording :func:`variational_plan` that ran, so a
     tape made on a kept plan holds whatever that plan's last run wrote.
     """
@@ -158,30 +158,6 @@ def rotation_phases(angles: np.ndarray, n_qubits: int, out: np.ndarray, work: np
     return np.exp(np.multiply(-0.5j, sums, out=out), out=out)
 
 
-#: Most amplitudes, rows times 2**n, of the arrays that diagonals multiply
-#: for the diagonals to be full factors of their shape rather than one
-#: broadcast row (see :func:`factor_rows`).
-FULL_FACTOR_LIMIT = 1 << 9
-
-
-def factor_rows(count: int, dim: int) -> int:
-    """Rows of the diagonals that multiply (count, dim) arrays: ``count``, full factors, or 1, a broadcast row.
-
-    The factors are full up to :data:`FULL_FACTOR_LIMIT` amplitudes
-    ``count * dim``.  numpy multiplies a (16, 16) array by a broadcast (16,)
-    row in 1.45 us and by a full (16, 16) factor in 0.79 us, since it builds
-    an iterator for the broadcast; at n = 4, l = 20 on the basis rows the 61
-    broadcast multiplies of a backprop step took about a quarter of it.  A
-    full stack of diagonals costs a copy and ``count`` times the memory,
-    which outweigh the saving on larger arrays: at n = 6, l = 10 on the
-    basis rows (4,096 amplitudes per array) full factors made the loss-only
-    forward and the backprop step about 3% slower and grew ``ru_maxrss`` by
-    2.8 MB (2 vCPUs, numpy 2.4).  Either way every product is the same, bit
-    for bit.
-    """
-    return count if count * dim <= FULL_FACTOR_LIMIT else 1
-
-
 #: Most qubits one dense rotation matrix spans.  A dense matrix over m
 #: qubits costs O(4**m) per state against O(m 2**m) for one gate at a time,
 #: so larger registers are split into blocks of at most this many qubits.
@@ -228,24 +204,28 @@ def _y_block_indices(n_qubits: int, low: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def layer_plan(
-    spec: AnsatzSpec, count: int = 1
+    spec: AnsatzSpec, count: int
 ) -> tuple[np.ndarray, list[partial], tuple[list[np.ndarray], np.ndarray]]:
     """``(theta, calls, layers)``: the angles' buffer, and the bound calls that write ``layers`` from it.
 
     ``layers`` are the (Y blocks, Z-and-entangler diagonals) of all l+1
     rotation layers, built at once, and every temporary is a buffer of the
     plan's.  The diagonals are every Z sub-layer's phases times, except
-    after the last, the ring's signs, as an (l+1, rows, 2**n) stack with
-    the :func:`factor_rows` of the (count, 2**n) arrays they multiply.  The Y
+    after the last, the ring's signs, copied into an (l+1, count, 2**n)
+    stack: full factors of the (count, 2**n) rows they multiply.  numpy
+    multiplies a (16, 16) array by a broadcast (16,) row in 1.45 us and by
+    a full (16, 16) factor in 0.79 us, since it builds an iterator for the
+    broadcast; at n = 4, l = 20 on the basis rows the 61 broadcast
+    multiplies of a backprop step took about a quarter of it.  The stack
+    costs one copy per build and (l+1) * count * 2**n amplitudes.  The Y
     blocks split the Kronecker product of a layer's ry matrices into blocks
     of at most ``KRON_BLOCK`` qubits; each block is an (l+1, dim, dim)
     stack, indexed by layer, of column-major views: OpenBLAS ran these
     (dim, dim) @ (dim, 2) products about 1.7x faster so.  Every forward runs
-    the calls of the plan its :func:`variational_plan` keeps.  Their 12
-    numpy calls at n <= 6 (16 at n = 7, 8), one more for full factors, took
-    16 us at n = 4, l = 5 and 31 us at l = 20 for the 16 basis rows on a
-    kept plan, against 26 and 40 us planning every call (2 vCPUs, numpy
-    2.4).
+    the calls of the plan its :func:`variational_plan` keeps.  Their 13
+    numpy calls at n <= 6 (17 at n = 7, 8) took 16 us at n = 4, l = 5 and
+    31 us at l = 20 for the 16 basis rows on a kept plan, against 26 and
+    40 us planning every call (2 vCPUs, numpy 2.4).
 
     How the blocks are built.  Entry (r, c) of the product of ry^T =
     [[cos, sin], [-sin, cos]] over m qubits multiplies one factor per qubit,
@@ -291,12 +271,8 @@ def layer_plan(
         partial(rotation_phases, angles[:, :, 1], n, phases, np.empty(phases.shape)),
         partial(np.multiply, phases[:-1], ring_signs(n), phases[:-1]),
     ]
-    rows = factor_rows(count, 1 << n)
-    if rows == 1:
-        diags = phases[:, None]
-    else:  # full factors, written by one broadcast copy
-        diags = np.empty((l + 1, rows, 1 << n), dtype=complex)
-        calls.append(partial(np.copyto, diags, phases[:, None]))
+    diags = np.empty((l + 1, count, 1 << n), dtype=complex)
+    calls.append(partial(np.copyto, diags, phases[:, None]))
     return theta, calls, (blocks, diags)
 
 
@@ -306,8 +282,8 @@ def variational_plan(
     """``(theta, posts, diags, calls)``: the buffers and the bound calls of :func:`run_variational` on ``encoded``.
 
     The plan makes its own :func:`layer_plan`: ``theta`` is its angles'
-    buffer and ``diags`` its (l+1, rows, 2**n) Z-and-entangler diagonals
-    for the rows of ``encoded``.  ``posts`` are the tape rows
+    buffer and ``diags`` its (l+1, B, 2**n) Z-and-entangler diagonals
+    for the B rows of ``encoded``.  ``posts`` are the tape rows
     ``[Y_0, ..., Y_l, final]`` when ``record`` is true, else one Y row and
     the final row.  ``calls`` is every numpy call of the forward,
     bound once, in order: the layer plan's, then per layer k one matmul per

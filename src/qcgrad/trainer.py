@@ -26,18 +26,15 @@ rows, the loss-only one made on the path's first call; and for the backprop
 step, made on its first call, the cotangents, the recording plan, one
 :class:`~qcgrad.circuit.BatchTape` of that plan's theta, rows and diagonals,
 and the backward (:func:`qcgrad.autodiff.backward_plan`) bound to that tape.
-Where the rows are small, as the 16 basis rows at n = 4 are, the diagonals
-of both plans and the backward's Y phases are full factors of the rows'
-shape, and the backward keeps every layer's products for one sign matmul
-(:func:`qcgrad.circuit.factor_rows`).  At n = 4, B = 200 a loss-only
-forward is mostly numpy's per-call overhead: planning it on every call
-took 64 and 135 us against 34 and 86 us with the kept plan at l = 5 and
-20 (2 vCPUs, numpy 2.4 with OpenBLAS), and at n = 7, l = 5 a plan-less
-forward and backward cost 1,449 minor page faults per step, where the kept
-buffers cost none.  So one objective is not re-entrant: each call
-overwrites the buffers of the one before.  Nothing it returns aliases a
-buffer: the outputs and the gradient are fresh arrays, and ``expectations``
-returns a copy.
+The diagonals of both plans and the backward's Y phases are full factors
+of the rows' shape, and the backward keeps every layer's products for one
+sign matmul (:func:`qcgrad.autodiff.backward_plan`).  At n = 4, B = 200 a
+loss-only forward is mostly numpy's per-call overhead: planning it on
+every call took 62 and 138 us against 34 and 93 us with the kept plan at
+l = 5 and 20 (2 vCPUs, numpy 2.4 with OpenBLAS).  So one objective is not
+re-entrant: each call overwrites the buffers of the one before.  Nothing
+it returns aliases a buffer: the outputs and the gradient are fresh
+arrays, and ``expectations`` returns a copy.
 
 Basis rows.  With d = 2**n the circuit is ``final = psi @ P`` in row
 convention, and P is the circuit run on the d basis rows.  The objective runs

@@ -212,10 +212,10 @@ def test_layer_blocks_equal_the_kron_of_the_ry_matrices(n):
     rng = np.random.default_rng(30 + n)
     for l in (0, 3):
         spec = AnsatzSpec(n, l)
-        plan = layer_plan(spec)
+        plan = layer_plan(spec, 2)
         kept = plan[2]
         for theta in (np.zeros(spec.param_count), rng.uniform(0, 2 * np.pi, spec.param_count)):
-            fresh = build_layers(layer_plan(spec), theta)
+            fresh = build_layers(layer_plan(spec, 2), theta)
             assert build_layers(plan, theta) is kept
             for got, expected in zip([*kept[0], kept[1]], [*fresh[0], fresh[1]]):
                 got, expected = got.view(float), expected.view(float)  # the diagonals' parts too
@@ -228,7 +228,7 @@ def test_layer_blocks_equal_the_kron_of_the_ry_matrices(n):
                 kron(np.ascontiguousarray(ry_t[:, q : q + KRON_BLOCK])).swapaxes(-1, -2)
                 for q in range(0, n, KRON_BLOCK)
             ]
-            blocks, _ = build_layers(layer_plan(spec), theta)
+            blocks, _ = build_layers(layer_plan(spec, 2), theta)
             assert len(blocks) == len(expected) == (1 if n <= KRON_BLOCK else 2)
             for block, reference in zip(blocks, expected):
                 # the strides of each layer's matrix, which its matmuls see

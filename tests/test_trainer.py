@@ -552,43 +552,24 @@ def test_shallow_circuits_and_small_batches_run_the_inputs():
     assert runs_basis_rows(6, 10, count=200)
 
 
-def plan_stacks(rows, theta, spec):
-    """Shapes of the diagonal stacks of a forward plan of each mode, and of a backward plan's seed and products."""
+def plan_stacks(objective, theta):
+    """Shapes of the plans' and tape's diagonals, the backward's seed, and the products its sign matmul reads."""
+    rows, spec = objective.rows, objective.spec
     shapes = [variational_plan(rows, spec, record=record)[2].shape for record in (False, True)]
     tape = forward_batch(rows, theta, spec)
-    _, _, seed, _, calls, _ = backward_plan(tape)
-    # the last call is the sign matmul over every product the walk holds
-    return shapes + [tape.diags.shape, seed.shape, calls[-1].args[0].shape[:-1]]
+    _, _, seed, _, calls, grad = backward_plan(tape)
+    (sign_matmul,) = [call for call in calls if call.func is np.matmul and np.shares_memory(call.args[2], grad)]
+    return shapes + [tape.diags.shape, seed.shape, sign_matmul.args[0].shape[:-1]]
 
 
-def test_small_rows_get_full_factors_and_large_rows_broadcast_ones():
-    # full factors save numpy's broadcast iterator on each multiply, and cost
-    # a copy and (l + 1) * R * 2**n amplitudes per stack: small rows only
-    def stacks(n, l, count):
+def test_plans_hold_full_factors_and_one_sign_matmul_reads_every_layer():
+    # full factors save numpy's broadcast iterator on each multiply.  Cells:
+    # perfbench's bp-deep and fd-shallow and the paper's n = 2 at l = 10 on
+    # the basis rows, then n = 7 on the per-sample rows (two Kronecker blocks)
+    for n, l, count in ((4, 20, 200), (4, 5, 200), (2, 10, 200), (7, 5, 200)):
         objective, theta = operator_objective(n, l, True, count)
-        return plan_stacks(objective.rows, theta, objective.spec)
-
-    def expected(l, rows, dim, full):
-        factor = rows if full else 1
-        return [(l + 1, factor, dim)] * 3 + [(factor, dim), (l + 1 if full else 1, 2, rows)]
-
-    # perfbench's bp-deep and fd-shallow cells, and the paper's n = 2-4 at l = 10, on the basis rows
-    for n, l in ((4, 20), (4, 5), (2, 10), (3, 10), (4, 10)):
-        assert stacks(n, l, 200) == expected(l, 1 << n, 1 << n, full=True)
-    # the paper's n = 5-6 at l = 10 on the basis rows, then B = 200 on the per-sample rows
-    for n, l, rows in ((5, 10, 32), (6, 10, 64), (4, 2, 200), (7, 5, 200)):
-        assert stacks(n, l, 200) == expected(l, rows, 1 << n, full=False)
-
-
-def kept_and_planless_gradients(rows, theta, spec, cotangent):
-    """(kept, plan-less) backward results at theta: kept plans run first at another theta."""
-    forward = buffer, posts, diags, _ = variational_plan(rows, spec, record=True)
-    tape = BatchTape(spec, posts, buffer, diags)
-    backward = backward_plan(tape)
-    for theta_i in (theta[::-1].copy(), theta):
-        run_variational(rows, theta_i, spec, record=True, plan=forward)
-        kept = backward_batch(tape, cotangent, backward).copy()
-    return kept, backward_batch(forward_batch(rows, theta, spec), cotangent)
+        rows, dim = len(objective.rows), 1 << n
+        assert plan_stacks(objective, theta) == [(l + 1, rows, dim)] * 3 + [(rows, dim), (l + 1, 2, rows)]
 
 
 @pytest.mark.parametrize(
@@ -597,25 +578,27 @@ def kept_and_planless_gradients(rows, theta, spec, cotangent):
     # the per-sample rows: two Kronecker blocks and two Walsh-Hadamard blocks
     [(4, 20, 200), (4, 5, 200), (7, 3, 40)],
 )
-def test_full_factors_and_broadcast_rows_agree_bit_for_bit(n, l, count):
-    # each side of factor_rows' rule, forced by its limit where the rule would pick one
+def test_full_factor_diagonals_give_the_bits_of_broadcast_rows(n, l, count):
+    # every amplitude is multiplied by the same factor either way, so the
+    # backward on a tape of full stacks and on the same tape with one
+    # broadcast row per diagonal agree bit for bit, as the forward's last
+    # product does; kept plans agree with plan-less calls
     for classification in (False, True):
-        sides = []
-        for full in (True, False):
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(circuit, "FULL_FACTOR_LIMIT", math.inf if full else 0)
-                objective, theta = operator_objective(n, l, classification, count)
-                rows = len(objective.rows)
-                assert plan_stacks(objective.rows, theta, objective.spec)[-1] == (l + 1 if full else 1, 2, rows)
-                results = [every_result(objective, theta_i) for theta_i in (theta, theta[::-1].copy(), theta)]
-                cotangent = np.random.default_rng(n).normal(size=(rows, 1 << n, 2)) @ np.array([1.0, 1j])
-                kept, planless = kept_and_planless_gradients(objective.rows, theta, objective.spec, cotangent)
-            assert np.array_equal(kept, planless)
-            sides.append([*results[0], *results[1], kept])
-            for value, expected in zip(results[2], results[0]):
-                assert np.array_equal(value, expected)
-        for value, expected in zip(*sides):
-            assert np.array_equal(value, expected)
+        objective, theta = operator_objective(n, l, classification, count)
+        rows, spec = objective.rows, objective.spec
+        cotangent = np.random.default_rng(n).normal(size=(len(rows), 1 << n, 2)) @ np.array([1.0, 1j])
+        tape = forward_batch(rows, theta, spec)
+        planless = backward_batch(tape, cotangent)
+        assert np.array_equal(tape.final, tape.posts[-2] * tape.diags[-1, 0])
+        broadcast = BatchTape(spec, tape.posts, tape.theta, tape.diags[:, :1])
+        assert np.array_equal(backward_batch(broadcast, cotangent), planless)
+        forward = buffer, posts, diags, _ = variational_plan(rows, spec, record=True)
+        kept_tape = BatchTape(spec, posts, buffer, diags)
+        backward = backward_plan(kept_tape)
+        for theta_i in (theta[::-1].copy(), theta):
+            run_variational(rows, theta_i, spec, record=True, plan=forward)
+            kept = backward_batch(kept_tape, cotangent, backward)
+        assert np.array_equal(kept, planless)
 
 
 @pytest.mark.parametrize("count", [5, 401])
