@@ -50,9 +50,11 @@ final states are the rows of the circuit's operator (see
 Each Y block multiplies every state separately, through
 :func:`qcgrad.state.real_block_view`, so that every batch row equals bit for
 bit the same input run alone (B=1), and training on a batch and replaying
-one sample agree exactly.  How BLAS computes a GEMM depends on its row
-count: with one flat GEMM per Y sub-layer, all 2,072 rows of a check at
-n = 3-6 and B = 2-200 differed from their B=1 runs.
+one sample agree exactly.  With one flat GEMM per Y sub-layer, all 952
+rows of a check at n = 3-6 and B = 2-200 differed from their B=1 runs.
+The B=1 runs were the cause: numpy sends a one-row product down BLAS's
+matrix-vector route, which rounds differently.  With those runs padded to
+16 rows, as :func:`qcgrad.state.apply_operator` pads, none differed.
 """
 
 from __future__ import annotations

@@ -41,19 +41,17 @@ convention, and P is the circuit run on the d basis rows.  The objective runs
 the layers on those rows instead of the B inputs when
 ``(l + 1) * (B - d) >= OPERATOR_APPLY_COST * B``: that saves (l+1)(B-d)
 passes of a rotation layer over one row, and applying P to each input
-(:func:`qcgrad.state.apply_operator`) costs about ``OPERATOR_APPLY_COST``
-of them.  The backward pass then walks the basis-row tape with the
-cotangent ``encoded.T @ A`` (see :mod:`qcgrad.autodiff`).  Finite
-differences and SPSA get the same loss-only forward, so every gradient
-method runs on the best forward.  Measured on 2 vCPUs with numpy 2.4 and
-OpenBLAS: at l = 10, over B from 16 to 400 and n from 2 to 8, under default
-and single-threaded BLAS, the basis rows won from B/d of about 1.5-3 on and
-mostly lost, 0.07-0.9x, at B/d <= 1.  Over l from 0 to 10 at B = 2d to 8d
-and n from 3 to 6 (default threads), the loss-only forward broke even at l
-of about 4-5 (n <= 5) to 10 (n = 6), the backprop step at l of about 1-2,
-and at l = 0 the rows lost almost everywhere, down to 0.36x.  The rule
-follows the loss-only forward: the rows run from B/d >= 1.6 at l = 10,
-from 3 at l = 5, and never at l <= 3.
+(:func:`qcgrad.state.apply_operator`, one GEMM for the batch) costs at
+most ``OPERATOR_APPLY_COST`` of them.  The backward pass then walks the
+basis-row tape with the cotangent ``encoded.T @ A`` (see
+:mod:`qcgrad.autodiff`).  Finite differences and SPSA get the same
+loss-only forward, so every gradient method runs on the best forward.  The
+rule runs the rows from B/d >= 1.6 at l = 10, from 3 at l = 5, and never
+at l <= 3.  Measured on 2 vCPUs with numpy 2.4 and OpenBLAS (default
+threads), over n = 3-6, l = 1-10 and B/d = 1-8, the loss-only forward on
+the basis rows won from B/d of about 3 at l = 1-2, 2-3 at l = 3-5 and
+1.5-2 at l = 10: at n >= 4 the apply cost about 1.3-3.7 passes, so the
+rule is on the safe side and leaves some such cells on the inputs.
 """
 
 from __future__ import annotations
@@ -197,7 +195,7 @@ class CircuitObjective:
         """Mean loss over the batch; the opaque evaluator handed to FD/SPSA.
 
         Only the losses are computed, and nothing is kept for the next call:
-        84 us at n = 4, l = 5, B = 200 (2 vCPUs, numpy 2.4).
+        64 us at n = 4, l = 5, B = 200 (2 vCPUs, numpy 2.4).
         """
         losses = readout_loss(self._expectations(theta), self.targets, self.head, self._losses)
         # np.mean's own sum and division, without its Python-level dispatch

@@ -21,8 +21,13 @@ To check that a change keeps every run bit for bit, compare what ::
     PYTHONPATH=src python tests/data/reference_histories.py --digest
 
 prints on both trees: one sha256 over the float64 bytes of every run's loss
-and metric histories and ``final_theta``, in :data:`RUNS` order.  It writes
-nothing.
+and metric histories and ``final_theta``, in :data:`RUNS` order.  To see how
+much of the 1e-10 bound a change that rounds differently uses, ::
+
+    PYTHONPATH=src python tests/data/reference_histories.py --deviation
+
+prints each run's worst relative deviation from the file.  Neither writes
+anything.
 """
 
 import argparse
@@ -83,10 +88,30 @@ def digest() -> str:
     return sha.hexdigest()
 
 
+def deviation() -> dict[str, float]:
+    """Each run's worst relative deviation from :data:`PATH`, ``|got - ref| / |ref|``, over all its values."""
+    reference = json.loads(PATH.read_text())
+    worst = {}
+    for name in RUNS:
+        worst[name] = 0.0
+        for key, values in run(name).items():
+            got, ref = np.asarray(values), np.asarray(reference[name][key])
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratio = np.where(got == ref, 0.0, np.abs(got - ref) / np.abs(ref))
+            worst[name] = max(worst[name], float(ratio.max()))
+    return worst
+
+
 if __name__ == "__main__":
-    parser = argparse.ArgumentParser(description="Write reference_histories.json, or print its runs' digest.")
-    parser.add_argument("--digest", action="store_true", help="print the sha256 of the runs and write nothing")
-    if parser.parse_args().digest:
+    parser = argparse.ArgumentParser(description="Write reference_histories.json, or check the runs against it.")
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--digest", action="store_true", help="print the sha256 of the runs and write nothing")
+    mode.add_argument("--deviation", action="store_true", help="print each run's worst relative deviation from the file")
+    args = parser.parse_args()
+    if args.digest:
         print(digest())
+    elif args.deviation:
+        for name, worst in deviation().items():
+            print(f"{name}: {worst:.3g}")
     else:
         PATH.write_text(json.dumps({name: run(name) for name in RUNS}, indent=1) + "\n")

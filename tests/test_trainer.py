@@ -20,11 +20,13 @@ from qcgrad.circuit import AnsatzSpec, BatchTape, encode_batch, forward_batch, r
 from qcgrad.datasets import Dataset, gen_circles, gen_function_dataset, gen_moons
 from qcgrad.heads import ClassificationHead, RegressionHead, accuracy, r_squared, readout
 from qcgrad.state import (
+    OPERATOR_MIN_ROWS,
     apply_cz,
     apply_operator,
     apply_single_qubit,
     basis_state,
     marginal,
+    operator_plan,
     z_sign_matrix,
     z_sign_vector,
 )
@@ -361,18 +363,36 @@ def test_operator_path_matches_per_sample_path(n):
             assert loss == evaluated_loss == objective.loss(theta) == float(losses.mean())
 
 
-@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("n", range(1, 9))
 def test_operator_apply_rows_equal_single_runs(n):
     rng = np.random.default_rng(300 + n)
     spec = AnsatzSpec(n, 2)
     theta = rng.uniform(0.0, 2.0 * np.pi, spec.param_count)
     operator = forward_batch(np.eye(1 << n, dtype=complex), theta, spec).final
-    for b in (2, 3, 200):
-        states = rng.normal(size=(b, 1 << n)) + 1j * rng.normal(size=(b, 1 << n))
+    # around the row floor: unpadded, a 1-row product took numpy's matrix-vector
+    # route, and 2- and 3-row GEMMs rounded differently from 200-row ones at n = 8
+    assert OPERATOR_MIN_ROWS == 16
+    for b in (1, 2, 3, 15, 16, 17, 200):
+        states = np.empty((b, 1 << n), dtype=complex)
+        # a kept plan reads the states as they are at each call
+        plan = operator_plan(states)
+        states[...] = rng.normal(size=(b, 1 << n)) + 1j * rng.normal(size=(b, 1 << n))
         rows = apply_operator(states, operator)
         assert np.abs(rows - states @ operator).max() <= 1e-13
+        for other in (operator.conj(), operator):
+            kept = apply_operator(states, other, plan)
+        assert kept is plan[2] and np.array_equal(kept, rows)
         for i in range(b):
             assert np.array_equal(rows[i], apply_operator(states[i : i + 1], operator)[0])
+    # the objective's plan is one 2-D GEMM over all its inputs' float view
+    for count in (5, 200):
+        objective = objective_on(True, n, 2, False, count)[0]
+        matmuls = [call for call in objective._operator[1] if call.func is np.matmul]
+        assert len(matmuls) == 1
+        states, form, out = matmuls[0].args
+        assert states.shape == out.shape == (max(count, OPERATOR_MIN_ROWS), 2 << n)
+        assert form.shape == (2 << n, 2 << n)
+        assert np.shares_memory(states, objective.encoded) == (count >= OPERATOR_MIN_ROWS)
 
 
 def every_result(objective, theta):
