@@ -15,7 +15,7 @@ from .trainer import (
     TrainResult,
     train,
 )
-from .autodiff import backward_batch
+from .autodiff import backward_batch, backward_plan
 from .baselines import finite_difference_grad, spsa_grad
 from .bench import BenchmarkRecord, run_benchmark
 from .circuit import AnsatzSpec, encode_batch, forward_batch
@@ -55,6 +55,7 @@ __all__ = [
     "apply_cz",
     "apply_single_qubit",
     "backward_batch",
+    "backward_plan",
     "basis_state",
     "classification_batch",
     "encode_batch",

@@ -64,8 +64,8 @@ steps of their blocks on the walk's fixed buffers, and every other call of
 the walk is bound to its operands up front too, tape row k, the products'
 slots, Y phase k and diagonal k - 1 included, in a :func:`backward_plan`
 made on one tape, whose arrays, theta too, it reads on every call.
-``CircuitObjective`` makes it once, on its one tape of its recording
-forward plan's buffers, and every other caller once per call.  The walk is
+``CircuitObjective`` makes it once, on its recording forward plan, which
+is its tape (see :mod:`qcgrad.circuit`).  The walk is
 then one loop over the bound calls, per layer ``t``, ``v * t``, H,
 ``ã * s̃``, ``D_y ã``, H and the next diagonal, with one more matmul per
 transform for each Walsh-Hadamard block beyond the first
@@ -239,29 +239,24 @@ def backward_plan(tape: BatchTape) -> tuple:
     return tape, setup, seed, v, calls, grad
 
 
-def backward_batch(tape: BatchTape, cotangent: np.ndarray, plan: tuple | None = None) -> np.ndarray:
-    """Per-row gradients, shape (R, param_count), from a tape of R rows.
+def backward_batch(plan: tuple, cotangent: np.ndarray) -> np.ndarray:
+    """Per-row gradients, shape (R, param_count), from the tape of R rows that ``plan`` was made on.
 
-    The circuit is the one the tape was recorded for, ``tape.spec``.
+    ``plan`` is a :func:`backward_plan`, and the circuit is the one its tape
+    was recorded for, ``tape.spec``.
     ``cotangent`` has the tape's shape (R, 2**n) and holds the complex
     cotangent of each row's final amplitudes: ``dL_dp * conj(tape.final)``
     for a tape of the inputs themselves, or ``encoded.T @ A`` for a tape of
     the basis rows (see the module docstring).  The result is real with the
-    parameter layout of :mod:`qcgrad.circuit`.
-
-    ``plan``, from :func:`backward_plan` on this same tape, is the one its
-    caller keeps for every call: the result is then a view of its buffer,
-    overwritten by the next call, and a plan made on another tape raises
-    ValueError.  Without a plan, the call plans for itself.
+    parameter layout of :mod:`qcgrad.circuit`, and a view of the plan's
+    buffer, overwritten by its next call.
     """
+    tape, setup, seed, v, calls, grad = plan
     cotangent = np.asarray(cotangent, dtype=complex)
     if cotangent.shape != tape.final.shape:
         raise ValueError(
             f"cotangent shape {cotangent.shape} does not match batch shape {tape.final.shape}"
         )
-    planned, setup, seed, v, calls, grad = backward_plan(tape) if plan is None else plan
-    if planned is not tape:
-        raise ValueError("the plan was made on another tape")
     for call in setup:
         call()
     np.multiply(cotangent, seed, out=v)

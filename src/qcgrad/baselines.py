@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .state import as_real
+from .state import as_index, as_real
 
 LossFunction = Callable[[np.ndarray], float]
 
@@ -50,7 +50,7 @@ def finite_difference_grad(f: LossFunction, theta: np.ndarray, h: float) -> np.n
 
     Calls ``f`` exactly ``2 * len(theta)`` times.
     """
-    if not 0 < h < math.inf:  # NaN fails too
+    if not 0 < as_real(h, "h") < math.inf:  # NaN fails too
         raise ValueError(f"step size must be finite and > 0, got {h}")
     theta = as_real(theta, "theta")
     plus, minus = theta + h, theta - h
@@ -73,10 +73,10 @@ def spsa_grad(f: LossFunction, theta: np.ndarray, k: int, seed: int) -> np.ndarr
     The Rademacher direction is drawn from a generator seeded by (seed, k),
     so estimates are reproducible and independent across iterations.
     """
-    if k < 0:
+    if as_index(k, "k") < 0:
         raise ValueError(f"iteration index must be >= 0, got {k}")
     theta = as_real(theta, "theta")
-    rng = np.random.default_rng([seed, k])
+    rng = np.random.default_rng([as_index(seed, "seed"), k])
     delta = rng.integers(0, 2, size=theta.size) * 2.0 - 1.0
     ck = spsa_perturbation_size(k)
     plus, minus = theta + ck * delta, theta - ck * delta

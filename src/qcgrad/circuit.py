@@ -39,8 +39,8 @@ binds each layer's operands once, block k of each Y stack and diagonal k
 with the float views they read and write.  :func:`run_variational` copies a
 checked theta into that buffer and is one loop over the bound calls, the
 layer build's then the forward's.  ``CircuitObjective`` (in
-:mod:`qcgrad.trainer`) keeps one forward plan per path, and every other
-caller plans once per call.
+:mod:`qcgrad.trainer`) keeps one forward plan per path, and
+:func:`forward_batch` makes one per call.
 
 Every simulation runs on a batch of shape ``(B, 2**n)``; a single input is
 the batch ``x[None, :]``.  The batch may also be the 2**n basis rows, whose
@@ -59,7 +59,7 @@ matrix-vector route, which rounds differently.  With those runs padded to
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache, partial
 
 import numpy as np
@@ -100,15 +100,16 @@ class BatchTape:
     ``posts`` are the (B, 2**n) states after every Y sub-layer and at the
     end; ``diags`` are the (l+1, B, 2**n) Z-and-entangler diagonals of
     :func:`layer_plan`, full factors of the rows, which the backward pass
-    reads again.  All three
-    are the buffers of the recording :func:`variational_plan` that ran, so a
-    tape made on a kept plan holds whatever that plan's last run wrote.
+    reads again.  A :func:`variational_plan` is a tape: all three
+    are its buffers and ``calls`` its bound calls, so a kept
+    recording plan holds whatever its last run wrote.
     """
 
     spec: AnsatzSpec
     posts: list[np.ndarray]
     theta: np.ndarray
     diags: np.ndarray
+    calls: list[partial] = field(default_factory=list)
 
     @property
     def final(self) -> np.ndarray:
@@ -278,10 +279,8 @@ def layer_plan(
     return theta, calls, (blocks, diags)
 
 
-def variational_plan(
-    encoded: np.ndarray, spec: AnsatzSpec, *, record: bool
-) -> tuple[np.ndarray, list[np.ndarray], np.ndarray, list[partial]]:
-    """``(theta, posts, diags, calls)``: the buffers and the bound calls of :func:`run_variational` on ``encoded``.
+def variational_plan(encoded: np.ndarray, spec: AnsatzSpec, *, record: bool) -> BatchTape:
+    """The tape of :func:`run_variational` on ``encoded``: its buffers and its bound calls.
 
     The plan makes its own :func:`layer_plan`: ``theta`` is its angles'
     buffer and ``diags`` its (l+1, B, 2**n) Z-and-entangler diagonals
@@ -324,11 +323,11 @@ def variational_plan(
         calls.append(partial(np.multiply, posts[row], diag, posts[-1]))
         # the final row holds each diag * Y_k until the next Y sub-layer reads it
         source = final
-    return theta, posts, diags, calls
+    return BatchTape(spec, posts, theta, diags, calls)
 
 
 def run_variational(
-    encoded: np.ndarray, theta: np.ndarray, spec: AnsatzSpec, *, record: bool, plan: tuple | None = None
+    encoded: np.ndarray, theta: np.ndarray, spec: AnsatzSpec, *, record: bool, plan: BatchTape | None = None
 ) -> list[np.ndarray] | np.ndarray:
     """Run the circuit ``spec`` at ``theta`` on encoded amplitudes of shape (B, dim).
 
@@ -346,14 +345,15 @@ def run_variational(
     making the views again on every call adds to.
     """
     theta = check_theta(theta, spec)
-    buffer, posts, _, calls = variational_plan(encoded, spec, record=record) if plan is None else plan
-    np.copyto(buffer, theta)
-    for call in calls:
+    plan = variational_plan(encoded, spec, record=record) if plan is None else plan
+    np.copyto(plan.theta, theta)
+    for call in plan.calls:
         call()
-    return list(posts) if record else posts[-1]
+    return list(plan.posts) if record else plan.posts[-1]
 
 
 def forward_batch(encoded: np.ndarray, theta: np.ndarray, spec: AnsatzSpec) -> BatchTape:
     """Run the variational layers on encoded amplitudes, recording the tape."""
-    buffer, _, diags, _ = plan = variational_plan(encoded, spec, record=True)
-    return BatchTape(spec, run_variational(encoded, theta, spec, record=True, plan=plan), buffer, diags)
+    tape = variational_plan(encoded, spec, record=True)
+    run_variational(encoded, theta, spec, record=True, plan=tape)
+    return tape

@@ -82,7 +82,7 @@ def gen_function_dataset(
 
 
 def _check_noise(noise_sigma: float) -> None:
-    if not 0 <= noise_sigma < math.inf:  # NaN fails too
+    if not 0 <= as_real(noise_sigma, "noise_sigma") < math.inf:  # NaN fails too
         raise ValueError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
 
 

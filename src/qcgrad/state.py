@@ -105,8 +105,8 @@ def operator_plan(amps: np.ndarray) -> tuple[np.ndarray, list[partial], np.ndarr
     return real, calls, product[:count]
 
 
-def apply_operator(amps: np.ndarray, operator: np.ndarray, plan: tuple | None = None) -> np.ndarray:
-    """``amps @ operator`` of C-contiguous (B, 2**n) states and a (2**n, 2**n) matrix.
+def apply_operator(plan: tuple, operator: np.ndarray) -> np.ndarray:
+    """``amps @ operator`` of the (B, 2**n) states ``amps`` that ``plan`` was made on and a (2**n, 2**n) matrix.
 
     One real GEMM applies the operator to every state (:func:`operator_plan`).
     Padded to ``OPERATOR_MIN_ROWS`` rows, a row's result equals its B=1 run
@@ -117,11 +117,10 @@ def apply_operator(amps: np.ndarray, operator: np.ndarray, plan: tuple | None = 
     set by 0 KB in it and by 328 KB as one complex GEMM (numpy 2.4 with
     OpenBLAS, 2 vCPUs).
 
-    ``plan``, from :func:`operator_plan` on these ``amps``, serves every
-    call on them; the result is then its ``out`` buffer.  Without one, the
-    call plans for itself.
+    ``plan``, from :func:`operator_plan`, serves every call on its states,
+    reading them as they are at the call; the result is its ``out`` buffer.
     """
-    real, calls, out = operator_plan(amps) if plan is None else plan
+    real, calls, out = plan
     real[:, 0] = operator
     np.multiply(operator, 1j, out=real[:, 1])
     for call in calls:

@@ -23,9 +23,9 @@ both paths and made with the objective, whose ``rows`` are fixed then, and
 each path's forward plan (:func:`qcgrad.circuit.variational_plan`), which
 owns its theta, layer operators, every temporary of their build and its
 rows, the loss-only one made on the path's first call; and for the backprop
-step, made on its first call, the cotangents, the recording plan, one
-:class:`~qcgrad.circuit.BatchTape` of that plan's theta, rows and diagonals,
-and the backward (:func:`qcgrad.autodiff.backward_plan`) bound to that tape.
+step, made on its first call, the cotangents, the recording plan, which is
+a :class:`~qcgrad.circuit.BatchTape`, and the backward
+(:func:`qcgrad.autodiff.backward_plan`) bound to that tape.
 The diagonals of both plans and the backward's Y phases are full factors
 of the rows' shape, and the backward keeps every layer's products for one
 sign matmul (:func:`qcgrad.autodiff.backward_plan`).  At n = 4, B = 200 a
@@ -64,7 +64,7 @@ import numpy as np
 
 from .autodiff import backward_batch, backward_plan
 from .baselines import finite_difference_grad, spsa_grad
-from .circuit import AnsatzSpec, BatchTape, encode_batch, run_variational, variational_plan
+from .circuit import AnsatzSpec, encode_batch, run_variational, variational_plan
 from .datasets import Dataset
 from .heads import ClassificationHead, RegressionHead, readout, readout_loss
 from .state import apply_operator, as_index, as_real, operator_plan, z_sign_vector
@@ -173,7 +173,7 @@ class CircuitObjective:
         GEMM against all k rows rounds differently (2.7e-13 at n = 8).  The
         probabilities are squared in place.
         """
-        final = row_finals if self._operator is None else apply_operator(self.encoded, row_finals, self._operator)
+        final = row_finals if self._operator is None else apply_operator(self._operator, row_finals)
         np.abs(final, out=self._probs)
         np.square(self._probs, out=self._probs)
         for step in self._z_steps:
@@ -215,10 +215,9 @@ class CircuitObjective:
         if self._backward is None:
             self._cotangent = np.empty_like(self.encoded)
             self._row_cotangent = self._cotangent if self._operator is None else np.empty_like(self.rows)
-            self._record_plan = buffer, posts, diags, _ = variational_plan(self.rows, self.spec, record=True)
-            self._tape = BatchTape(self.spec, posts, buffer, diags)
+            self._tape = variational_plan(self.rows, self.spec, record=True)
             self._backward = backward_plan(self._tape)
-        posts = run_variational(self.rows, theta, self.spec, record=True, plan=self._record_plan)
+        posts = run_variational(self.rows, theta, self.spec, record=True, plan=self._tape)
         final = self._measure(posts[-1])
         losses, outputs, dL_dz = readout(self._z, self.targets, self.head)
         # dL_dp * conj(final), dL_dp made in the free probabilities and cast
@@ -230,7 +229,7 @@ class CircuitObjective:
         np.multiply(self._cotangent, np.conjugate(final, out=final), out=self._cotangent)
         if self._operator is not None:
             np.matmul(self.encoded.T, self._cotangent, out=self._row_cotangent)
-        grad = backward_batch(self._tape, self._row_cotangent, self._backward)
+        grad = backward_batch(self._backward, self._row_cotangent)
         return float(losses.sum()) / len(losses), outputs, grad.sum(axis=0) / len(outputs)
 
 

@@ -7,7 +7,7 @@ from conftest import single_tape, z_reference
 
 from qcgrad.autodiff import HADAMARD_BLOCK, backward_batch, backward_plan, hadamard_plan
 from qcgrad.baselines import finite_difference_grad
-from qcgrad.circuit import AnsatzSpec, BatchTape, encode_batch, forward_batch, run_variational, variational_plan
+from qcgrad.circuit import AnsatzSpec, encode_batch, forward_batch, run_variational, variational_plan
 from qcgrad.heads import ClassificationHead, readout
 from qcgrad.state import z_sign_vector
 from qcgrad.trainer import random_objective
@@ -17,28 +17,25 @@ def test_seed_cotangent_length_mismatch():
     spec = AnsatzSpec(1, 0)
     tape = single_tape([0.0], np.zeros(2), spec)
     with pytest.raises(ValueError):
-        backward_batch(tape, np.zeros((1, 4)))
+        backward_batch(backward_plan(tape), np.zeros((1, 4)))
     with pytest.raises(ValueError):
-        backward_batch(tape, np.zeros(2))  # one cotangent row per batch row
+        backward_batch(backward_plan(tape), np.zeros(2))  # one cotangent row per batch row
 
 
 def test_plans_run_only_on_the_arrays_they_were_made_on():
-    # a backward plan's calls read the arrays of the tape it was made on, its
-    # theta included, so it follows every run of a kept recording plan, and
-    # another tape is refused rather than silently ignored
+    # a recording plan is its tape, and a backward plan's calls read the
+    # arrays of the tape it was made on, its theta included, so it follows
+    # every run of a kept recording plan
     rng = np.random.default_rng(8)
     spec = AnsatzSpec(3, 2)
     encoded = encode_batch(rng.uniform(-1, 1, (4, 1)), spec)
-    forward = theta_buffer, posts, diags, _ = variational_plan(encoded, spec, record=True)
-    tape = BatchTape(spec, posts, theta_buffer, diags)
+    tape = variational_plan(encoded, spec, record=True)
     backward = backward_plan(tape)
     for theta in rng.uniform(0, 2 * np.pi, (2, spec.param_count)):
-        run_variational(encoded, theta, spec, record=True, plan=forward)
+        run_variational(encoded, theta, spec, record=True, plan=tape)
         cotangent = rng.normal(size=tape.final.shape) * np.conj(tape.final)
         fresh = forward_batch(encoded, theta, spec)
-        assert np.array_equal(backward_batch(tape, cotangent, backward), backward_batch(fresh, cotangent))
-    with pytest.raises(ValueError, match="made on another tape"):
-        backward_batch(fresh, cotangent, backward)
+        assert np.array_equal(backward_batch(backward, cotangent), backward_batch(backward_plan(fresh), cotangent))
 
 
 def test_single_ry_analytic_gradient():
@@ -46,7 +43,7 @@ def test_single_ry_analytic_gradient():
     spec = AnsatzSpec(1, 0)
     t = np.pi / 3
     tape = single_tape([0.0], np.array([t, 0.0]), spec)
-    grad = backward_batch(tape, np.array([[1.0, -1.0]]) * np.conj(tape.final))[0]
+    grad = backward_batch(backward_plan(tape), np.array([[1.0, -1.0]]) * np.conj(tape.final))[0]
     assert abs(grad[0] + np.sin(t)) < 1e-9
     assert abs(grad[1]) < 1e-12
 
@@ -56,7 +53,7 @@ def test_zero_cotangent_gives_zero_gradient():
     rng = np.random.default_rng(0)
     tape = single_tape(rng.uniform(-1, 1, 1), rng.uniform(0, 2 * np.pi, spec.param_count), spec)
     cotangent = np.zeros((1, 8)) * np.conj(tape.final)
-    assert np.array_equal(backward_batch(tape, cotangent), np.zeros((1, spec.param_count)))
+    assert np.array_equal(backward_batch(backward_plan(tape), cotangent), np.zeros((1, spec.param_count)))
 
 
 def test_gradient_matches_finite_differences():
@@ -99,8 +96,10 @@ def test_linearity_in_cotangent():
     g2 = rng.normal(size=(1, 8))
     alpha, beta = 0.7, -1.3
     conj_final = np.conj(tape.final)
-    combined = backward_batch(tape, (alpha * g1 + beta * g2) * conj_final)
-    separate = alpha * backward_batch(tape, g1 * conj_final) + beta * backward_batch(tape, g2 * conj_final)
+    # each call overwrites the plan's gradient buffer
+    plan = backward_plan(tape)
+    combined = backward_batch(plan, (alpha * g1 + beta * g2) * conj_final).copy()
+    separate = alpha * backward_batch(plan, g1 * conj_final) + beta * backward_batch(plan, g2 * conj_final)
     assert np.abs(combined - separate).max() < 1e-10
 
 
@@ -117,10 +116,10 @@ def test_backward_batch_matches_per_sample():
         return (readout(z_reference(final, head.qubits), targets, head)[2] @ signs) * np.conj(final)
 
     bt = forward_batch(encode_batch(xs, spec), theta, spec)
-    batch_grads = backward_batch(bt, cotangent(bt.final, labels))
+    batch_grads = backward_batch(backward_plan(bt), cotangent(bt.final, labels))
     for i in range(6):
         tape = single_tape(xs[i], theta, spec)
-        single = backward_batch(tape, cotangent(tape.final, labels[i : i + 1]))[0]
+        single = backward_batch(backward_plan(tape), cotangent(tape.final, labels[i : i + 1]))[0]
         assert np.allclose(batch_grads[i], single, rtol=0, atol=1e-14)
 
 
@@ -135,10 +134,10 @@ def test_batch_gradient_rows_equal_single_runs_beyond_four_qubits(n):
         xs = rng.uniform(-1, 1, (b, 1))
         dL_dp = rng.normal(size=(b, 1 << n))
         tape = forward_batch(encode_batch(xs, spec), theta, spec)
-        grads = backward_batch(tape, dL_dp * np.conj(tape.final))
+        grads = backward_batch(backward_plan(tape), dL_dp * np.conj(tape.final))
         for i in range(b):
             one = single_tape(xs[i], theta, spec)
-            single = backward_batch(one, dL_dp[i : i + 1] * np.conj(one.final))[0]
+            single = backward_batch(backward_plan(one), dL_dp[i : i + 1] * np.conj(one.final))[0]
             assert np.abs(grads[i] - single).max() <= 1e-14
 
 
@@ -165,7 +164,7 @@ def test_backward_costs_at_most_three_forwards():
         tape = forward_batch(encoded, theta, spec)
         cotangent = rng.normal(size=(64, 16)) * np.conj(tape.final)
         t_fwd, t_bwd = _fastest_interleaved(
-            lambda: forward_batch(encoded, theta, spec), lambda: backward_batch(tape, cotangent), 15
+            lambda: forward_batch(encoded, theta, spec), lambda: backward_batch(backward_plan(tape), cotangent), 15
         )
         assert t_bwd <= 3.0 * t_fwd, f"l={l}: backward {t_bwd:.4f}s vs forward {t_fwd:.4f}s"
 

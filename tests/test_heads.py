@@ -12,7 +12,6 @@ from qcgrad.heads import (
     readout,
     readout_loss,
     regression_batch,
-    regression_loss,
     softmax_gamma,
 )
 from qcgrad.state import QuantumState, apply_single_qubit, basis_state, z_expectation
@@ -238,9 +237,6 @@ def test_loss_only_regression_head_equals_the_batch_head_bit_for_bit(scale):
     head = RegressionHead(output_scale=scale)
     expected = regression_batch(z, targets, head)[0]
     out = np.full(len(targets), np.nan)
-    assert regression_loss(z, targets, head, out) is out
-    assert same_bits(out, expected)
-    out[:] = np.nan
     assert readout_loss(z, targets, head, out) is out and same_bits(out, expected)
 
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from qcgrad.autodiff import backward_batch
+from qcgrad.autodiff import backward_batch, backward_plan
 from qcgrad.baselines import finite_difference_grad
 from qcgrad.circuit import AnsatzSpec, encode_batch, forward_batch
 from qcgrad.datasets import Dataset
@@ -66,10 +66,10 @@ def test_batch_forward_rows_equal_single_runs_bit_for_bit(case):
 def test_batch_gradient_rows_equal_single_gradients(case):
     spec, xs, theta, dL_dp = case
     tape = run(xs, theta, spec)
-    grads = backward_batch(tape, dL_dp * np.conj(tape.final))
+    grads = backward_batch(backward_plan(tape), dL_dp * np.conj(tape.final))
     for i in range(len(xs)):
         single_tape = run(xs[i : i + 1], theta, spec)
-        single = backward_batch(single_tape, dL_dp[i : i + 1] * np.conj(single_tape.final))[0]
+        single = backward_batch(backward_plan(single_tape), dL_dp[i : i + 1] * np.conj(single_tape.final))[0]
         assert np.abs(grads[i] - single).max() <= 1e-14
 
 

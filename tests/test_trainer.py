@@ -18,7 +18,7 @@ from qcgrad.baselines import finite_difference_grad, spsa_grad
 from qcgrad.autodiff import backward_batch, backward_plan
 from qcgrad.circuit import AnsatzSpec, BatchTape, encode_batch, forward_batch, run_variational, variational_plan
 from qcgrad.datasets import Dataset, gen_circles, gen_function_dataset, gen_moons
-from qcgrad.heads import ClassificationHead, RegressionHead, accuracy, r_squared, readout
+from qcgrad.heads import ClassificationHead, RegressionHead, accuracy, r_squared, readout, softmax_gamma
 from qcgrad.state import (
     OPERATOR_MIN_ROWS,
     apply_cz,
@@ -312,6 +312,13 @@ MISTYPED_INPUTS = {
     "bool-fd-step": (TypeError, "fd_step", lambda: TrainConfig(fd_step=True)),
     "bool-gamma": (TypeError, "gamma", lambda: ClassificationHead(gamma=np.True_)),
     "bool-output-scale": (TypeError, "output_scale", lambda: RegressionHead(output_scale=True)),
+    "bool-fd-h": (TypeError, "h", lambda: finite_difference_grad(np.sum, np.zeros(2), True)),
+    "bool-spsa-k": (TypeError, "k", lambda: spsa_grad(np.sum, np.zeros(2), True, 0)),
+    "bool-spsa-seed": (TypeError, "seed", lambda: spsa_grad(np.sum, np.zeros(2), 0, True)),
+    "bool-moons-noise": (TypeError, "noise_sigma", lambda: gen_moons(noise_sigma=True)),
+    "bool-circles-noise": (TypeError, "noise_sigma", lambda: gen_circles(noise_sigma=True)),
+    "bool-function-noise": (TypeError, "noise_sigma", lambda: gen_function_dataset("sine", noise_sigma=True)),
+    "bool-softmax-gamma": (TypeError, "gamma", lambda: softmax_gamma(0.3, 0.1, True)),
     "float-qubit": (TypeError, "measured_qubit", lambda: RegressionHead(measured_qubit=1.5)),
     "negative-qubit": (ValueError, "measured_qubit", lambda: RegressionHead(measured_qubit=-1)),
     "float-first-qubit": (TypeError, "qubit_1", lambda: ClassificationHead(qubit_1=0.0, qubit_2=1)),
@@ -377,13 +384,13 @@ def test_operator_apply_rows_equal_single_runs(n):
         # a kept plan reads the states as they are at each call
         plan = operator_plan(states)
         states[...] = rng.normal(size=(b, 1 << n)) + 1j * rng.normal(size=(b, 1 << n))
-        rows = apply_operator(states, operator)
+        rows = apply_operator(operator_plan(states), operator)
         assert np.abs(rows - states @ operator).max() <= 1e-13
         for other in (operator.conj(), operator):
-            kept = apply_operator(states, other, plan)
+            kept = apply_operator(plan, other)
         assert kept is plan[2] and np.array_equal(kept, rows)
         for i in range(b):
-            assert np.array_equal(rows[i], apply_operator(states[i : i + 1], operator)[0])
+            assert np.array_equal(rows[i], apply_operator(operator_plan(states[i : i + 1]), operator)[0])
     # the objective's plan is one 2-D GEMM over all its inputs' float view
     for count in (5, 200):
         objective = objective_on(True, n, 2, False, count)[0]
@@ -536,9 +543,10 @@ def test_backprop_matches_the_parameter_shift_rule(n):
 
 def test_every_readout_calls_the_head_functions_by_name(monkeypatch):
     # perfbench times the heads by rebinding these module-level names; the
-    # loss alone reads only the loss-only head, every other path the batch head
+    # loss alone reads only the loss-only classification head, and every
+    # other path, and the regression loss alone, the batch head
     calls = Counter()
-    for name in ("regression_batch", "classification_batch", "regression_loss", "classification_loss"):
+    for name in ("regression_batch", "classification_batch", "classification_loss"):
         def counted(*args, _original=getattr(heads, name), _name=name):
             calls[_name] += 1
             return _original(*args)
@@ -547,16 +555,16 @@ def test_every_readout_calls_the_head_functions_by_name(monkeypatch):
     for classification, kind in ((False, "regression"), (True, "classification")):
         objective, theta = operator_objective(3, 2, classification, count=20)
         xs = np.zeros((5, objective.spec.feature_dim))
-        for run, batch_calls, loss_calls in (
-            (objective.loss, 0, 1),
-            (objective.evaluate, 1, 0),
-            (objective.loss_and_grad_backprop, 1, 0),
-            (lambda th: predict(xs, th, objective.spec, objective.head), 1, 0),
+        for run, called in (
+            (objective.loss, "classification_loss" if classification else "regression_batch"),
+            (objective.evaluate, f"{kind}_batch"),
+            (objective.loss_and_grad_backprop, f"{kind}_batch"),
+            (lambda th: predict(xs, th, objective.spec, objective.head), f"{kind}_batch"),
         ):
             before = calls.copy()
             run(theta)
-            assert calls - before == Counter({f"{kind}_batch": batch_calls, f"{kind}_loss": loss_calls})
-    assert set(calls) == {"regression_batch", "classification_batch", "regression_loss", "classification_loss"}
+            assert calls - before == Counter({called: 1})
+    assert set(calls) == {"regression_batch", "classification_batch", "classification_loss"}
 
 
 def test_shallow_circuits_and_small_batches_run_the_inputs():
@@ -575,7 +583,7 @@ def test_shallow_circuits_and_small_batches_run_the_inputs():
 def plan_stacks(objective, theta):
     """Shapes of the plans' and tape's diagonals, the backward's seed, and the products its sign matmul reads."""
     rows, spec = objective.rows, objective.spec
-    shapes = [variational_plan(rows, spec, record=record)[2].shape for record in (False, True)]
+    shapes = [variational_plan(rows, spec, record=record).diags.shape for record in (False, True)]
     tape = forward_batch(rows, theta, spec)
     _, _, seed, _, calls, grad = backward_plan(tape)
     (sign_matmul,) = [call for call in calls if call.func is np.matmul and np.shares_memory(call.args[2], grad)]
@@ -602,23 +610,22 @@ def test_full_factor_diagonals_give_the_bits_of_broadcast_rows(n, l, count):
     # every amplitude is multiplied by the same factor either way, so the
     # backward on a tape of full stacks and on the same tape with one
     # broadcast row per diagonal agree bit for bit, as the forward's last
-    # product does; kept plans agree with plan-less calls
+    # product does; kept plans agree with plans made for one call
     for classification in (False, True):
         objective, theta = operator_objective(n, l, classification, count)
         rows, spec = objective.rows, objective.spec
         cotangent = np.random.default_rng(n).normal(size=(len(rows), 1 << n, 2)) @ np.array([1.0, 1j])
         tape = forward_batch(rows, theta, spec)
-        planless = backward_batch(tape, cotangent)
+        fresh = backward_batch(backward_plan(tape), cotangent)
         assert np.array_equal(tape.final, tape.posts[-2] * tape.diags[-1, 0])
         broadcast = BatchTape(spec, tape.posts, tape.theta, tape.diags[:, :1])
-        assert np.array_equal(backward_batch(broadcast, cotangent), planless)
-        forward = buffer, posts, diags, _ = variational_plan(rows, spec, record=True)
-        kept_tape = BatchTape(spec, posts, buffer, diags)
+        assert np.array_equal(backward_batch(backward_plan(broadcast), cotangent), fresh)
+        kept_tape = variational_plan(rows, spec, record=True)
         backward = backward_plan(kept_tape)
         for theta_i in (theta[::-1].copy(), theta):
-            run_variational(rows, theta_i, spec, record=True, plan=forward)
-            kept = backward_batch(kept_tape, cotangent, backward)
-        assert np.array_equal(kept, planless)
+            run_variational(rows, theta_i, spec, record=True, plan=kept_tape)
+            kept = backward_batch(backward, cotangent)
+        assert np.array_equal(kept, fresh)
 
 
 @pytest.mark.parametrize("count", [5, 401])
