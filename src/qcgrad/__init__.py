@@ -15,30 +15,10 @@ from .trainer import (
     TrainResult,
     train,
 )
-from .autodiff import backward_batch, backward_plan
-from .baselines import finite_difference_grad, spsa_grad
 from .bench import BenchmarkRecord, run_benchmark
-from .circuit import AnsatzSpec, encode_batch, forward_batch
+from .circuit import AnsatzSpec
 from .datasets import Dataset, gen_circles, gen_function_dataset, gen_moons
-from .gates import ry, rz
-from .heads import (
-    ClassificationHead,
-    RegressionHead,
-    accuracy,
-    classification_batch,
-    r_squared,
-    regression_batch,
-    softmax_gamma,
-)
-from .state import (
-    QuantumState,
-    apply_cz,
-    apply_single_qubit,
-    basis_state,
-    marginal,
-    probabilities,
-    z_expectation,
-)
+from .heads import ClassificationHead, RegressionHead
 
 __all__ = [
     "__version__",
@@ -46,33 +26,13 @@ __all__ = [
     "BenchmarkRecord",
     "ClassificationHead",
     "Dataset",
-    "QuantumState",
     "RegressionHead",
     "TrainConfig",
     "TrainResult",
     "TrainingDivergedError",
-    "accuracy",
-    "apply_cz",
-    "apply_single_qubit",
-    "backward_batch",
-    "backward_plan",
-    "basis_state",
-    "classification_batch",
-    "encode_batch",
-    "finite_difference_grad",
-    "forward_batch",
     "gen_circles",
     "gen_function_dataset",
     "gen_moons",
-    "marginal",
-    "probabilities",
-    "r_squared",
-    "regression_batch",
     "run_benchmark",
-    "ry",
-    "rz",
-    "softmax_gamma",
-    "spsa_grad",
     "train",
-    "z_expectation",
 ]

@@ -75,8 +75,10 @@ def spsa_grad(f: LossFunction, theta: np.ndarray, k: int, seed: int) -> np.ndarr
     """
     if as_index(k, "k") < 0:
         raise ValueError(f"iteration index must be >= 0, got {k}")
+    if as_index(seed, "seed") < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     theta = as_real(theta, "theta")
-    rng = np.random.default_rng([as_index(seed, "seed"), k])
+    rng = np.random.default_rng([seed, k])
     delta = rng.integers(0, 2, size=theta.size) * 2.0 - 1.0
     ck = spsa_perturbation_size(k)
     plus, minus = theta + ck * delta, theta - ck * delta

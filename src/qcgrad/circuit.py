@@ -59,7 +59,7 @@ matrix-vector route, which rounds differently.  With those runs padded to
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache, partial
 
 import numpy as np
@@ -109,7 +109,7 @@ class BatchTape:
     posts: list[np.ndarray]
     theta: np.ndarray
     diags: np.ndarray
-    calls: list[partial] = field(default_factory=list)
+    calls: list[partial]
 
     @property
     def final(self) -> np.ndarray:
@@ -327,7 +327,7 @@ def variational_plan(encoded: np.ndarray, spec: AnsatzSpec, *, record: bool) -> 
 
 
 def run_variational(
-    encoded: np.ndarray, theta: np.ndarray, spec: AnsatzSpec, *, record: bool, plan: BatchTape | None = None
+    encoded: np.ndarray, theta: np.ndarray, spec: AnsatzSpec, *, record: bool, plan: BatchTape
 ) -> list[np.ndarray] | np.ndarray:
     """Run the circuit ``spec`` at ``theta`` on encoded amplitudes of shape (B, dim).
 
@@ -339,13 +339,9 @@ def run_variational(
 
     ``plan``, from :func:`variational_plan` with the same ``encoded``,
     ``spec`` and ``record``, is the one its caller keeps for every call: the
-    rows returned are then its buffers, overwritten by the next call.
-    Without a plan, the call plans for itself.  At n = 4 a forward is a few
-    microseconds of arithmetic and mostly per-call numpy overhead, which
-    making the views again on every call adds to.
+    rows returned are its buffers, overwritten by the next call.
     """
     theta = check_theta(theta, spec)
-    plan = variational_plan(encoded, spec, record=record) if plan is None else plan
     np.copyto(plan.theta, theta)
     for call in plan.calls:
         call()

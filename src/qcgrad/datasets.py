@@ -74,16 +74,18 @@ def gen_function_dataset(
     """1-D regression data: x ~ U[-1, 1], target = f(x) + noise_sigma * N(0, 1)."""
     if as_index(count, "count") < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    _check_noise(noise_sigma)
+    _check_noise(noise_sigma, seed)
     rng = np.random.default_rng(seed)
     x = rng.uniform(-1.0, 1.0, size=count)
     targets = _target_fn(kind, x) + noise_sigma * rng.standard_normal(count)
     return Dataset(x=x[:, None], targets=targets, task="regression")
 
 
-def _check_noise(noise_sigma: float) -> None:
+def _check_noise(noise_sigma: float, seed: int) -> None:
     if not 0 <= as_real(noise_sigma, "noise_sigma") < math.inf:  # NaN fails too
         raise ValueError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
+    if as_index(seed, "seed") < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
 
 
 def _check_pair_count(count: int) -> None:
@@ -101,7 +103,7 @@ def _two_classes(class_0: np.ndarray, class_1: np.ndarray, noise_sigma: float, s
     lies outside the box, so that noise-free shapes that already fit keep
     their geometry (e.g. exact circle radii).
     """
-    _check_noise(noise_sigma)
+    _check_noise(noise_sigma, seed)
     coords = np.concatenate([class_0, class_1])
     labels = np.concatenate([np.zeros(len(class_0)), np.ones(len(class_1))])
     if noise_sigma > 0:
@@ -124,7 +126,7 @@ def gen_circles(
     gives the same points.
     """
     _check_pair_count(count)
-    if not 0.0 < inner_factor < 1.0:
+    if not 0.0 < as_real(inner_factor, "inner_factor") < 1.0:
         raise ValueError(f"inner_factor must lie in (0, 1), got {inner_factor}")
     angles = np.linspace(0.0, 2.0 * np.pi, count // 2, endpoint=False)
     outer = np.column_stack([np.cos(angles), np.sin(angles)])

@@ -12,6 +12,7 @@ from qcgrad.circuit import (
     layer_plan,
     ring_signs,
     run_variational,
+    variational_plan,
 )
 from qcgrad.state import (
     QuantumState,
@@ -247,9 +248,10 @@ def test_recording_and_loss_only_forwards_agree(n):
         spec = AnsatzSpec(n, l)
         theta = rng.uniform(0, 2 * np.pi, spec.param_count)
         for rows in (encode_batch(rng.uniform(-1, 1, (5, 1)), spec), np.eye(1 << n, dtype=complex)):
-            tape = run_variational(rows, theta, spec, record=True)
+            tape = forward_batch(rows, theta, spec).posts
             assert len(tape) == l + 2
-            assert np.array_equal(run_variational(rows, theta, spec, record=False), tape[-1])
+            plan = variational_plan(rows, spec, record=False)
+            assert np.array_equal(run_variational(rows, theta, spec, record=False, plan=plan), tape[-1])
 
 
 def test_batch_rows_equal_single_runs_at_five_and_six_qubits():

@@ -94,6 +94,12 @@ def test_rerun_reproduces_bench_list_config(tmp_path, capsys):
     assert first["config"]["methods"] == ["backprop"] and first["config"]["depth_sweep"] == [0]
 
 
+@pytest.mark.parametrize("command", ["regress", "classify", "bench"])
+def test_negative_seed_is_usage_error(command, tmp_path, capsys):
+    assert run_cli([command, "--seed", "-1", "--out-dir", str(tmp_path / "out")]) == 1
+    assert "seed must be >= 0" in capsys.readouterr().err
+
+
 def test_rerun_missing_manifest_is_usage_error(tmp_path, capsys):
     assert run_cli(["rerun", str(tmp_path / "absent.json")]) == 1
     err = capsys.readouterr().err

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import tracemalloc
@@ -16,7 +17,7 @@ import qcgrad.trainer as trainer
 from qcgrad import gates
 from qcgrad.baselines import finite_difference_grad, spsa_grad
 from qcgrad.autodiff import backward_batch, backward_plan
-from qcgrad.circuit import AnsatzSpec, BatchTape, encode_batch, forward_batch, run_variational, variational_plan
+from qcgrad.circuit import AnsatzSpec, encode_batch, forward_batch, run_variational, variational_plan
 from qcgrad.datasets import Dataset, gen_circles, gen_function_dataset, gen_moons
 from qcgrad.heads import ClassificationHead, RegressionHead, accuracy, r_squared, readout, softmax_gamma
 from qcgrad.state import (
@@ -319,6 +320,15 @@ MISTYPED_INPUTS = {
     "bool-circles-noise": (TypeError, "noise_sigma", lambda: gen_circles(noise_sigma=True)),
     "bool-function-noise": (TypeError, "noise_sigma", lambda: gen_function_dataset("sine", noise_sigma=True)),
     "bool-softmax-gamma": (TypeError, "gamma", lambda: softmax_gamma(0.3, 0.1, True)),
+    "bool-moons-seed": (TypeError, "seed", lambda: gen_moons(count=4, noise_sigma=0.1, seed=True)),
+    "bool-circles-seed": (TypeError, "seed", lambda: gen_circles(count=4, noise_sigma=0.1, seed=True)),
+    "bool-function-seed": (TypeError, "seed", lambda: gen_function_dataset("sine", count=4, seed=True)),
+    "float-noiseless-moons-seed": (TypeError, "seed", lambda: gen_moons(count=4, seed=2.5)),
+    "negative-noiseless-moons-seed": (ValueError, "seed", lambda: gen_moons(count=4, seed=-1)),
+    "negative-circles-seed": (ValueError, "seed", lambda: gen_circles(count=4, noise_sigma=0.1, seed=-1)),
+    "negative-function-seed": (ValueError, "seed", lambda: gen_function_dataset("sine", count=4, seed=-1)),
+    "negative-spsa-seed": (ValueError, "seed", lambda: spsa_grad(np.sum, np.zeros(2), 0, -1)),
+    "string-inner-factor": (TypeError, "inner_factor", lambda: gen_circles(inner_factor="0.5")),
     "float-qubit": (TypeError, "measured_qubit", lambda: RegressionHead(measured_qubit=1.5)),
     "negative-qubit": (ValueError, "measured_qubit", lambda: RegressionHead(measured_qubit=-1)),
     "float-first-qubit": (TypeError, "qubit_1", lambda: ClassificationHead(qubit_1=0.0, qubit_2=1)),
@@ -618,7 +628,7 @@ def test_full_factor_diagonals_give_the_bits_of_broadcast_rows(n, l, count):
         tape = forward_batch(rows, theta, spec)
         fresh = backward_batch(backward_plan(tape), cotangent)
         assert np.array_equal(tape.final, tape.posts[-2] * tape.diags[-1, 0])
-        broadcast = BatchTape(spec, tape.posts, tape.theta, tape.diags[:, :1])
+        broadcast = dataclasses.replace(tape, diags=tape.diags[:, :1])
         assert np.array_equal(backward_batch(backward_plan(broadcast), cotangent), fresh)
         kept_tape = variational_plan(rows, spec, record=True)
         backward = backward_plan(kept_tape)
